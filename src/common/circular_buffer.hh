@@ -1,13 +1,16 @@
 /**
  * @file
  * Fixed-capacity circular FIFO used for age-ordered hardware queues
- * (ROB, store queue, load queue, store register queue).
+ * (the core's instruction window, store queue, load queue).
  */
 
 #ifndef NOSQ_COMMON_CIRCULAR_BUFFER_HH
 #define NOSQ_COMMON_CIRCULAR_BUFFER_HH
 
 #include <cstddef>
+#include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -56,18 +59,24 @@ class CircularBuffer
     }
 
     /**
-     * Append a freshly default-constructed youngest entry in place
-     * and return it, so large entries can be filled directly in their
-     * slot instead of being built outside and copied in.
+     * Construct a new youngest entry in its slot from @p args and
+     * return it, so large entries are built once where they live
+     * instead of being default-constructed, assigned, or built
+     * outside and copied in.
      */
+    template <typename... Args>
     T &
-    emplaceBack()
+    emplaceBack(Args &&...args)
     {
+        // The slot's previous occupant is reused without running its
+        // destructor.
+        static_assert(std::is_trivially_destructible_v<T>,
+                      "emplaceBack reuses slots without destroying");
         nosq_assert(!full(), "push to full circular buffer");
-        std::size_t pos = physical(count);
-        slots[pos] = T();
+        T *slot = ::new (&slots[physical(count)])
+            T(std::forward<Args>(args)...);
         ++count;
-        return slots[pos];
+        return *slot;
     }
 
     /** Pop the oldest entry; the buffer must not be empty. */
@@ -103,6 +112,17 @@ class CircularBuffer
     {
         nosq_assert(!empty(), "popBack from empty circular buffer");
         --count;
+    }
+
+    /**
+     * Discard the youngest entries so that only the oldest @p n
+     * remain (squash support: drops a whole young segment at once).
+     */
+    void
+    truncate(std::size_t n)
+    {
+        nosq_assert(n <= count, "truncate beyond circular buffer size");
+        count = n;
     }
 
     /** Oldest-first logical access. */

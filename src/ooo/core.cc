@@ -71,8 +71,7 @@ OooCore::OooCore(const UarchParams &params_,
       sq(params_.sqSize), storeSets(params_.storeSets),
       srq(256), bypassPred(params_.bypass), tssbf(params_.tssbf)
 {
-    fetchQueue.setCapacity(params.fetchBufferSize);
-    rob.setCapacity(params.robSize);
+    window.setCapacity(params.robSize + params.fetchBufferSize);
     iqWaiting.reserve(params.iqSize + params.renameWidth);
     // Every in-flight store occupies a ROB entry, so a power-of-two
     // ring of at least robSize entries can never alias two live SSNs.
@@ -114,7 +113,7 @@ OooCore::runUntilCommitted(std::uint64_t target,
     commitBudget = target;
     while (committed < target) {
         tick();
-        if (traceExhausted && rob.empty() && fetchQueue.empty())
+        if (drained())
             break;
         nosq_assert(cycle < cycle_bound,
                     "simulation livelock suspected");
@@ -231,14 +230,14 @@ OooCore::nextEventCycle()
     };
 
     // Retirement: the in-order back end drains at a fixed depth.
-    if (!rob.empty() && rob.front().inBackend)
-        consider(rob.front().retireCycle);
+    if (!robEmpty() && robHead().inBackend)
+        consider(robHead().retireCycle);
 
     // Back-end entry: the oldest instruction not yet in the back
     // end enters once complete (per-cycle port limits cannot block
     // the first entry of a cycle).
-    if (backendCount < rob.size()) {
-        const Inflight &head = rob.at(backendCount);
+    if (backendCount < robCount()) {
+        const Inflight &head = robAt(backendCount);
         if (head.completedFlag)
             consider(head.completeCycle);
     }
@@ -250,10 +249,10 @@ OooCore::nextEventCycle()
     // contributes a wake), and baseline designated-store waits end
     // at the store's known completion cycle.
     if (!iqWaiting.empty()) {
-        const InstSeq front_seq = rob.front().di.seq;
+        const InstSeq front_seq = robHead().di.seq;
         for (const InstSeq seq : iqWaiting) {
             const Inflight &inf =
-                rob.at(static_cast<std::size_t>(seq - front_seq));
+                robAt(static_cast<std::size_t>(seq - front_seq));
             Cycle src = 0;
             if (inf.physA != invalid_phys_reg)
                 src = std::max(src, rename.readyAt(inf.physA));
@@ -287,11 +286,11 @@ OooCore::nextEventCycle()
 
     // Rename: the fetch-queue head matures at a fixed cycle;
     // structural stalls are released by the window chain above.
-    if (!fetchQueue.empty()) {
-        const Cycle ready = fetchQueue.front().renameReady;
+    if (!fetchEmpty()) {
+        const Cycle ready = fetchHead().renameReady;
         if (ready > cycle)
             consider(ready);
-        else if (rob.empty())
+        else if (robEmpty())
             consider(cycle + 1); // no window chain to release it
     }
 
@@ -301,7 +300,7 @@ OooCore::nextEventCycle()
     if (!traceExhausted && redirectWaitSeq == 0) {
         if (fetchStalledUntil > cycle)
             consider(fetchStalledUntil);
-        else if (!fetchQueue.full())
+        else if (!fetchFull())
             consider(cycle + 1); // fetch could act: don't skip
     }
 
@@ -328,7 +327,7 @@ OooCore::doFetch()
     unsigned branches = 0;
     bool taken_seen = false;
 
-    while (fetched < params.fetchWidth && !fetchQueue.full()) {
+    while (fetched < params.fetchWidth && !fetchFull()) {
         if (!stream.hasNext()) {
             traceExhausted = true;
             break;
@@ -359,10 +358,10 @@ OooCore::doFetch()
             break; // fetch past only one taken branch per cycle
         }
 
-        // Fill the ring slot in place: Inflight is the pipeline's
-        // largest struct and this loop runs every cycle.
-        Inflight &inf = fetchQueue.emplaceBack();
-        inf.di = di;
+        // Build the window slot in place: Inflight is the pipeline's
+        // largest struct, and this is the only time it is written
+        // whole (rename admits it into the ROB where it stands).
+        Inflight &inf = window.emplaceBack(di);
 
         if (di.isBranch()) {
             ++branches;
@@ -407,10 +406,13 @@ OooCore::doFetch()
 void
 OooCore::flushAfter(InstSeq boundary_seq)
 {
+    // Un-renamed fetched instructions are simply dropped.
+    window.truncate(robN);
+
     // Squash ROB entries younger than the boundary, youngest first,
     // undoing rename state.
-    while (!rob.empty() && rob.back().di.seq > boundary_seq) {
-        Inflight &inf = rob.back();
+    while (!robEmpty() && robTail().di.seq > boundary_seq) {
+        Inflight &inf = robTail();
         if (tracer) {
             tracer->event(obs::TraceLane::Commit, "pipe", "squash",
                           cycle, inf.di.seq, inf.di.pc);
@@ -436,16 +438,14 @@ OooCore::flushAfter(InstSeq boundary_seq)
             --iqCount;
         if (!params.isNosq() && inf.di.isLoad())
             --lqOccupancy;
-        rob.popBack();
+        window.popBack();
+        --robN;
     }
 
     // Squashed issue candidates: iqWaiting is seq-ascending, so the
     // squashed set is exactly its tail.
     while (!iqWaiting.empty() && iqWaiting.back() > boundary_seq)
         iqWaiting.pop_back();
-
-    // Un-renamed fetched instructions are simply dropped.
-    fetchQueue.clear();
 
     if (!params.isNosq())
         storeSets.squashRepair(ssn.rename);
@@ -454,8 +454,8 @@ OooCore::flushAfter(InstSeq boundary_seq)
         redirectWaitSeq = 0;
 
     // Restore decode-path state to the boundary instruction.
-    if (!rob.empty())
-        pathHist.restore(rob.back().pathHash);
+    if (!robEmpty())
+        pathHist.restore(robTail().pathHash);
 
     // Re-fetch from the instruction after the boundary.
     stream.rewindTo(boundary_seq + 1);
@@ -476,15 +476,15 @@ OooCore::findStoreBySsn(SSN target)
     if (target <= ssn.commit || target > ssn.rename)
         return nullptr;
     const InstSeq seq = storeSeqRing[target & storeSeqMask];
-    if (rob.empty())
+    if (robEmpty())
         return nullptr;
-    const InstSeq front_seq = rob.front().di.seq;
+    const InstSeq front_seq = robHead().di.seq;
     if (seq < front_seq)
         return nullptr;
     const std::size_t pos = static_cast<std::size_t>(seq - front_seq);
-    if (pos >= rob.size())
+    if (pos >= robCount())
         return nullptr;
-    Inflight &inf = rob.at(pos);
+    Inflight &inf = robAt(pos);
     nosq_assert(inf.di.seq == seq, "ROB seq indexing broken");
     return &inf;
 }

@@ -55,6 +55,10 @@ inline constexpr std::size_t spct_size = 1 << 16;
 /** One in-flight instruction. */
 struct Inflight
 {
+    Inflight() = default;
+    /** Fetch builds each entry once, in its window slot. */
+    explicit Inflight(const DynInst &d) : di(d) {}
+
     DynInst di;
     /** Path history checkpoint taken at fetch/decode. */
     std::uint64_t pathHash = 0;
@@ -132,6 +136,11 @@ class OooCore
     /** Copying convenience overload (tests, examples, temporaries). */
     OooCore(const UarchParams &params, const Program &program);
 
+    // The window ring holds every in-flight instruction by value;
+    // a core is never copied.
+    OooCore(const OooCore &) = delete;
+    OooCore &operator=(const OooCore &) = delete;
+
     /**
      * Run until @p max_insts instructions commit (or the program
      * halts) and return the run statistics.
@@ -179,7 +188,7 @@ class OooCore
     bool
     drained() const
     {
-        return traceExhausted && rob.empty() && fetchQueue.empty();
+        return traceExhausted && window.empty();
     }
     std::uint64_t committedInsts() const { return committed; }
     /** Cap retirement at @p budget total committed instructions
@@ -254,6 +263,22 @@ class OooCore
      * @return the number actually applied (trace end stops early). */
     std::uint64_t fastForwardInsts(std::uint64_t n);
 
+    // --- window segments ----------------------------------------------------
+    // The ROB is the oldest robN entries of window; the fetch queue is
+    // the rest.
+    std::size_t robCount() const { return robN; }
+    bool robEmpty() const { return robN == 0; }
+    bool robFull() const { return robN == params.robSize; }
+    Inflight &robAt(std::size_t pos) { return window.at(pos); }
+    Inflight &robHead() { return window.front(); }
+    Inflight &robTail() { return window.at(robN - 1); }
+    bool fetchEmpty() const { return window.size() == robN; }
+    bool fetchFull() const
+    {
+        return window.size() - robN == params.fetchBufferSize;
+    }
+    Inflight &fetchHead() { return window.at(robN); }
+
     // --- misc helpers -------------------------------------------------------
     Inflight *findStoreBySsn(SSN ssn);
     std::uint64_t readImage(Addr addr, unsigned size,
@@ -280,20 +305,23 @@ class OooCore
 
     // --- instruction supply -------------------------------------------------
     TraceStream stream;
-    /** Preallocated ring sized to UarchParams::fetchBufferSize. */
-    CircularBuffer<Inflight> fetchQueue;
     bool traceExhausted = false;
     Cycle fetchStalledUntil = 0;
     InstSeq redirectWaitSeq = 0; // mispredicted branch being awaited
 
     // --- window -------------------------------------------------------------
     /**
-     * Preallocated ring sized to UarchParams::robSize. ROB entries
-     * hold contiguous dynamic seqs oldest-to-youngest, so position
-     * lookup is seq - front seq (findStoreBySsn, doIssue).
+     * The instruction window: one preallocated ring of robSize +
+     * fetchBufferSize entries holding contiguous dynamic seqs
+     * oldest-to-youngest. The oldest robN entries are the ROB and the
+     * rest are the fetch queue. Fetch constructs each Inflight in its
+     * slot and rename admits the fetch head into the ROB by advancing
+     * robN, so an entry is never copied. ROB position lookup is
+     * seq - head seq (findStoreBySsn, doIssue).
      */
-    CircularBuffer<Inflight> rob;
-    std::size_t backendCount = 0; // rob entries already in back-end
+    CircularBuffer<Inflight> window;
+    std::size_t robN = 0;
+    std::size_t backendCount = 0; // ROB entries already in back-end
     unsigned iqCount = 0;
     /**
      * Issue-candidate index: the dynamic seqs of ROB entries that are

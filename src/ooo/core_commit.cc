@@ -26,8 +26,8 @@ OooCore::doBackendEntry()
     bool store_agen_used = false;
     bool load_agen_used = false;
 
-    while (entered < params.commitWidth && backendCount < rob.size()) {
-        Inflight &inf = rob.at(backendCount);
+    while (entered < params.commitWidth && backendCount < robCount()) {
+        Inflight &inf = robAt(backendCount);
         if (!inf.completed(cycle))
             break;
         const DynInst &di = inf.di;
@@ -227,8 +227,8 @@ OooCore::retireLoad(Inflight &inf, bool &flushed)
 void
 OooCore::doRetire()
 {
-    while (!rob.empty() && committed < commitBudget) {
-        Inflight &inf = rob.front();
+    while (!robEmpty() && committed < commitBudget) {
+        Inflight &inf = robHead();
         if (!inf.inBackend || inf.retireCycle > cycle)
             break;
         tickWork = true;
@@ -275,7 +275,8 @@ OooCore::doRetire()
         ++committed;
         stream.retireUpTo(di.seq);
         --backendCount;
-        rob.dropFront();
+        window.dropFront();
+        --robN;
         if (flushed)
             break;
     }

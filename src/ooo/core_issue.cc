@@ -119,7 +119,7 @@ OooCore::doIssue()
     // Walk the issue-candidate index (seq-ascending, so oldest first
     // exactly like the full ROB scan this replaced) and compact it in
     // place: issued entries drop out, everything else stays in order.
-    const InstSeq front_seq = rob.front().di.seq;
+    const InstSeq front_seq = robHead().di.seq;
     std::size_t keep = 0;
     for (std::size_t k = 0; k < iqWaiting.size(); ++k) {
         const InstSeq seq = iqWaiting[k];
@@ -128,7 +128,7 @@ OooCore::doIssue()
             continue;
         }
         Inflight &inf =
-            rob.at(static_cast<std::size_t>(seq - front_seq));
+            robAt(static_cast<std::size_t>(seq - front_seq));
         nosq_assert(inf.di.seq == seq && inf.inIq && !inf.issued,
                     "stale issue candidate");
 

@@ -14,15 +14,17 @@ void
 OooCore::doRename()
 {
     unsigned renamed = 0;
-    while (renamed < params.renameWidth && !fetchQueue.empty()) {
-        Inflight &inf = fetchQueue.front();
-        if (inf.renameReady > cycle)
+    while (renamed < params.renameWidth && !fetchEmpty()) {
+        Inflight &entry = fetchHead();
+        if (entry.renameReady > cycle)
             break;
-        if (rob.full())
+        if (robFull())
             break;
-        if (!renameOne(inf))
+        if (!renameOne(entry))
             break; // structural stall
-        Inflight &entry = rob.pushBack(inf);
+        // Admit the fetch head into the ROB where it stands: the
+        // ROB/fetch boundary advances, nothing is copied.
+        ++robN;
         if (tracer) {
             tracer->event(obs::TraceLane::Rename, "pipe", "rename",
                           cycle, entry.di.seq, entry.di.pc);
@@ -35,7 +37,6 @@ OooCore::doRename()
                         "issue-candidate index out of order");
             iqWaiting.push_back(entry.di.seq);
         }
-        fetchQueue.dropFront();
         ++renamed;
         tickWork = true;
     }
@@ -269,7 +270,7 @@ OooCore::renameOne(Inflight &inf)
     // --- SSN wraparound drain (Section 2) -----------------------------
     if (di.isStore() &&
         ssn.nextWraps(params.ssnWrapPeriod)) {
-        if (!rob.empty())
+        if (!robEmpty())
             return false; // drain in progress
         drainForSsnWrap();
     }

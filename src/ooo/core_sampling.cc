@@ -73,14 +73,14 @@ OooCore::flushToCommitted()
     // (and resets fetch-stall/redirect state even when the pipeline
     // happens to be empty).
     flushAfter(stream.retiredSeq());
-    nosq_assert(rob.empty() && ssn.rename == ssn.commit,
+    nosq_assert(window.empty() && ssn.rename == ssn.commit,
                 "flush to committed state left in-flight state");
 }
 
 std::uint64_t
 OooCore::fastForwardInsts(std::uint64_t n)
 {
-    nosq_assert(rob.empty() && fetchQueue.empty(),
+    nosq_assert(window.empty(),
                 "fast-forward requires a drained pipeline");
     std::uint64_t done = 0;
     while (done < n && stream.hasNext()) {

@@ -1,5 +1,6 @@
 #include "workload/functional.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/logging.hh"
@@ -223,29 +224,46 @@ FunctionalSim::step(DynInst &out, OracleBytes *bytes)
 }
 
 TraceStream::TraceStream(std::shared_ptr<const Program> program)
-    : func(std::move(program))
+    : func(std::move(program)), ring(initial_capacity),
+      mask(initial_capacity - 1)
 {
 }
 
 TraceStream::TraceStream(const Program &program)
-    : func(program)
+    : TraceStream(std::make_shared<const Program>(program))
 {
+}
+
+void
+TraceStream::grow()
+{
+    // Re-place every held instruction at its seq under the doubled
+    // mask; seqs outside [baseSeq, endSeq) are dead slots.
+    std::vector<DynInst> bigger(ring.size() * 2);
+    const std::size_t bigger_mask = bigger.size() - 1;
+    for (InstSeq seq = baseSeq; seq < endSeq; ++seq)
+        bigger[seq & bigger_mask] = slot(seq);
+    ring.swap(bigger);
+    mask = bigger_mask;
 }
 
 bool
 TraceStream::fill()
 {
-    DynInst inst;
-    if (!func.step(inst))
+    if (endSeq - baseSeq == ring.size())
+        grow();
+    // The functional simulator writes the record straight into its
+    // ring slot: no local, no copy.
+    if (!func.step(slot(endSeq)))
         return false;
-    buffer.push_back(inst);
+    ++endSeq;
     return true;
 }
 
 bool
 TraceStream::hasNext()
 {
-    while (cursor >= buffer.size()) {
+    while (cursor >= endSeq) {
         if (!fill())
             return false;
     }
@@ -256,35 +274,37 @@ const DynInst &
 TraceStream::peek()
 {
     nosq_assert(hasNext(), "peek past end of trace");
-    return buffer[cursor];
+    return slot(cursor);
 }
 
 const DynInst &
 TraceStream::next()
 {
     nosq_assert(hasNext(), "next past end of trace");
-    return buffer[cursor++];
+    return slot(cursor++);
 }
 
 void
 TraceStream::rewindTo(InstSeq seq)
 {
     nosq_assert(seq > retired, "rewind past retirement barrier");
-    nosq_assert(seq >= baseSeq && seq < baseSeq + buffer.size() + 1,
+    nosq_assert(seq >= baseSeq && seq <= endSeq,
                 "rewind target not buffered");
-    cursor = static_cast<std::size_t>(seq - baseSeq);
+    cursor = seq;
 }
 
 void
 TraceStream::retireUpTo(InstSeq seq)
 {
     retired = std::max(retired, seq);
-    // Keep a small margin so rewindTo(retired + 1) always works.
-    while (baseSeq + 64 <= retired && cursor > 64 && !buffer.empty()) {
-        buffer.pop_front();
-        ++baseSeq;
-        --cursor;
-    }
+    // Recycle slots, keeping rewind_margin instructions behind both
+    // the barrier and the cursor so rewindTo(retired + 1) always
+    // works.
+    if (retired < rewind_margin || cursor <= rewind_margin)
+        return;
+    const InstSeq floor = std::min({retired + 1 - rewind_margin,
+                                    cursor - rewind_margin, endSeq});
+    baseSeq = std::max(baseSeq, floor);
 }
 
 } // namespace nosq

@@ -12,8 +12,8 @@
 #define NOSQ_WORKLOAD_FUNCTIONAL_HH
 
 #include <array>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "isa/program.hh"
 #include "workload/memory.hh"
@@ -89,8 +89,18 @@ class FunctionalSim
  * Rewindable stream of DynInsts on top of FunctionalSim.
  *
  * The timing model fetches through a cursor; on a pipeline flush it
- * rewinds the cursor to the squashed instruction. Entries older than
- * the retirement barrier are discarded to bound memory.
+ * rewinds the cursor to the squashed instruction. Instructions live
+ * in a power-of-two ring indexed by seq & mask, into which
+ * FunctionalSim::step writes each record directly. Entries more than
+ * a small margin older than the retirement barrier are recycled, so
+ * the ring stays at its initial size under any timing core; it
+ * doubles only when a reader runs further ahead of retirement than
+ * that.
+ *
+ * A reference returned by peek() or next() stays valid only until
+ * the next call that produces an instruction (hasNext(), peek() or
+ * next() reaching past the newest produced one): producing may
+ * recycle or move ring slots.
  */
 class TraceStream
 {
@@ -117,20 +127,39 @@ class TraceStream
     void retireUpTo(InstSeq seq);
 
     /** Dynamic seq the cursor will deliver next (1-based). */
-    InstSeq cursorSeq() const { return baseSeq + cursor; }
+    InstSeq cursorSeq() const { return cursor; }
 
     /** Highest seq marked retired (the rewind barrier). */
     InstSeq retiredSeq() const { return retired; }
 
+    /** Current ring capacity in instructions (a power of two). */
+    std::size_t capacity() const { return ring.size(); }
+
     FunctionalSim &functional() { return func; }
 
+    /**
+     * Initial ring capacity: covers the largest timing window (a
+     * 256-entry ROB plus a 64-entry fetch queue) plus the rewind
+     * margin, so a core never grows the ring.
+     */
+    static constexpr std::size_t initial_capacity = 512;
+
   private:
+    /** Instructions kept behind the retirement barrier and the
+     * cursor so a rewind to just past the barrier always works. */
+    static constexpr InstSeq rewind_margin = 64;
+
     bool fill();
+    void grow();
+    DynInst &slot(InstSeq seq) { return ring[seq & mask]; }
 
     FunctionalSim func;
-    std::deque<DynInst> buffer;
-    InstSeq baseSeq = 1; // seq of buffer.front()
-    std::size_t cursor = 0;
+    /** Produced instructions [baseSeq, endSeq), at seq & mask. */
+    std::vector<DynInst> ring;
+    std::size_t mask = 0;
+    InstSeq baseSeq = 1; // oldest seq still held (rewindable)
+    InstSeq endSeq = 1;  // next seq to produce
+    InstSeq cursor = 1;  // next seq to deliver
     InstSeq retired = 0;
 };
 

@@ -164,6 +164,77 @@ TEST(CircularBuffer, WrapsManyTimes)
     }
 }
 
+/** Counts copies, so a test can tell in-place construction apart. */
+struct CopyCounted
+{
+    static inline int copies = 0;
+
+    CopyCounted() = default;
+    CopyCounted(int a_, int b_) : a(a_), b(b_) {}
+    CopyCounted(const CopyCounted &o) : a(o.a), b(o.b), tag(o.tag)
+    {
+        ++copies;
+    }
+    CopyCounted &
+    operator=(const CopyCounted &o)
+    {
+        a = o.a;
+        b = o.b;
+        tag = o.tag;
+        ++copies;
+        return *this;
+    }
+
+    int a = 0;
+    int b = 0;
+    int tag = 7; // default-initialized by every constructor
+};
+
+TEST(CircularBuffer, EmplaceBackConstructsInPlace)
+{
+    CircularBuffer<CopyCounted> q(2);
+    q.pushBack(CopyCounted(1, 2)).tag = 99;
+    q.popFront();
+    q.pushBack(CopyCounted(3, 4));
+    q.popFront(); // both slots now hold stale entries
+
+    CopyCounted::copies = 0;
+    CopyCounted &x = q.emplaceBack(5, 6);
+    CopyCounted &y = q.emplaceBack();
+    EXPECT_EQ(CopyCounted::copies, 0);
+    EXPECT_EQ(&x, &q.at(0));
+    EXPECT_EQ(&y, &q.at(1));
+    EXPECT_EQ(x.a, 5);
+    EXPECT_EQ(x.b, 6);
+    EXPECT_EQ(y.a, 0);
+    // The stale tag of the reused slot is gone.
+    EXPECT_EQ(x.tag, 7);
+    EXPECT_EQ(y.tag, 7);
+}
+
+TEST(CircularBuffer, TruncateKeepsOldestAcrossWraparound)
+{
+    CircularBuffer<int> q(5);
+    for (int i = 0; i < 5; ++i)
+        q.pushBack(i);
+    q.popFront();
+    q.popFront();
+    q.popFront();
+    q.pushBack(5);
+    q.pushBack(6);
+    q.pushBack(7); // physical slots wrap: [5 6 7 3 4]
+    q.truncate(3); // drop the young segment 6, 7
+    ASSERT_EQ(q.size(), 3u);
+    EXPECT_EQ(q.at(0), 3);
+    EXPECT_EQ(q.at(1), 4);
+    EXPECT_EQ(q.at(2), 5);
+    q.pushBack(8);
+    EXPECT_EQ(q.back(), 8);
+    EXPECT_EQ(q.at(3), 8);
+    q.truncate(0);
+    EXPECT_TRUE(q.empty());
+}
+
 TEST(Stats, CounterRegistryRoundTrip)
 {
     StatGroup g("core");

@@ -8,7 +8,9 @@
 
 #include "isa/program.hh"
 #include "workload/functional.hh"
+#include "workload/generator.hh"
 #include "workload/memory.hh"
+#include "workload/profiles.hh"
 
 namespace nosq {
 namespace {
@@ -365,9 +367,66 @@ TEST(TraceStream, RetireBoundsBuffer)
         if (di.seq > 256)
             ts.retireUpTo(di.seq - 256);
     }
+    // Retirement recycles ring slots: the ring never grows.
+    EXPECT_EQ(ts.capacity(), TraceStream::initial_capacity);
     // After retirement the stream can still rewind within the window.
     ts.rewindTo(ts.cursorSeq() - 64);
     EXPECT_TRUE(ts.hasNext());
+}
+
+/** Every DynInst field, so a replay can be checked bit for bit. */
+void
+expectSameInst(const DynInst &a, const DynInst &b)
+{
+    EXPECT_EQ(a.seq, b.seq);
+    EXPECT_EQ(a.pc, b.pc);
+    EXPECT_EQ(a.si.op, b.si.op);
+    EXPECT_EQ(a.si.rd, b.si.rd);
+    EXPECT_EQ(a.si.ra, b.si.ra);
+    EXPECT_EQ(a.si.rb, b.si.rb);
+    EXPECT_EQ(a.si.imm, b.si.imm);
+    EXPECT_EQ(a.cls, b.cls);
+    EXPECT_EQ(a.addr, b.addr);
+    EXPECT_EQ(a.size, b.size);
+    EXPECT_EQ(a.storeData, b.storeData);
+    EXPECT_EQ(a.memValue, b.memValue);
+    EXPECT_EQ(a.loadValue, b.loadValue);
+    EXPECT_EQ(a.ssn, b.ssn);
+    EXPECT_EQ(a.oracleWriterSsn, b.oracleWriterSsn);
+    EXPECT_EQ(a.oracleWriterSeq, b.oracleWriterSeq);
+    EXPECT_EQ(a.oracleSingleWriter, b.oracleSingleWriter);
+    EXPECT_EQ(a.oraclePartial, b.oraclePartial);
+    EXPECT_EQ(a.taken, b.taken);
+    EXPECT_EQ(a.npc, b.npc);
+    EXPECT_EQ(a.halted, b.halted);
+}
+
+TEST(TraceStream, ReadAheadGrowsRingAndRewindReplaysExactly)
+{
+    // A synthesized program mixes loads, sub-word stores and branches,
+    // so a replay exercises every DynInst field.
+    const Program p = synthesize(*findProfile("gcc"), 1);
+    const std::vector<DynInst> fresh = runAll(p, 2000);
+    ASSERT_EQ(fresh.size(), 2000u);
+
+    TraceStream ts(p);
+    EXPECT_EQ(ts.capacity(), TraceStream::initial_capacity);
+    for (const DynInst &want : fresh)
+        expectSameInst(ts.next(), want);
+    // 2000 instructions held unretired do not fit the initial ring.
+    EXPECT_GT(ts.capacity(), TraceStream::initial_capacity);
+    EXPECT_EQ(ts.capacity() & (ts.capacity() - 1), 0u);
+
+    // Every held instruction survived the moves growth made.
+    ts.rewindTo(5);
+    EXPECT_EQ(ts.cursorSeq(), 5u);
+    for (std::size_t i = 4; i < fresh.size(); ++i)
+        expectSameInst(ts.next(), fresh[i]);
+
+    // Producing past the old read-ahead continues the same stream.
+    const std::vector<DynInst> longer = runAll(p, 2100);
+    for (std::size_t i = fresh.size(); i < longer.size(); ++i)
+        expectSameInst(ts.next(), longer[i]);
 }
 
 } // anonymous namespace

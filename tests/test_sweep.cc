@@ -474,7 +474,11 @@ TEST(SweepProgress, CountsJournaledJobsAsAlreadyDone)
         runSweep(jobs, journal, 4);
     }
 
-    // Drop the last journal record so exactly one job is pending.
+    // Drop the last job's record so exactly that job is pending. A
+    // parallel sweep journals in completion order, so the record is
+    // found by fingerprint, not by position.
+    const std::string dropped =
+        "{\"fp\": \"" + jobFingerprint(jobs.back()) + "\"";
     std::vector<std::string> lines;
     {
         std::ifstream in(path);
@@ -485,8 +489,14 @@ TEST(SweepProgress, CountsJournaledJobsAsAlreadyDone)
     ASSERT_EQ(lines.size(), jobs.size() + 1);
     {
         std::ofstream out(path, std::ios::trunc);
-        for (std::size_t i = 0; i + 1 < lines.size(); ++i)
-            out << lines[i] << '\n';
+        std::size_t kept = 0;
+        for (const std::string &line : lines) {
+            if (line.compare(0, dropped.size(), dropped) == 0)
+                continue;
+            out << line << '\n';
+            ++kept;
+        }
+        ASSERT_EQ(kept, jobs.size());
     }
 
     std::vector<std::size_t> reported;
