@@ -1,7 +1,5 @@
 #include "isa/program.hh"
 
-#include <cstring>
-
 #include "common/logging.hh"
 
 namespace nosq {
@@ -172,19 +170,21 @@ ProgramBuilder::ret(RegIndex link)
 }
 
 void
-ProgramBuilder::initBytes(Addr base, std::vector<std::uint8_t> bytes)
+ProgramBuilder::initBytes(Addr base,
+                          const std::vector<std::uint8_t> &bytes)
 {
-    prog.initData.emplace_back(base, std::move(bytes));
+    prog.image.writeBytes(base, bytes.data(), bytes.size());
 }
 
 void
 ProgramBuilder::initWords(Addr base,
                           const std::vector<std::uint64_t> &words)
 {
-    std::vector<std::uint8_t> bytes(words.size() * 8);
-    for (std::size_t i = 0; i < words.size(); ++i)
-        std::memcpy(&bytes[i * 8], &words[i], 8);
-    initBytes(base, std::move(bytes));
+    // The host is little-endian (common/sparse_memory.hh), so each
+    // word's bytes are already in memory order.
+    prog.image.writeBytes(
+        base, reinterpret_cast<const std::uint8_t *>(words.data()),
+        words.size() * sizeof(std::uint64_t));
 }
 
 Program

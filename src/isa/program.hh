@@ -11,22 +11,26 @@
 #include <string>
 #include <vector>
 
+#include "common/sparse_memory.hh"
 #include "common/types.hh"
 #include "isa/isa.hh"
 
 namespace nosq {
 
 /**
- * A complete static program: code, entry point, and an initial data
- * image applied to memory before execution begins.
+ * A complete static program: code, entry point, and the initial data
+ * image every simulation of it starts its memory from.
  */
 struct Program
 {
     std::vector<Instruction> code;
     Addr entryPc = 0;
 
-    /** (base address, bytes) pairs loaded before execution. */
-    std::vector<std::pair<Addr, std::vector<std::uint8_t>>> initData;
+    /**
+     * Initial data segment. Simulations copy it, which shares its
+     * pages copy-on-write (common/sparse_memory.hh).
+     */
+    SparseMemory image;
 
     /** @return the instruction at @p pc; pc must be in range. */
     const Instruction &fetch(Addr pc) const;
@@ -109,8 +113,9 @@ class ProgramBuilder
     void ret(RegIndex link = reg_lr);
 
     // --- data segment ------------------------------------------------
-    void initBytes(Addr base, std::vector<std::uint8_t> bytes);
-    /** Initialize @p count 64-bit words starting at @p base. */
+    /** Write @p bytes into the data image at @p base. */
+    void initBytes(Addr base, const std::vector<std::uint8_t> &bytes);
+    /** Write 64-bit @p words little-endian starting at @p base. */
     void initWords(Addr base, const std::vector<std::uint64_t> &words);
 
     /** Resolve fixups and return the finished program. */

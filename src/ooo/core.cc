@@ -67,8 +67,8 @@ exportMemStats(const MemSysStats &m, SimResult &res)
 OooCore::OooCore(const UarchParams &params_,
                  std::shared_ptr<const Program> program)
     : params(params_), stream(program), rename(params_.numPhysRegs),
-      mem(params_.memsys), branchPred(params_.branch),
-      sq(params_.sqSize), storeSets(params_.storeSets),
+      image(program->image), mem(params_.memsys),
+      branchPred(params_.branch), sq(params_.sqSize), storeSets(params_.storeSets),
       srq(256), bypassPred(params_.bypass), tssbf(params_.tssbf)
 {
     window.setCapacity(params.robSize + params.fetchBufferSize);
@@ -78,8 +78,6 @@ OooCore::OooCore(const UarchParams &params_,
     storeSeqRing.assign(nextPow2(std::max<std::size_t>(
                             params.robSize, 1)), 0);
     storeSeqMask = storeSeqRing.size() - 1;
-    for (const auto &[base, bytes] : program->initData)
-        image.writeBytes(base, bytes.data(), bytes.size());
     skipEnabled = params.eventSkip;
     if (skipEnabled)
         mem.setEventSink(&events);

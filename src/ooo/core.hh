@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/circular_buffer.hh"
+#include "common/sparse_memory.hh"
 #include "frontend/branch_predictor.hh"
 #include "lsu/store_queue.hh"
 #include "lsu/store_sets.hh"
@@ -338,7 +339,9 @@ class OooCore
     RenameState rename;
 
     // --- memory state -------------------------------------------------------
-    SparseMemory image; // committed architectural memory
+    // Committed architectural memory: starts sharing the program's
+    // image and privately copies only the pages commits write.
+    SparseMemory image;
     MemHierarchy mem;
 
     // --- front end ----------------------------------------------------------

@@ -8,10 +8,9 @@
 namespace nosq {
 
 FunctionalSim::FunctionalSim(std::shared_ptr<const Program> program)
-    : prog(std::move(program)), currentPc(prog->entryPc)
+    : prog(std::move(program)), currentPc(prog->entryPc),
+      mem(prog->image)
 {
-    for (const auto &[base, bytes] : prog->initData)
-        mem.writeBytes(base, bytes.data(), bytes.size());
     // A distant, initially-zero stack.
     regFile[reg_sp] = 0x7ff0'0000;
 }

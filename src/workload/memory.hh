@@ -1,6 +1,6 @@
 /**
  * @file
- * Sparse byte-addressed memory and the store-writer shadow memory.
+ * The store-writer shadow memory.
  *
  * The shadow memory is the *dependence oracle*: for every byte it
  * remembers the SSN and dynamic sequence number of the last store that
@@ -15,100 +15,13 @@
 
 #include <array>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <unordered_map>
 
+#include "common/sparse_memory.hh"
 #include "common/types.hh"
 
 namespace nosq {
-
-/** Byte-addressable sparse memory backed by 4KB pages. */
-class SparseMemory
-{
-  public:
-    static constexpr unsigned page_bits = 12;
-    static constexpr Addr page_size = Addr(1) << page_bits;
-    static constexpr Addr page_mask = page_size - 1;
-
-    /** Read @p size (1..8) bytes little-endian; unwritten bytes are 0. */
-    std::uint64_t
-    read(Addr addr, unsigned size) const
-    {
-        std::uint64_t value = 0;
-        for (unsigned i = 0; i < size; ++i)
-            value |= std::uint64_t(readByte(addr + i)) << (8 * i);
-        return value;
-    }
-
-    /** Write the low @p size bytes of @p value little-endian. */
-    void
-    write(Addr addr, unsigned size, std::uint64_t value)
-    {
-        for (unsigned i = 0; i < size; ++i)
-            writeByte(addr + i, std::uint8_t(value >> (8 * i)));
-    }
-
-    std::uint8_t
-    readByte(Addr addr) const
-    {
-        const Addr tag = addr >> page_bits;
-        if (tag != cachedTag || cachedPage == nullptr) {
-            const auto it = pages.find(tag);
-            if (it == pages.end())
-                return 0;
-            cachedTag = tag;
-            cachedPage = it->second.get();
-        }
-        return (*cachedPage)[addr & page_mask];
-    }
-
-    void
-    writeByte(Addr addr, std::uint8_t byte)
-    {
-        const Addr tag = addr >> page_bits;
-        if (tag != cachedTag || cachedPage == nullptr) {
-            cachedPage = &page(addr);
-            cachedTag = tag;
-        }
-        (*cachedPage)[addr & page_mask] = byte;
-    }
-
-    void
-    writeBytes(Addr addr, const std::uint8_t *data, std::size_t len)
-    {
-        for (std::size_t i = 0; i < len; ++i)
-            writeByte(addr + i, data[i]);
-    }
-
-    std::size_t numPages() const { return pages.size(); }
-
-  private:
-    using Page = std::array<std::uint8_t, page_size>;
-
-    Page &
-    page(Addr addr)
-    {
-        auto &slot = pages[addr >> page_bits];
-        if (!slot) {
-            slot = std::make_unique<Page>();
-            slot->fill(0);
-        }
-        return *slot;
-    }
-
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
-
-    // Last-page cache: accesses are byte-granular on the simulator's
-    // hottest path, and successive bytes almost always share a page,
-    // so one tag check replaces a hash lookup per byte. Pages are
-    // never freed and live behind unique_ptr, so the cached pointer
-    // survives map rehashes. Only present pages are cached (a miss
-    // on an unwritten page stays a map lookup); writeByte refreshes
-    // the cache when it materializes a page.
-    mutable Addr cachedTag = ~Addr(0);
-    mutable Page *cachedPage = nullptr;
-};
 
 /** Last-writer record for one byte of memory. */
 struct ByteWriter
@@ -177,7 +90,8 @@ class ShadowMemory
 
     std::unordered_map<Addr, std::unique_ptr<Page>> pages;
 
-    // Same last-page cache as SparseMemory (see there for safety).
+    // Last-page cache, as in SparseMemory. Pages are never freed and
+    // live behind unique_ptr, so the pointer survives map rehashes.
     mutable Addr cachedTag = ~Addr(0);
     mutable Page *cachedPage = nullptr;
 };

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/sparse_memory.hh"
 #include "isa/program.hh"
 #include "workload/functional.hh"
 #include "workload/generator.hh"
@@ -62,6 +65,142 @@ TEST(SparseMemory, CrossPageAccess)
     const Addr addr = SparseMemory::page_size - 4;
     m.write(addr, 8, 0xa1b2c3d4e5f60718ull);
     EXPECT_EQ(m.read(addr, 8), 0xa1b2c3d4e5f60718ull);
+}
+
+TEST(SparseMemory, CopiesNeverSeeEachOthersWrites)
+{
+    SparseMemory a;
+    a.write(0x1000, 8, 0x1111);
+    a.write(0x5000, 8, 0x5555); // leaves a's last-page cache on 0x5000
+
+    SparseMemory b = a;
+    b.write(0x1000, 8, 0x2222); // the copy writes: original unchanged
+    a.write(0x5000, 8, 0x6666); // the original writes through its
+                                // cache: the copy is unchanged
+    EXPECT_EQ(a.read(0x1000, 8), 0x1111u);
+    EXPECT_EQ(a.read(0x5000, 8), 0x6666u);
+    EXPECT_EQ(b.read(0x1000, 8), 0x2222u);
+    EXPECT_EQ(b.read(0x5000, 8), 0x5555u);
+
+    SparseMemory c = b; // a copy of a copy
+    c.write(0x1000, 8, 0x3333);
+    c.write(0x5000, 8, 0x7777);
+    b.write(0x5004, 4, 0xbbbb);
+    EXPECT_EQ(c.read(0x1000, 8), 0x3333u);
+    EXPECT_EQ(c.read(0x5000, 8), 0x7777u);
+    EXPECT_EQ(b.read(0x1000, 8), 0x2222u);
+    EXPECT_EQ(b.read(0x5000, 8), 0x0000bbbb00005555ull);
+    EXPECT_EQ(a.read(0x1000, 8), 0x1111u);
+    EXPECT_EQ(a.read(0x5000, 8), 0x6666u);
+
+    // Assignment replaces a memory's own pages with shared ones.
+    SparseMemory d;
+    d.write(0x1000, 8, 0xdddd);
+    d = a;
+    EXPECT_EQ(d.read(0x1000, 8), 0x1111u);
+    d.write(0x1000, 8, 0xeeee);
+    EXPECT_EQ(d.read(0x1000, 8), 0xeeeeu);
+    EXPECT_EQ(a.read(0x1000, 8), 0x1111u);
+}
+
+TEST(SparseMemory, WriteStraddlingTwoSharedPages)
+{
+    const Addr edge = 3 * SparseMemory::page_size;
+    SparseMemory a;
+    a.write(edge - 8, 8, 0x0706050403020100ull);
+    a.write(edge, 8, 0x0f0e0d0c0b0a0908ull);
+    SparseMemory b = a;
+
+    b.write(edge - 4, 8, 0xa1b2c3d4e5f60718ull);
+    EXPECT_EQ(b.read(edge - 4, 8), 0xa1b2c3d4e5f60718ull);
+    EXPECT_EQ(b.read(edge - 8, 4), 0x03020100u);
+    EXPECT_EQ(b.read(edge + 4, 4), 0x0f0e0d0cu);
+    EXPECT_EQ(a.read(edge - 4, 8), 0x0b0a090807060504ull);
+    EXPECT_EQ(b.ownedPages(), 2u);
+    EXPECT_EQ(a.ownedPages(), 2u); // nothing shares them any more
+}
+
+TEST(SparseMemory, WriteBytesSpanningPages)
+{
+    SparseMemory a;
+    a.write(SparseMemory::page_size, 8, 0x4242);
+    SparseMemory b = a;
+
+    std::vector<std::uint8_t> data(3 * SparseMemory::page_size);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = std::uint8_t(i * 7 + 1);
+    const Addr base = SparseMemory::page_size - 100;
+    b.writeBytes(base, data.data(), data.size());
+
+    std::vector<std::uint8_t> back(data.size());
+    b.readBytes(base, back.data(), back.size());
+    EXPECT_EQ(back, data);
+    EXPECT_EQ(b.numPages(), 4u);
+    EXPECT_EQ(a.numPages(), 1u);
+    EXPECT_EQ(a.read(SparseMemory::page_size, 8), 0x4242u);
+    EXPECT_EQ(a.readByte(base), 0u);
+}
+
+TEST(SparseMemory, UnwrittenBytesOfCopiesReadZero)
+{
+    SparseMemory a;
+    a.write(0x2008, 8, ~0ull);
+    const SparseMemory b = a;
+    EXPECT_EQ(b.read(0x2000, 8), 0u);        // present page
+    EXPECT_EQ(b.read(0x9000, 8), 0u);        // absent page
+    EXPECT_EQ(b.read(0x2ffc, 8), 0u);        // present into absent
+    EXPECT_EQ(b.read(0x1ffc, 8), 0u);        // absent into present
+    EXPECT_EQ(b.read(0x2006, 4), 0xffff0000u);
+}
+
+TEST(SparseMemory, EverySizeAndOffsetNearAPageEdge)
+{
+    // Offsets up to 8 bytes before the edge take the one-page
+    // fast path; the last 7 take the chunked path or straddle.
+    const Addr edge = 2 * SparseMemory::page_size;
+    SparseMemory base;
+    for (Addr a = edge - 16; a < edge + 16; ++a)
+        base.write(a, 1, 0xa0 + (a & 0xf));
+    for (const unsigned size : {1u, 2u, 4u, 8u}) {
+        for (Addr addr = edge - 16; addr <= edge + 8; ++addr) {
+            SparseMemory m = base;
+            m.write(addr, size, 0x1122334455667788ull);
+            const std::uint64_t mask =
+                size == 8 ? ~0ull : (1ull << (8 * size)) - 1;
+            EXPECT_EQ(m.read(addr, size), 0x1122334455667788ull & mask)
+                << size << " @" << addr;
+            EXPECT_EQ(m.readByte(addr - 1), base.readByte(addr - 1));
+            EXPECT_EQ(m.readByte(addr + size), base.readByte(addr + size));
+            EXPECT_TRUE(base.read(addr, size) != m.read(addr, size));
+            EXPECT_EQ(base.readByte(addr), 0xa0 + (addr & 0xf));
+        }
+    }
+}
+
+TEST(SparseMemory, CopyOnWriteKeepsPageCount)
+{
+    SparseMemory a;
+    for (Addr page = 0; page < 8; ++page)
+        a.write(page * SparseMemory::page_size, 8, page + 1);
+    EXPECT_EQ(a.ownedPages(), 8u);
+
+    SparseMemory b = a;
+    EXPECT_EQ(b.numPages(), 8u);
+    EXPECT_EQ(a.ownedPages(), 0u);
+    EXPECT_EQ(b.ownedPages(), 0u);
+    EXPECT_TRUE(a == b);
+
+    b.write(2 * SparseMemory::page_size, 8, 99);
+    EXPECT_EQ(a.numPages(), 8u);
+    EXPECT_EQ(b.numPages(), 8u);
+    EXPECT_EQ(a.ownedPages(), 1u);
+    EXPECT_EQ(b.ownedPages(), 1u);
+    EXPECT_FALSE(a == b);
+
+    b.write(100 * SparseMemory::page_size, 1, 1); // a new page
+    EXPECT_EQ(a.numPages(), 8u);
+    EXPECT_EQ(b.numPages(), 9u);
+    EXPECT_EQ(b.ownedPages(), 2u);
 }
 
 TEST(ShadowMemory, TracksLastWriterPerByte)

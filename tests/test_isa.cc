@@ -152,10 +152,10 @@ TEST(ProgramBuilder, InitWordsLittleEndian)
     b.halt();
     b.initWords(0x1000, {0x1122334455667788ull});
     Program p = b.build();
-    ASSERT_EQ(p.initData.size(), 1u);
-    EXPECT_EQ(p.initData[0].first, 0x1000u);
-    EXPECT_EQ(p.initData[0].second[0], 0x88);
-    EXPECT_EQ(p.initData[0].second[7], 0x11);
+    ASSERT_EQ(p.image.numPages(), 1u);
+    EXPECT_EQ(p.image.readByte(0x1000), 0x88);
+    EXPECT_EQ(p.image.readByte(0x1007), 0x11);
+    EXPECT_EQ(p.image.read(0x1000, 8), 0x1122334455667788ull);
 }
 
 TEST(Disasm, RendersForms)

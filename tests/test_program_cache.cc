@@ -1,16 +1,21 @@
 /**
  * @file
  * Tests for the shared synthesized-program cache: key identity,
- * fingerprint sensitivity, and concurrent access.
+ * fingerprint sensitivity, concurrent access, and the copy-on-write
+ * sharing of a cached program's data image by the cores that run it.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "ooo/core.hh"
+#include "sim/report.hh"
+#include "workload/functional.hh"
 #include "workload/generator.hh"
 #include "workload/program_cache.hh"
 #include "workload/profiles.hh"
@@ -62,7 +67,8 @@ TEST(ProgramCache, CachedProgramMatchesDirectSynthesis)
         EXPECT_EQ(cached->code[i].op, direct.code[i].op) << i;
         EXPECT_EQ(cached->code[i].imm, direct.code[i].imm) << i;
     }
-    EXPECT_EQ(cached->initData.size(), direct.initData.size());
+    EXPECT_EQ(cached->image.numPages(), direct.image.numPages());
+    EXPECT_TRUE(cached->image == direct.image);
 }
 
 TEST(ProgramCache, FingerprintCoversFieldsNotJustName)
@@ -149,6 +155,96 @@ TEST(ProgramCache, ClearResetsState)
     const auto fresh = cache.get(*gcc, 1);
     EXPECT_EQ(cache.misses(), 1u);
     EXPECT_NE(fresh.get(), held.get());
+}
+
+/**
+ * Distinct pages the first @p insts instructions of @p prog store
+ * to. Checks on the way that a FunctionalSim privately owns exactly
+ * those pages of its memory.
+ */
+std::size_t
+storePagesTouched(std::shared_ptr<const Program> prog,
+                  std::uint64_t insts)
+{
+    FunctionalSim func(std::move(prog));
+    std::set<Addr> pages;
+    DynInst di;
+    for (std::uint64_t i = 0; i < insts && func.step(di); ++i) {
+        if (!di.isStore())
+            continue;
+        pages.insert(di.addr >> SparseMemory::page_bits);
+        pages.insert((di.addr + di.size - 1) >> SparseMemory::page_bits);
+    }
+    EXPECT_EQ(func.memory().ownedPages(), pages.size());
+    return pages.size();
+}
+
+TEST(ProgramCache, CoreOwnsOnlyThePagesItsStoresWrite)
+{
+    ProgramCache cache;
+    const BenchmarkProfile *gap = findProfile("gap");
+    ASSERT_NE(gap, nullptr);
+    const auto prog = cache.get(*gap, 1);
+    ASSERT_GT(prog->image.numPages(), 1000u); // a 4 MB data segment
+
+    // Construction shares every page of the image and copies none.
+    OooCore core(makeParams(LsuMode::Nosq), prog);
+    EXPECT_EQ(core.committedMemory().numPages(), prog->image.numPages());
+    EXPECT_EQ(core.committedMemory().ownedPages(), 0u);
+    EXPECT_EQ(prog->image.ownedPages(), 0u);
+
+    const SimResult r = core.run(20000);
+    const std::size_t touched = storePagesTouched(prog, r.insts);
+    EXPECT_GT(core.committedMemory().ownedPages(), 0u);
+    EXPECT_LE(core.committedMemory().ownedPages(), touched);
+    EXPECT_LT(touched, prog->image.numPages() / 10);
+}
+
+TEST(ProgramCache, ConcurrentCoresOverOneImageMatchSerial)
+{
+    ProgramCache cache;
+    const BenchmarkProfile *gap = findProfile("gap");
+    ASSERT_NE(gap, nullptr);
+    const auto prog = cache.get(*gap, 1);
+    const std::vector<LsuMode> modes = {
+        LsuMode::SqPerfect, LsuMode::SqStoreSets, LsuMode::Nosq,
+        LsuMode::NosqPerfect};
+    constexpr std::uint64_t insts = 20000;
+
+    std::vector<std::string> serial;
+    std::vector<SparseMemory> serialImages;
+    for (const LsuMode mode : modes) {
+        OooCore core(makeParams(mode), prog);
+        serial.push_back(toJson(core.run(insts)));
+        serialImages.push_back(core.committedMemory());
+    }
+
+    std::vector<std::string> threaded(modes.size());
+    std::vector<SparseMemory> threadedImages(modes.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < modes.size(); ++t) {
+        threads.emplace_back([&, t] {
+            OooCore core(makeParams(modes[t]), prog);
+            threaded[t] = toJson(core.run(insts));
+            threadedImages[t] = core.committedMemory();
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+
+    for (std::size_t t = 0; t < modes.size(); ++t) {
+        EXPECT_EQ(threaded[t], serial[t]) << lsuModeName(modes[t]);
+        EXPECT_TRUE(threadedImages[t] == serialImages[t])
+            << lsuModeName(modes[t]);
+    }
+    // No core wrote the shared image: it still matches a freshly
+    // synthesized one (whose pages share nothing with it).
+    EXPECT_TRUE(prog->image == synthesize(*gap, 1).image);
+
+    // Every sharer's reference was returned.
+    serialImages.clear();
+    threadedImages.clear();
+    EXPECT_EQ(prog->image.ownedPages(), prog->image.numPages());
 }
 
 } // anonymous namespace
