@@ -20,6 +20,9 @@ namespace serve {
 namespace {
 
 constexpr const char *store_schema = "nosq-store-v1";
+/** The checkpoint journal's former schema: same record shape, so
+ * its files load as stores. */
+constexpr const char *legacy_schema = "nosq-journal-v1";
 
 std::string
 headerLine()
@@ -60,9 +63,9 @@ JobStore::open(const std::string &path, std::string &error)
             text.append(buffer, got);
         std::fclose(in);
     }
+    bool header_ok = false;
     if (!text.empty()) {
         std::size_t pos = 0, line_no = 0;
-        bool header_ok = false;
         while (pos < text.size()) {
             const std::size_t nl = text.find('\n', pos);
             if (nl == std::string::npos) {
@@ -82,7 +85,8 @@ JobStore::open(const std::string &path, std::string &error)
                 const JsonValue *schema = v.find("schema");
                 if (schema == nullptr ||
                     schema->kind != JsonValue::Kind::String ||
-                    schema->string != store_schema) {
+                    (schema->string != store_schema &&
+                     schema->string != legacy_schema)) {
                     warns.push_back(
                         "store: wrong or missing schema header; "
                         "starting fresh");
@@ -96,10 +100,13 @@ JobStore::open(const std::string &path, std::string &error)
             const JsonValue *fp = v.find("fp");
             const JsonValue *run = v.find("run");
             RunResult result;
+            // A record marked invalid is skipped like a malformed
+            // one: its job must re-run.
             if (fp == nullptr ||
                 fp->kind != JsonValue::Kind::String ||
                 fp->string.empty() || run == nullptr ||
-                !runResultFromJson(*run, result)) {
+                !runResultFromJson(*run, result) ||
+                !statsValid(result)) {
                 warns.push_back("store: skipped invalid record at "
                                 "line " +
                                 std::to_string(line_no));
@@ -111,6 +118,16 @@ JobStore::open(const std::string &path, std::string &error)
                     "store: skipped duplicate fingerprint " +
                     fp->string);
         }
+    }
+
+    if (!text.empty() && !header_ok) {
+        // Nothing was loaded, but the records may be recoverable by
+        // hand (one flipped header byte): keep the file aside rather
+        // than letting the compaction below destroy it.
+        const std::string aside = path + ".corrupt";
+        if (std::rename(path.c_str(), aside.c_str()) == 0)
+            warns.push_back("store: kept the unreadable file at '" +
+                            aside + "' for manual recovery");
     }
 
     // Compact so the live file is clean before new appends.
@@ -188,9 +205,21 @@ JobStore::get(const std::string &fp) const
 }
 
 void
+JobStore::erase(const std::string &fp)
+{
+    results.erase(fp);
+}
+
+void
+JobStore::clear()
+{
+    results.clear();
+}
+
+void
 JobStore::put(const std::string &fp, const RunResult &run)
 {
-    if (!run.valid)
+    if (!statsValid(run))
         return;
     if (!results.emplace(fp, run).second)
         return;

@@ -1,20 +1,32 @@
 /**
  * @file
- * The daemon's persistent fingerprint -> result store.
+ * The persistent fingerprint -> result store: the one durable home
+ * for completed sweep results.
  *
- * One JSONL file ("nosq-store-v1"), append-only while serving,
- * compacted on load: the warm cache behind nosq_sweepd. Records are
- * in the sweep journal's exact record shape ({"fp": ..., "run":
- * {...}}, via runResultJsonLine()/runResultFromJson() from
- * sim/journal.hh), so a store entry round-trips bit-identically and
- * anything that can read a journal can read a store.
+ * One JSONL file ("nosq-store-v1"), append-only while in use,
+ * compacted on load. It is the warm cache behind nosq_sweepd and,
+ * through SweepJournal (sim/journal.hh), the file `nosq_sim
+ * --checkpoint`/`--resume` write and read, so a checkpoint file can
+ * back a daemon and a daemon's store can be resumed:
  *
- * Durability discipline mirrors the journal: every put() is
- * flushed to the OS immediately, so a SIGKILLed daemon loses at
- * most an in-flight record; load() salvages a clean prefix past a
- * torn final line (each record is validated individually, bad ones
- * skipped with a warning) and rewrites the file compacted via
- * tmp + rename.
+ *   {"schema":"nosq-store-v1"}
+ *   {"fp":"<hex16>","run":{benchmark, suite, config, valid, stats}}
+ *   ...
+ *
+ * Each "fp" is jobFingerprint() -- a hash of the full job tuple --
+ * and each "run" is runResultJsonLine(), which runResultFromJson()
+ * restores bit-identically. A legacy "nosq-journal-v1" header is
+ * accepted too (its records have the same shape) and rewritten as
+ * "nosq-store-v1" by the load-time compaction.
+ *
+ * Durability: every put() is flushed to the OS immediately, so a
+ * SIGKILL loses at most an in-flight record. open() salvages rather
+ * than aborts: a torn final line is dropped, each record is
+ * validated individually (malformed, invalid and duplicate records
+ * are skipped with a warning; the first record of a fingerprint
+ * wins), and a file whose header is missing or wrong is kept aside
+ * at "<path>.corrupt" before the store starts fresh. The file is
+ * then rewritten compacted via tmp + fsync + rename.
  */
 
 #ifndef NOSQ_SERVE_JOB_STORE_HH
@@ -54,15 +66,24 @@ class JobStore
     const RunResult &get(const std::string &fp) const;
 
     /**
-     * Record @p run under @p fp and flush it to the OS. Invalid
-     * results are not persisted (a failed job must re-run, exactly
-     * as the sweep journal refuses them). Duplicate fingerprints
+     * Record @p run under @p fp and flush it to the OS. Results
+     * that fail statsValid() are not persisted (a failed job must
+     * re-run, and a record the emitter would mark invalid would be
+     * skipped by every later load). Duplicate fingerprints
      * keep the first record. A failed append loses only that one
      * record on disk (the in-memory copy still serves; a restarted
      * daemon re-executes the job) and is counted in
      * appendFailures() -- later appends are attempted normally.
      */
     void put(const std::string &fp, const RunResult &run);
+
+    /** Forget the result for @p fp (if any) in memory; the next
+     * compact() drops it from the file. */
+    void erase(const std::string &fp);
+
+    /** Forget every result in memory; the next compact() leaves a
+     * header-only file. */
+    void clear();
 
     /**
      * Rewrite the live file as header + one record per result via

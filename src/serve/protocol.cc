@@ -66,18 +66,6 @@ getString(const JsonValue &v, const char *key, std::string &out,
     return true;
 }
 
-bool
-suiteFromName(const std::string &name, Suite &out)
-{
-    for (Suite s : {Suite::Media, Suite::Int, Suite::Fp}) {
-        if (name == suiteName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
-}
-
 /**
  * Parse the "params" wire object into @p params. Strict both ways:
  * every enumerated field must be present and in range for its member

@@ -8,33 +8,29 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/fnv.hh"
-
 #include "common/logging.hh"
+#include "serve/job_store.hh"
 #include "sim/report.hh"
 
 namespace nosq {
 
 namespace {
 
-constexpr const char *journal_schema = "nosq-journal-v1";
-
 // --- fingerprinting --------------------------------------------------------
 
 // The FNV-1a accumulator lives in common/fnv.hh (shared with the
 // program cache); the byte-feeding discipline there must stay
-// stable, because the fingerprints below are persisted in journals.
+// stable, because the fingerprints below are persisted in stores.
 
 /** Every UarchParams field, nested component configs included. */
 void
 hashParams(Fnv &fnv, const UarchParams &p)
 {
     // forEachUarchField owns the key names and the visit order, and
-    // both are persisted in journal fingerprints: its contract (keys
-    // stable, new fields appended) is what keeps old journals
+    // both are persisted in stored fingerprints: its contract (keys
+    // stable, new fields appended) is what keeps old stores
     // resumable. The serve wire form iterates the same enumeration,
     // so a daemon-side fingerprint can never disagree with ours.
     forEachUarchField(p, [&fnv](const char *key, const auto &v) {
@@ -46,8 +42,8 @@ hashParams(Fnv &fnv, const UarchParams &p)
 
 // --- one-line record (de)serialization -------------------------------------
 //
-// Public (journal.hh): the serving layer persists and transports
-// results in this exact record shape.
+// Public (journal.hh): the result store persists, and the serving
+// protocol transports, results in this exact record shape.
 
 std::string
 runResultJsonLine(const RunResult &run)
@@ -76,18 +72,6 @@ jsonExactCounter(const JsonValue &v, std::uint64_t &out)
         return false;
     out = static_cast<std::uint64_t>(d);
     return true;
-}
-
-static bool
-suiteFromName(const std::string &name, Suite &out)
-{
-    for (const Suite s : {Suite::Media, Suite::Int, Suite::Fp}) {
-        if (name == suiteName(s)) {
-            out = s;
-            return true;
-        }
-    }
-    return false;
 }
 
 /**
@@ -201,58 +185,6 @@ runResultFromJson(const JsonValue &v, RunResult &out)
     return true;
 }
 
-namespace {
-
-std::string
-headerLine(const std::string &spec, std::size_t jobs)
-{
-    return std::string("{\"schema\": \"") + journal_schema +
-        "\", \"spec\": \"" + spec + "\", \"jobs\": " +
-        std::to_string(jobs) + "}";
-}
-
-std::string
-recordLine(const std::string &fingerprint, const RunResult &run)
-{
-    return "{\"fp\": \"" + fingerprint + "\", \"run\": " +
-        runResultJsonLine(run) + "}";
-}
-
-/** Split @p text into lines; a final unterminated fragment (the
- * half-written line a SIGKILL can leave) is kept as a line so the
- * loader can diagnose it. */
-std::vector<std::string>
-splitLines(const std::string &text)
-{
-    std::vector<std::string> lines;
-    std::size_t start = 0;
-    while (start < text.size()) {
-        const std::size_t nl = text.find('\n', start);
-        if (nl == std::string::npos) {
-            lines.push_back(text.substr(start));
-            break;
-        }
-        lines.push_back(text.substr(start, nl - start));
-        start = nl + 1;
-    }
-    return lines;
-}
-
-/** Spec hash over already-computed per-job fingerprints. */
-std::string
-specFingerprint(std::size_t count,
-                const std::vector<std::string> &fps)
-{
-    Fnv fnv;
-    fnv.text("nosq-sweep-spec-v1");
-    fnv.field("jobs", count);
-    for (const std::string &fp : fps)
-        fnv.text(fp);
-    return fnv.hex();
-}
-
-} // anonymous namespace
-
 std::string
 jobFingerprint(const SweepJob &job)
 {
@@ -283,16 +215,6 @@ jobFingerprint(const SweepJob &job)
     return fnv.hex();
 }
 
-std::string
-sweepFingerprint(const std::vector<SweepJob> &jobs)
-{
-    std::vector<std::string> fps;
-    fps.reserve(jobs.size());
-    for (const SweepJob &job : jobs)
-        fps.push_back(jobFingerprint(job));
-    return specFingerprint(jobs.size(), fps);
-}
-
 // --- SweepJournal ----------------------------------------------------------
 
 SweepJournal
@@ -307,32 +229,8 @@ SweepJournal::resume(std::string path)
     return SweepJournal(std::move(path), /*resume=*/true);
 }
 
-SweepJournal::SweepJournal(SweepJournal &&other) noexcept
-    : file_path(std::move(other.file_path)),
-      resuming(other.resuming), bound(other.bound),
-      file(other.file), lock_fd(other.lock_fd),
-      write_error(std::move(other.write_error)),
-      appended(std::move(other.appended)),
-      fingerprints(std::move(other.fingerprints)),
-      done(std::move(other.done)), loaded(std::move(other.loaded)),
-      done_count(other.done_count), warns(std::move(other.warns))
-{
-    other.file = nullptr;
-    other.lock_fd = -1;
-}
-
 SweepJournal::~SweepJournal()
 {
-    closeFile();
-}
-
-void
-SweepJournal::closeFile()
-{
-    if (file != nullptr) {
-        std::fclose(file);
-        file = nullptr;
-    }
     if (lock_fd >= 0) {
         // Unlink BEFORE releasing the lock: a process that opened
         // this inode meanwhile will fail bind()'s post-flock inode
@@ -340,7 +238,6 @@ SweepJournal::closeFile()
         // holders can ever coexist, and no .lock litter remains.
         std::remove((file_path + ".lock").c_str());
         ::close(lock_fd); // releases the flock
-        lock_fd = -1;
     }
 }
 
@@ -352,279 +249,110 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
 
     // Inter-process exclusion before any read or rewrite: two
     // concurrent resumes of one journal would silently lose each
-    // other's records (the compaction rename orphans the inode the
-    // other process appends to). The lock lives on a sidecar file
-    // because the journal's own inode is replaced by that rename.
-    // closeFile() unlinks the sidecar while still holding the
-    // lock, so after flocking we must confirm the file we locked
-    // is still the one on disk (a racer may have locked a fresh
-    // sidecar created after an unlink) and retry if not.
+    // other's records (the store's compaction rename orphans the
+    // inode the other process appends to). The lock lives on a
+    // sidecar file because the store's own inode is replaced by
+    // that rename. The destructor unlinks the sidecar while still
+    // holding the lock, so after flocking we must confirm the file
+    // we locked is still the one on disk (a racer may have locked a
+    // fresh sidecar created after an unlink) and retry if not.
     const std::string lock_path = file_path + ".lock";
-    for (int attempt = 0; lock_fd < 0; ++attempt) {
+    for (int attempt = 0;; ++attempt) {
         const int fd =
             ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
         if (fd < 0)
             throw JournalError("cannot open '" + lock_path + "'");
-        if (::flock(fd, LOCK_EX | LOCK_NB) != 0) {
-            ::close(fd);
-            // A just-SIGKILLed holder can take a few milliseconds
-            // to tear down its descriptors, so the kill-and-resume
-            // recipe must not flake on that window: retry briefly.
-            // A genuinely live sweep holds its lock for the whole
-            // run, far longer than this grace period.
-            if (attempt >= 7) {
-                throw JournalError("'" + file_path + "' is in use "
-                                   "by another sweep; refusing to "
-                                   "share a journal");
-            }
-            ::usleep(150 * 1000);
-            continue;
-        }
         struct stat fd_stat, path_stat;
-        if (::fstat(fd, &fd_stat) == 0 &&
+        if (::flock(fd, LOCK_EX | LOCK_NB) == 0 &&
+            ::fstat(fd, &fd_stat) == 0 &&
             ::stat(lock_path.c_str(), &path_stat) == 0 &&
             fd_stat.st_dev == path_stat.st_dev &&
             fd_stat.st_ino == path_stat.st_ino) {
             lock_fd = fd;
-        } else {
-            // Locked an orphaned sidecar inode; try the current one.
-            ::close(fd);
-            if (attempt >= 7)
-                throw JournalError("cannot acquire '" + lock_path +
-                                   "'");
+            break;
         }
+        // Held by another sweep, or we locked an orphaned sidecar
+        // inode. A just-SIGKILLed holder can take a few milliseconds
+        // to tear down its descriptors, so the kill-and-resume
+        // recipe must not flake on that window: retry briefly. A
+        // genuinely live sweep holds its lock for the whole run,
+        // far longer than this grace period.
+        ::close(fd);
+        if (attempt >= 7) {
+            throw JournalError("'" + file_path + "' is in use by "
+                               "another sweep; refusing to share a "
+                               "journal");
+        }
+        ::usleep(150 * 1000);
     }
 
     fingerprints.clear();
     fingerprints.reserve(jobs.size());
-    // Identical job tuples produce identical results (the engine's
-    // determinism contract), so one journal record serves every job
-    // index sharing its fingerprint.
-    std::unordered_map<std::string, std::vector<std::size_t>>
-        indices_of;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        fingerprints.push_back(jobFingerprint(jobs[i]));
-        indices_of[fingerprints.back()].push_back(i);
-    }
-    // Reuses the per-job fingerprints computed above rather than
-    // hashing every tuple a second time.
-    const std::string spec =
-        specFingerprint(jobs.size(), fingerprints);
-    done.assign(jobs.size(), 0);
-    loaded.assign(jobs.size(), RunResult());
+    for (const SweepJob &job : jobs)
+        fingerprints.push_back(jobFingerprint(job));
     done_count = 0;
 
-    if (!resuming) {
-        // A fresh --checkpoint over a journal of this very sweep is
-        // almost always a re-typed command that meant --resume;
-        // truncating it would silently destroy every completed
-        // job. Anything else at the path (other spec, not a
-        // journal) is overwritten as requested.
-        if (std::FILE *in = std::fopen(file_path.c_str(), "rb")) {
-            std::string first;
-            int c;
-            while ((c = std::fgetc(in)) != EOF && c != '\n')
-                first += static_cast<char>(c);
-            std::fclose(in);
-            JsonValue header;
-            if (parseJson(first, header, nullptr)) {
-                const JsonValue *schema = header.find("schema");
-                const JsonValue *file_spec = header.find("spec");
-                if (schema != nullptr &&
-                    schema->kind == JsonValue::Kind::String &&
-                    schema->string == journal_schema &&
-                    file_spec != nullptr &&
-                    file_spec->kind == JsonValue::Kind::String &&
-                    file_spec->string == spec) {
-                    throw JournalError(
-                        "'" + file_path + "' already journals this "
-                        "sweep; resume it (--resume) instead of "
-                        "overwriting, or delete the file first");
-                }
-            }
-        }
-    }
-
     if (resuming) {
-        std::string text;
-        bool file_found = false;
-        if (std::FILE *in = std::fopen(file_path.c_str(), "rb")) {
-            file_found = true;
-            char buf[4096];
-            std::size_t n;
-            while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0)
-                text.append(buf, n);
-            std::fclose(in);
-        } else {
+        struct stat st;
+        if (::stat(file_path.c_str(), &st) != 0)
             warns.push_back("journal '" + file_path +
                             "' not found; starting fresh");
-        }
-        const std::vector<std::string> lines = splitLines(text);
-        if (file_found && lines.empty())
+        else if (st.st_size == 0)
             warns.push_back("journal '" + file_path +
                             "' is empty; starting fresh");
-
-        // Header: parse/schema problems discard the journal (nothing
-        // below it can be trusted); a well-formed header naming a
-        // DIFFERENT sweep spec is a user error and refuses loudly.
-        bool header_ok = false;
-        if (!lines.empty()) {
-            JsonValue header;
-            const JsonValue *schema = nullptr;
-            if (parseJson(lines[0], header, nullptr))
-                schema = header.find("schema");
-            if (schema == nullptr) {
-                warns.push_back("journal header is corrupt; "
-                                "discarding all records");
-            } else if (schema->kind != JsonValue::Kind::String ||
-                       schema->string != journal_schema) {
-                warns.push_back("journal has schema '" +
-                                schema->string + "', expected '" +
-                                journal_schema +
-                                "'; discarding all records");
-            } else {
-                const JsonValue *file_spec = header.find("spec");
-                if (file_spec == nullptr ||
-                    file_spec->kind != JsonValue::Kind::String) {
-                    warns.push_back("journal header lacks a spec "
-                                    "fingerprint; discarding all "
-                                    "records");
-                } else if (file_spec->string != spec) {
-                    throw JournalError(
-                        "'" + file_path + "' was written by a "
-                        "different sweep spec (journal " +
-                        file_spec->string + ", current sweep " +
-                        spec + "); refusing to resume");
-                } else {
-                    header_ok = true;
-                    // The spec hash already encodes the job count,
-                    // so a disagreeing "jobs" field means the
-                    // header was edited -- records still verify
-                    // individually, but say so.
-                    const JsonValue *count = header.find("jobs");
-                    if (count == nullptr ||
-                        count->kind != JsonValue::Kind::Number ||
-                        count->number !=
-                            static_cast<double>(jobs.size())) {
-                        warns.push_back("journal header jobs count "
-                                        "disagrees with the sweep; "
-                                        "records are verified "
-                                        "individually");
-                    }
-                }
-            }
-        }
-
-        for (std::size_t n = 1; header_ok && n < lines.size(); ++n) {
-            const std::string where =
-                "journal record " + std::to_string(n);
-            JsonValue rec;
-            if (!parseJson(lines[n], rec, nullptr)) {
-                // A malformed line means the tail was cut mid-write;
-                // nothing after it is trustworthy.
-                warns.push_back(where + " is corrupt (truncated "
-                                "tail?); salvaging the " +
-                                std::to_string(done_count) +
-                                " records before it");
-                break;
-            }
-            const JsonValue *fp = rec.find("fp");
-            const JsonValue *run_json = rec.find("run");
-            RunResult run;
-            if (fp == nullptr ||
-                fp->kind != JsonValue::Kind::String ||
-                run_json == nullptr ||
-                !runResultFromJson(*run_json, run)) {
-                warns.push_back(where + " is malformed; skipping "
-                                "it");
-                continue;
-            }
-            const auto it = indices_of.find(fp->string);
-            if (it == indices_of.end()) {
-                warns.push_back(where + " fingerprint " +
-                                fp->string + " is not in this "
-                                "sweep's job list; skipping it");
-                continue;
-            }
-            if (!run.valid) {
-                warns.push_back(where + " is marked invalid; the "
-                                "job will re-run");
-                continue;
-            }
-            const SweepJob &job = jobs[it->second.front()];
-            const std::string job_bench =
-                job.profile ? job.profile->name : job.benchmark;
-            const Suite job_suite =
-                job.profile ? job.profile->suite : job.suite;
-            if (run.benchmark != job_bench ||
-                run.config != job.config ||
-                run.suite != job_suite ||
-                run.memsys != job.memsysLabel) {
-                warns.push_back(where + " labels disagree with its "
-                                "fingerprint's job; skipping it");
-                continue;
-            }
-            bool any_new = false;
-            for (const std::size_t index : it->second) {
-                if (done[index])
-                    continue;
-                loaded[index] = run;
-                done[index] = 1;
-                ++done_count;
-                any_new = true;
-            }
-            if (!any_new) {
-                warns.push_back(where + " duplicates fingerprint " +
-                                fp->string + "; keeping the first "
-                                "record");
-            }
-        }
-
-        if (!header_ok && !text.empty()) {
-            // Nothing was salvaged, but the records may be hand-
-            // recoverable (e.g. one flipped header byte): keep the
-            // file aside rather than letting the rewrite below
-            // destroy it.
-            const std::string aside = file_path + ".corrupt";
-            std::remove(aside.c_str());
-            if (std::rename(file_path.c_str(), aside.c_str()) == 0)
-                warns.push_back("kept the unreadable journal at '" +
-                                aside + "' for manual recovery");
-        }
     }
+    std::string error;
+    if (!store.open(file_path, error))
+        throw JournalError(error);
+    warns.insert(warns.end(), store.warnings().begin(),
+                 store.warnings().end());
 
-    // (Re)write the journal -- fresh header plus the salvaged
-    // records, in job-index order -- so corruption never survives a
-    // resume and appends land on a clean tail. The rewrite goes
-    // through a temp file + rename so a crash mid-compaction can
-    // never destroy the records a previous run already earned:
-    // either the old journal or the compacted one survives, whole.
-    const std::string tmp_path = file_path + ".tmp";
-    std::FILE *tmp = std::fopen(tmp_path.c_str(), "w");
-    if (tmp == nullptr)
-        throw JournalError("cannot write '" + tmp_path + "'");
-    std::string out = headerLine(spec, jobs.size()) + '\n';
-    for (std::size_t i = 0; i < done.size(); ++i)
-        if (done[i] && appended.insert(fingerprints[i]).second)
-            out += recordLine(fingerprints[i], loaded[i]) + '\n';
-    // fsync before the rename: without it a power loss after the
-    // rename but before writeback can leave an empty journal, which
-    // would break the either-old-or-new-survives guarantee (fflush
-    // alone only covers process death).
-    const bool wrote = std::fputs(out.c_str(), tmp) >= 0 &&
-        std::fflush(tmp) == 0 && ::fsync(::fileno(tmp)) == 0;
-    if (std::fclose(tmp) != 0 || !wrote) {
-        std::remove(tmp_path.c_str());
-        throw JournalError("error writing '" + tmp_path + "'");
+    // Whether bind() dropped results the file still holds.
+    bool dropped = false;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        if (!store.has(fingerprints[i]))
+            continue;
+        // A fresh --checkpoint over results of this very sweep is
+        // almost always a re-typed command that meant --resume;
+        // emptying the file would silently destroy completed jobs.
+        if (!resuming) {
+            throw JournalError(
+                "'" + file_path + "' already holds results of this "
+                "sweep; resume it (--resume) instead of overwriting, "
+                "or delete the file first");
+        }
+        // Identical job tuples produce identical results (the
+        // engine's determinism contract), so one record serves every
+        // job index sharing its fingerprint -- but a record whose
+        // labels disagree with the job must never merge into the
+        // report (it would land in the wrong reductions group).
+        const RunResult &run = store.get(fingerprints[i]);
+        const SweepJob &job = jobs[i];
+        if (run.benchmark !=
+                (job.profile ? job.profile->name : job.benchmark) ||
+            run.suite != (job.profile ? job.profile->suite
+                                      : job.suite) ||
+            run.config != job.config ||
+            run.memsys != job.memsysLabel) {
+            warns.push_back("journal record " + fingerprints[i] +
+                            " labels disagree with its job; the job "
+                            "will re-run");
+            store.erase(fingerprints[i]);
+            dropped = true;
+            continue;
+        }
+        ++done_count;
     }
-    if (std::rename(tmp_path.c_str(), file_path.c_str()) != 0) {
-        std::remove(tmp_path.c_str());
-        throw JournalError("cannot replace '" + file_path + "'");
+    // Any other results at a fresh checkpoint's path are dropped as
+    // requested.
+    if (!resuming && store.size() != 0) {
+        store.clear();
+        dropped = true;
     }
-    // Reopen for the per-record appends.
-    file = std::fopen(file_path.c_str(), "a");
-    if (file == nullptr)
-        throw JournalError("cannot append to '" + file_path + "'");
+    // Rewrite the file without the dropped records, so the re-run's
+    // result is the first (and only) one a later load sees.
+    if (dropped && !store.compact(error))
+        throw JournalError(error);
 }
 
 void
@@ -632,35 +360,14 @@ SweepJournal::record(std::size_t index, const RunResult &run)
 {
     nosq_assert(bound && index < fingerprints.size(),
                 "record() before bind() or out of range");
-    // Failed jobs are deliberately not journaled: a resumed sweep
-    // must retry them, not inherit their absence of statistics.
-    // statsValid -- the emitter's own predicate -- rather than the
-    // bare flag, so a record can never serialize as "valid": false
-    // and be discarded (and its job re-run) on every resume.
-    if (!statsValid(run))
-        return;
     std::lock_guard<std::mutex> lock(write_mutex);
-    if (file == nullptr)
-        return;
-    // One record per unique tuple: when the job list contains
-    // duplicate tuples, the first completion covers them all.
-    if (!appended.insert(fingerprints[index]).second)
-        return;
-    const std::string line =
-        recordLine(fingerprints[index], run) + '\n';
-    // fflush per record hands the bytes to the OS, so losing them
-    // now takes a machine failure, not just a SIGKILL.
-    if (std::fputs(line.c_str(), file) < 0 ||
-        std::fflush(file) != 0) {
+    // put() skips failed jobs (a resumed sweep must retry them) and
+    // repeats of a fingerprint (duplicate tuples share one record).
+    const std::uint64_t failures = store.appendFailures();
+    store.put(fingerprints[index], run);
+    if (store.appendFailures() != failures && write_error.empty()) {
         write_error = "journal append to '" + file_path +
-            "' failed; checkpointing disabled for the rest of the "
-            "sweep";
-        // Close only the journal handle. The flock must outlive
-        // the sweep: releasing it here would let a concurrent
-        // resume bind mid-run, the exact race the lock exists to
-        // refuse.
-        std::fclose(file);
-        file = nullptr;
+            "' failed; --resume re-runs the unpersisted job(s)";
     }
 }
 

@@ -5,49 +5,36 @@
  * Long multi-configuration sweeps (the paper's Figures 2-5 regenerated
  * at full instruction counts) can be interrupted -- CI timeouts,
  * preempted machines, plain SIGKILL. The journal makes a sweep
- * restartable: an append-only JSONL file records one line per
- * completed SweepJob, flushed per record, so an interrupted sweep
- * loses at most the jobs that were in flight when it died.
+ * restartable: every completed SweepJob is put() into a result store
+ * (serve::JobStore, serve/job_store.hh), flushed per record, so an
+ * interrupted sweep loses at most the jobs that were in flight when
+ * it died. The file is an ordinary "nosq-store-v1" store: a
+ * checkpoint can back nosq_sweepd, and a daemon's store can be
+ * resumed.
  *
- * Format ("nosq-journal-v1"), one JSON document per line:
- *
- *   {"schema": "nosq-journal-v1", "spec": "<hex64>", "jobs": N}
- *   {"fp": "<hex64>", "run": {benchmark, suite, config, valid, stats}}
- *   ...
- *
- * The header's "spec" fingerprint hashes the whole job list (every
- * job's own fingerprint, in order), so a journal can never be resumed
- * against a different sweep spec: bind() refuses with a JournalError.
- * Each record's "fp" is the job fingerprint -- a hash of the full job
- * tuple (benchmark, suite, config name, seed, instruction counts, and
- * every UarchParams field) -- which is exactly the tuple the engine's
- * determinism contract says the result depends on. A journaled result
- * is therefore bit-identical to what re-running the job would
- * produce, and a resumed sweep's merged report is byte-identical to
- * an uninterrupted run's.
- *
- * Corruption tolerance: resuming salvages rather than aborts. A
- * missing file or an invalid/wrong-schema header discards the journal
- * (with a warning) and starts fresh; a malformed record line --
- * including the half-written final line a SIGKILL can leave -- ends
- * the salvaged prefix; a record whose fingerprint is unknown to the
- * job list, duplicates an earlier record, or disagrees with its
- * matched job is skipped individually (later records still verify by
- * fingerprint). Every salvage decision is reported via warnings(),
- * and bind() compacts the file back to the salvaged records so the
- * journal is clean before new appends.
+ * SweepJournal is a per-sweep view over that store. It maps each job
+ * index to its jobFingerprint() -- a hash of the full job tuple
+ * (benchmark, suite, config name, seed, instruction counts, and every
+ * UarchParams field), exactly the tuple the engine's determinism
+ * contract says the result depends on. A stored result is therefore
+ * bit-identical to what re-running the job would produce, so a
+ * resume reuses every record whose fingerprint matches a job --
+ * whatever sweep wrote it -- and the merged report is byte-identical
+ * to an uninterrupted run's. Loading, salvage of corrupt files,
+ * compaction and the appends all belong to the store; the journal
+ * adds the `.lock` sidecar, the label check, and the serialized
+ * record() path.
  */
 
 #ifndef NOSQ_SIM_JOURNAL_HH
 #define NOSQ_SIM_JOURNAL_HH
 
-#include <cstdio>
 #include <mutex>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "serve/job_store.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 
@@ -63,15 +50,11 @@ namespace nosq {
  */
 std::string jobFingerprint(const SweepJob &job);
 
-/** Fingerprint of a whole job list (count + every job fingerprint). */
-std::string sweepFingerprint(const std::vector<SweepJob> &jobs);
-
 // --- record (de)serialization seams -----------------------------------------
 //
-// The serving layer (src/serve/) persists and transports completed
-// RunResults in exactly the journal's record shape, so a daemon's
-// store and a sweep journal stay mutually intelligible. These are
-// the journal's own record helpers, exported.
+// The result store (serve/job_store.hh) persists, and the serving
+// protocol transports, completed RunResults in this one record
+// shape.
 
 /**
  * toJson(RunResult) flattened to one JSONL-safe line. The emitter's
@@ -99,10 +82,11 @@ bool runResultFromJson(const JsonValue &v, RunResult &out);
 bool jsonExactCounter(const JsonValue &v, std::uint64_t &out);
 
 /**
- * Unresumable-journal error: the journal belongs to a different
- * sweep spec, or journal I/O failed outright (unwritable path).
- * Salvageable corruption never throws this; it is reported through
- * SweepJournal::warnings() instead.
+ * Unusable-journal error: a fresh checkpoint would overwrite results
+ * of this very sweep, another sweep holds the journal, or journal
+ * I/O failed outright (unwritable path). Salvageable corruption
+ * never throws this; it is reported through SweepJournal::warnings()
+ * instead.
  */
 class JournalError : public std::runtime_error
 {
@@ -115,40 +99,42 @@ class JournalError : public std::runtime_error
 /**
  * The checkpoint/resume journal for one sweep.
  *
- * Lifecycle: construct via create() (fresh file) or resume()
- * (salvage an existing one), then bind() to the freshly built job
- * list before running. bind() verifies the spec fingerprint, matches
- * salvaged records to job indices, and (re)writes the file so it is
- * clean for appends. During the sweep, record() appends one line per
- * completed job and flushes it immediately; record() is thread-safe
- * (runSweep calls it from worker threads).
+ * Lifecycle: construct via create() (fresh checkpoint) or resume()
+ * (reuse an existing store), then bind() to the freshly built job
+ * list before running. bind() opens the store and matches its
+ * records to job indices by fingerprint. During the sweep, record()
+ * puts one result per completed job and flushes it immediately;
+ * record() is thread-safe (runSweep calls it from worker threads).
  */
 class SweepJournal
 {
   public:
-    /** Start a fresh journal at @p path (truncated at bind()). */
+    /** Start a fresh checkpoint at @p path (emptied at bind()). */
     static SweepJournal create(std::string path);
 
     /**
-     * Resume from @p path: bind() salvages its records. A missing
-     * file degrades to a fresh journal with a warning.
+     * Resume from @p path: bind() reuses its matching records. A
+     * missing or empty file degrades to a fresh store with a
+     * warning.
      */
     static SweepJournal resume(std::string path);
 
-    SweepJournal(SweepJournal &&other) noexcept;
-    SweepJournal &operator=(SweepJournal &&) = delete;
     SweepJournal(const SweepJournal &) = delete;
     SweepJournal &operator=(const SweepJournal &) = delete;
     ~SweepJournal();
 
     /**
-     * Bind to the sweep's job list: fingerprint every job, verify
-     * the journal header against sweepFingerprint(jobs), match
-     * salvaged records to job indices, and rewrite the file
-     * (header + salvaged records) ready for appends.
+     * Bind to the sweep's job list: lock the journal, fingerprint
+     * every job, and open the store at path(). A resume marks every
+     * job whose fingerprint has a stored result as done -- unless
+     * the result's benchmark, suite, config or memsys labels
+     * disagree with the job, in which case the record is dropped
+     * from the store and the job re-runs. A fresh checkpoint starts
+     * from an empty store.
      *
-     * @throws JournalError when the journal's spec fingerprint names
-     *         a different sweep, or the file cannot be (re)written
+     * @throws JournalError when a fresh checkpoint's file already
+     *         holds a result for any job of this sweep, another
+     *         sweep holds the journal, or the file cannot be written
      */
     void bind(const std::vector<SweepJob> &jobs);
 
@@ -162,7 +148,7 @@ class SweepJournal
         return bound;
     }
 
-    /** Salvage/skip diagnostics accumulated by bind(). */
+    /** The store's salvage diagnostics plus bind()'s own. */
     const std::vector<std::string> &
     warnings() const
     {
@@ -176,30 +162,38 @@ class SweepJournal
         return done_count;
     }
 
-    /** True when job @p index was journaled as completed. */
+    /**
+     * True when job @p index has a stored result (after bind(): a
+     * reusable one from a previous run). This and doneResult() read
+     * the store unlocked, so call them before the sweep runs, not
+     * alongside record().
+     */
     bool
     isDone(std::size_t index) const
     {
-        return index < done.size() && done[index];
+        return index < fingerprints.size() &&
+               store.has(fingerprints[index]);
     }
 
-    /** The journaled result for a done job. */
+    /** The stored result for a done job. */
     const RunResult &
     doneResult(std::size_t index) const
     {
-        return loaded[index];
+        return store.get(fingerprints[index]);
     }
 
     /**
-     * Append job @p index's completed result and flush it to the OS
-     * so a SIGKILL cannot lose it. Thread-safe. Invalid (failed)
-     * results are not journaled -- a resumed sweep must retry them.
-     * A write failure (disk full) disables further journaling and is
-     * surfaced through writeError(), never by throwing mid-sweep.
+     * Put job @p index's completed result into the store, which
+     * flushes it to the OS so a SIGKILL cannot lose it. Thread-safe.
+     * Invalid (failed) results are not stored -- a resumed sweep
+     * must retry them. A failed append (disk full) loses only that
+     * record; it is surfaced through writeError(), never by throwing
+     * mid-sweep, and a resume re-runs the lost job.
      */
     void record(std::size_t index, const RunResult &run);
 
-    /** First append failure, or empty when all appends succeeded. */
+    /** Names the append failure, or empty when all appends
+     * succeeded. */
     const std::string &
     writeError() const
     {
@@ -213,29 +207,24 @@ class SweepJournal
     }
 
   private:
-    explicit SweepJournal(std::string path_, bool resume_)
+    SweepJournal(std::string path_, bool resume_)
         : file_path(std::move(path_)), resuming(resume_)
     {}
-
-    void closeFile();
 
     std::string file_path;
     bool resuming = false;
     bool bound = false;
-
-    std::mutex write_mutex;
-    std::FILE *file = nullptr;
     /** flock()ed sidecar ("<path>.lock") held from bind() until
      * destruction: concurrent resumes of one journal are refused. */
     int lock_fd = -1;
+
+    /** Guards store and write_error during the sweep: record() runs
+     * on worker threads, and the store is not thread-safe. */
+    std::mutex write_mutex;
+    serve::JobStore store;
     std::string write_error;
-    /** Fingerprints already written: duplicate job tuples share one
-     * record, and salvaged records are never re-appended. */
-    std::unordered_set<std::string> appended;
 
     std::vector<std::string> fingerprints; // per job index
-    std::vector<char> done;                // per job index
-    std::vector<RunResult> loaded;         // per job index (done only)
     std::size_t done_count = 0;
     std::vector<std::string> warns;
 };

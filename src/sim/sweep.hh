@@ -392,17 +392,17 @@ std::vector<RunResult> runSweep(const std::vector<SweepJob> &jobs,
 
 /**
  * runSweep() with a durable checkpoint/resume journal
- * (sim/journal.hh). The journal is bound to @p jobs first: a resumed
- * journal's records are fingerprint-verified against the job list,
- * already-completed jobs are skipped and their journaled results
+ * (sim/journal.hh). The journal is bound to @p jobs first: jobs whose
+ * fingerprints have a stored result are skipped and those results
  * merged into the returned vector at their job indices, and every
- * newly completed job is appended to the journal (flushed per
+ * newly completed job is put into the journal's store (flushed per
  * record, so an interrupted sweep loses at most in-flight jobs). The
  * merged result vector -- and hence the final report, reductions
  * included -- is bit-identical to an uninterrupted run's.
  *
- * @throws JournalError if the journal names a different sweep spec
- *         or its file cannot be (re)written
+ * @throws JournalError if a fresh checkpoint would overwrite results
+ *         of this sweep, another sweep holds the journal, or its
+ *         file cannot be (re)written
  * @throws SweepError if any job threw (journaled results are never
  *         failures; failed jobs are not journaled and re-run on the
  *         next resume)

@@ -13,6 +13,18 @@ suiteName(Suite suite)
     return "???";
 }
 
+bool
+suiteFromName(const std::string &name, Suite &out)
+{
+    for (const Suite s : {Suite::Media, Suite::Int, Suite::Fp}) {
+        if (name == suiteName(s)) {
+            out = s;
+            return true;
+        }
+    }
+    return false;
+}
+
 namespace {
 
 using S = Suite;

@@ -26,6 +26,9 @@ enum class Suite : std::uint8_t { Media, Int, Fp };
 
 const char *suiteName(Suite suite);
 
+/** The inverse of suiteName(); false for an unknown name. */
+bool suiteFromName(const std::string &name, Suite &out);
+
 /** Workload synthesis targets and character for one benchmark. */
 struct BenchmarkProfile
 {

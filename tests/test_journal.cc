@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests for the sweep checkpoint/resume journal: job/spec
- * fingerprints, record round-trip, resume-skips-done-jobs, the
- * byte-identical merged report, and salvage of every corruption
- * class (truncated tail, wrong schema version, unknown fingerprint,
- * duplicate fingerprint) with only the missing jobs re-run.
+ * Tests for the sweep checkpoint/resume journal: job fingerprints,
+ * record round-trip, resume-skips-done-jobs, the byte-identical
+ * merged report, resuming against another sweep spec, and salvage
+ * of every corruption class (truncated tail, wrong schema version,
+ * unknown fingerprint, duplicate fingerprint, mislabelled record)
+ * through the result store with only the missing jobs re-run.
  */
 
 #include <gtest/gtest.h>
@@ -237,19 +238,6 @@ TEST(Journal, MemsysLabelRoundTripsThroughResume)
     std::remove(path.c_str());
 }
 
-TEST(Fingerprint, SweepSpecHashCoversCountAndOrder)
-{
-    std::atomic<unsigned> runs{0};
-    const std::vector<SweepJob> jobs = countedJobs(runs, 3);
-    EXPECT_EQ(sweepFingerprint(jobs), sweepFingerprint(jobs));
-
-    std::vector<SweepJob> shorter(jobs.begin(), jobs.end() - 1);
-    EXPECT_NE(sweepFingerprint(jobs), sweepFingerprint(shorter));
-    std::vector<SweepJob> swapped = jobs;
-    std::swap(swapped[0], swapped[1]);
-    EXPECT_NE(sweepFingerprint(jobs), sweepFingerprint(swapped));
-}
-
 // --- checkpoint + resume ---------------------------------------------------
 
 TEST(Journal, FreshJournalRecordsEveryCompletedJob)
@@ -265,14 +253,12 @@ TEST(Journal, FreshJournalRecordsEveryCompletedJob)
     EXPECT_TRUE(journal.warnings().empty());
     EXPECT_TRUE(journal.writeError().empty());
 
-    // Header + one line per completed job.
+    // A result store: header + one line per completed job.
     const std::vector<std::string> lines = fileLines(path);
     ASSERT_EQ(lines.size(), 5u);
     JsonValue header;
     ASSERT_TRUE(parseJson(lines[0], header, nullptr));
-    EXPECT_EQ(header.find("schema")->string, "nosq-journal-v1");
-    EXPECT_EQ(header.find("spec")->string, sweepFingerprint(jobs));
-    EXPECT_EQ(header.find("jobs")->asU64(), jobs.size());
+    EXPECT_EQ(header.find("schema")->string, "nosq-store-v1");
     for (std::size_t n = 1; n < lines.size(); ++n) {
         JsonValue rec;
         ASSERT_TRUE(parseJson(lines[n], rec, nullptr))
@@ -366,20 +352,30 @@ TEST(Journal, ResumedReportIsByteIdenticalToUninterrupted)
     std::remove(path.c_str());
 }
 
-TEST(Journal, RefusesJournalFromDifferentSweepSpec)
+TEST(Journal, ResumeAgainstAnotherSpecReusesMatchingResults)
 {
-    const std::string path = tempPath("spec");
+    const std::string path = tempPath("otherspec");
     std::atomic<unsigned> runs{0};
+    const std::vector<SweepJob> jobs = countedJobs(runs, 5);
     {
+        // Checkpoint a sweep of the first three jobs only.
         SweepJournal journal = SweepJournal::create(path);
-        runSweep(countedJobs(runs, 3), journal, 1);
+        runSweep(std::vector<SweepJob>(jobs.begin(), jobs.begin() + 3),
+                 journal, 1);
     }
-    // Same shape, different seed: every fingerprint differs, and
-    // resuming must refuse rather than silently re-run everything
-    // against the wrong journal.
-    const std::vector<SweepJob> other = countedJobs(runs, 3, 2);
+    // A fingerprint hashes the whole job tuple, so resuming the
+    // larger sweep reuses the three results and runs the other two.
+    runs = 0;
     SweepJournal journal = SweepJournal::resume(path);
-    EXPECT_THROW(runSweep(other, journal, 1), JournalError);
+    const std::vector<RunResult> results = runSweep(jobs, journal, 1);
+    EXPECT_EQ(runs.load(), 2u);
+    EXPECT_EQ(journal.doneCount(), 3u);
+    EXPECT_TRUE(journal.warnings().empty());
+    const std::vector<RunResult> reference = runSweep(jobs, 1);
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        EXPECT_EQ(runResultJsonLine(results[i]),
+                  runResultJsonLine(reference[i]))
+            << i;
     std::remove(path.c_str());
 }
 
@@ -494,7 +490,7 @@ TEST(JournalSalvage, TruncatedFinalLineSalvagesPrefix)
         });
     EXPECT_EQ(reran, 1u); // only the truncated record's job
     ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_NE(warnings[0].find("corrupt"), std::string::npos);
+    EXPECT_NE(warnings[0].find("torn"), std::string::npos);
 }
 
 TEST(JournalSalvage, WrongSchemaVersionDiscardsAllRecords)
@@ -503,9 +499,9 @@ TEST(JournalSalvage, WrongSchemaVersionDiscardsAllRecords)
     const unsigned reran = corruptAndResume(
         tempPath("schema"), warnings, [](const std::string &path) {
             std::string text = readFile(path);
-            const std::string tag = "nosq-journal-v1";
+            const std::string tag = "nosq-store-v1";
             text.replace(text.find(tag), tag.size(),
-                         "nosq-journal-v9");
+                         "nosq-store-v9");
             writeFile(path, text);
         });
     EXPECT_EQ(reran, 4u); // nothing salvageable: all jobs re-run
@@ -522,8 +518,9 @@ TEST(JournalSalvage, UnknownFingerprintIsSkippedOthersSurvive)
     std::vector<std::string> warnings;
     const unsigned reran = corruptAndResume(
         tempPath("unknown"), warnings, [](const std::string &path) {
-            // Rewrite record 2's fingerprint to one no job has: the
-            // record is dropped, but later records still verify.
+            // Rewrite record 2's fingerprint to one no job has: to
+            // this sweep the record is another job's result, so it
+            // is ignored, and later records still verify.
             std::vector<std::string> lines = fileLines(path);
             JsonValue rec;
             ASSERT_TRUE(parseJson(lines[2], rec, nullptr));
@@ -536,9 +533,7 @@ TEST(JournalSalvage, UnknownFingerprintIsSkippedOthersSurvive)
             writeFile(path, text);
         });
     EXPECT_EQ(reran, 1u); // only the damaged record's job
-    ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_NE(warnings[0].find("not in this sweep's job list"),
-              std::string::npos);
+    EXPECT_TRUE(warnings.empty());
 }
 
 TEST(JournalSalvage, NonIntegralCounterRejectsOnlyThatRecord)
@@ -561,7 +556,7 @@ TEST(JournalSalvage, NonIntegralCounterRejectsOnlyThatRecord)
         });
     EXPECT_EQ(reran, 1u);
     ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_NE(warnings[0].find("malformed"), std::string::npos);
+    EXPECT_NE(warnings[0].find("invalid record"), std::string::npos);
 }
 
 TEST(JournalSalvage, DuplicateFingerprintKeepsFirstRecord)
@@ -580,7 +575,7 @@ TEST(JournalSalvage, DuplicateFingerprintKeepsFirstRecord)
         });
     EXPECT_EQ(reran, 1u); // job 3 lost its record and re-ran
     ASSERT_EQ(warnings.size(), 1u);
-    EXPECT_NE(warnings[0].find("duplicates"), std::string::npos);
+    EXPECT_NE(warnings[0].find("duplicate"), std::string::npos);
 }
 
 TEST(JournalSalvage, BindCompactsCorruptionOutOfTheFile)
@@ -609,7 +604,7 @@ TEST(JournalSalvage, BindCompactsCorruptionOutOfTheFile)
     std::remove(path.c_str());
 }
 
-TEST(Journal, CheckpointRefusesToClobberSameSpecJournal)
+TEST(Journal, CheckpointRefusesToClobberThisSweepsResults)
 {
     const std::string path = tempPath("clobber");
     std::atomic<unsigned> runs{0};
@@ -624,13 +619,23 @@ TEST(Journal, CheckpointRefusesToClobberSameSpecJournal)
         SweepJournal journal = SweepJournal::create(path);
         EXPECT_THROW(journal.bind(jobs), JournalError);
     }
-    // ...but a different sweep spec overwrites as requested.
+    // ...nor the progress of a sweep sharing only one job with it...
+    {
+        std::vector<SweepJob> overlap = countedJobs(runs, 3, 9);
+        overlap[1] = jobs[1];
+        SweepJournal journal = SweepJournal::create(path);
+        EXPECT_THROW(journal.bind(overlap), JournalError);
+    }
+    // ...but a disjoint sweep starts from an empty file as requested.
     std::atomic<unsigned> other_runs{0};
     const std::vector<SweepJob> other =
         countedJobs(other_runs, 3, /*seed=*/9);
-    SweepJournal fresh = SweepJournal::create(path);
-    runSweep(other, fresh, 1);
+    {
+        SweepJournal fresh = SweepJournal::create(path);
+        runSweep(other, fresh, 1);
+    }
     EXPECT_EQ(other_runs.load(), 3u);
+    EXPECT_EQ(fileLines(path).size(), 4u); // header + other's 3
     std::remove(path.c_str());
 }
 
@@ -704,38 +709,6 @@ TEST(JournalSalvage, ExistingEmptyFileWarnsAndStartsFresh)
     EXPECT_NE(journal.warnings()[0].find("empty"),
               std::string::npos);
     std::remove(path.c_str());
-}
-
-TEST(JournalSalvage, HeaderMissingSpecWarnsAndDiscards)
-{
-    const std::string path = tempPath("nospec");
-    std::atomic<unsigned> runs{0};
-    const std::vector<SweepJob> jobs = countedJobs(runs, 2);
-    {
-        SweepJournal journal = SweepJournal::create(path);
-        runSweep(jobs, journal, 1);
-    }
-    std::vector<std::string> lines = fileLines(path);
-    lines[0] = "{\"schema\": \"nosq-journal-v1\", \"jobs\": 2}";
-    std::string text;
-    for (const std::string &line : lines)
-        text += line + '\n';
-    writeFile(path, text);
-
-    // Without a spec fingerprint the records cannot be trusted to
-    // belong to this sweep -- but the discard must never be silent.
-    runs = 0;
-    SweepJournal journal = SweepJournal::resume(path);
-    runSweep(jobs, journal, 1);
-    EXPECT_EQ(runs.load(), 2u);
-    EXPECT_EQ(journal.doneCount(), 0u);
-    ASSERT_EQ(journal.warnings().size(), 2u);
-    EXPECT_NE(journal.warnings()[0].find("spec"),
-              std::string::npos);
-    EXPECT_NE(journal.warnings()[1].find("manual recovery"),
-              std::string::npos);
-    std::remove(path.c_str());
-    std::remove((path + ".corrupt").c_str());
 }
 
 TEST(Journal, ConcurrentBindOfOneJournalIsRefused)

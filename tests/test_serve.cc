@@ -2,9 +2,10 @@
  * @file
  * Unit tests for the serving layer's process plumbing: the SPSC
  * shared-memory ring (wrap-around correctness, full-ring refusal,
- * cross-thread ordering) and the daemon's persistent fingerprint
- * store (round trip, salvage of every corruption class, duplicate
- * and invalid-result policy).
+ * cross-thread ordering) and the persistent fingerprint -> result
+ * store behind both the daemon and sweep checkpoints (round trip,
+ * salvage of every corruption class, duplicate and invalid-result
+ * policy, legacy journal files).
  */
 
 #include <gtest/gtest.h>
@@ -303,16 +304,142 @@ TEST(JobStore, WrongSchemaHeaderStartsFresh)
     writeFile(path, "{\"schema\":\"nosq-store-v9\"}\n"
                     "{\"fp\":\"aa\",\"run\":{}}\n");
 
+    const std::string original = readFile(path);
+
     JobStore store;
     std::string error;
     ASSERT_TRUE(store.open(path, error)) << error;
     EXPECT_EQ(store.size(), 0u);
-    EXPECT_FALSE(store.warnings().empty());
+    ASSERT_EQ(store.warnings().size(), 2u);
+    EXPECT_NE(store.warnings()[0].find("schema"), std::string::npos);
+    EXPECT_NE(store.warnings()[1].find("manual recovery"),
+              std::string::npos);
+    // The unreadable file is kept aside byte for byte, never
+    // destroyed by the compaction.
+    EXPECT_EQ(readFile(path + ".corrupt"), original);
 
     // The fresh store is immediately usable.
     store.put(fpOf(0), sampleRun(0));
     EXPECT_EQ(store.size(), 1u);
 
+    std::remove(path.c_str());
+    std::remove((path + ".corrupt").c_str());
+}
+
+/** A store at @p path holding sampleRun(0..n-1); returns its lines. */
+std::vector<std::string>
+storeLines(const std::string &path, unsigned n)
+{
+    std::remove(path.c_str());
+    {
+        JobStore store;
+        std::string error;
+        EXPECT_TRUE(store.open(path, error)) << error;
+        for (unsigned i = 0; i < n; ++i)
+            store.put(fpOf(i), sampleRun(i));
+    }
+    std::vector<std::string> lines;
+    std::istringstream in(readFile(path));
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    EXPECT_EQ(lines.size(), n + 1);
+    return lines;
+}
+
+std::string
+joinLines(const std::vector<std::string> &lines)
+{
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + '\n';
+    return text;
+}
+
+TEST(JobStore, TornFinalLineLosesOnlyThatRecord)
+{
+    const std::string path = tempPath("torn");
+    const std::string text = joinLines(storeLines(path, 3));
+    // A SIGKILL mid-append leaves the last record cut mid-JSON.
+    writeFile(path, text.substr(0, text.size() - 20));
+
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    ASSERT_EQ(store.warnings().size(), 1u);
+    EXPECT_NE(store.warnings()[0].find("torn"), std::string::npos);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_FALSE(store.has(fpOf(2)));
+    std::remove(path.c_str());
+}
+
+TEST(JobStore, NonIntegralCounterSkipsOnlyThatRecord)
+{
+    const std::string path = tempPath("counter");
+    std::vector<std::string> lines = storeLines(path, 3);
+    // Still valid JSON, but no real counter: the record is skipped
+    // (never undefined-cast) and later records still load.
+    const std::string key = "\"cycles\": ";
+    const std::size_t at = lines[1].find(key);
+    ASSERT_NE(at, std::string::npos);
+    lines[1].insert(at + key.size(), "-");
+    writeFile(path, joinLines(lines));
+
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    ASSERT_EQ(store.warnings().size(), 1u);
+    EXPECT_NE(store.warnings()[0].find("invalid record"),
+              std::string::npos);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_TRUE(store.has(fpOf(2)));
+    std::remove(path.c_str());
+}
+
+TEST(JobStore, DuplicateFingerprintKeepsFirstRecord)
+{
+    const std::string path = tempPath("dupfp");
+    std::vector<std::string> lines = storeLines(path, 2);
+    // A second record under fpOf(0) carrying fpOf(1)'s result.
+    std::string dup = lines[2];
+    dup.replace(dup.find(fpOf(1)), fpOf(1).size(), fpOf(0));
+    lines.push_back(dup);
+    writeFile(path, joinLines(lines));
+
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    ASSERT_EQ(store.warnings().size(), 1u);
+    EXPECT_NE(store.warnings()[0].find("duplicate"), std::string::npos);
+    EXPECT_EQ(store.size(), 2u);
+    EXPECT_EQ(runResultJsonLine(store.get(fpOf(0))),
+              runResultJsonLine(sampleRun(0)));
+    std::remove(path.c_str());
+}
+
+TEST(JobStore, LegacyJournalFileLoadsEveryRecord)
+{
+    // A checkpoint written before the journal became a store view:
+    // its own header, spaced records of the same shape.
+    const std::string path = tempPath("legacy");
+    std::string text = "{\"schema\": \"nosq-journal-v1\", \"spec\": "
+                       "\"0123456789abcdef\", \"jobs\": 3}\n";
+    for (unsigned i = 0; i < 3; ++i)
+        text += "{\"fp\": \"" + fpOf(i) + "\", \"run\": " +
+                runResultJsonLine(sampleRun(i)) + "}\n";
+    writeFile(path, text);
+
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    EXPECT_TRUE(store.warnings().empty());
+    ASSERT_EQ(store.size(), 3u);
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_EQ(runResultJsonLine(store.get(fpOf(i))),
+                  runResultJsonLine(sampleRun(i)))
+            << i;
+    // The load-time compaction rewrote it in the store schema.
+    EXPECT_EQ(readFile(path).rfind("{\"schema\":\"nosq-store-v1\"}\n", 0),
+              0u);
     std::remove(path.c_str());
 }
 

@@ -478,7 +478,7 @@ TEST(SweepProgress, CountsJournaledJobsAsAlreadyDone)
     // parallel sweep journals in completion order, so the record is
     // found by fingerprint, not by position.
     const std::string dropped =
-        "{\"fp\": \"" + jobFingerprint(jobs.back()) + "\"";
+        "{\"fp\":\"" + jobFingerprint(jobs.back()) + "\"";
     std::vector<std::string> lines;
     {
         std::ifstream in(path);

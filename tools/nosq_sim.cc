@@ -28,6 +28,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -154,17 +155,18 @@ usage()
         "                        entries, K suffix allowed, Inf for\n"
         "                        unbounded (default\n"
         "                        64,128,256,512,1K,2K,4K,Inf)\n"
-        "  --checkpoint FILE     journal each completed job to FILE\n"
-        "                        (nosq-journal-v1 JSONL, flushed per\n"
-        "                        record; starts a fresh journal)\n"
-        "  --resume FILE         resume an interrupted sweep: skip\n"
-        "                        the jobs journaled in FILE, run the\n"
-        "                        rest, and keep journaling to FILE.\n"
-        "                        The merged report is byte-identical\n"
-        "                        to an uninterrupted run. Refuses a\n"
-        "                        journal from a different sweep spec;\n"
-        "                        corrupt records are salvaged up to\n"
-        "                        the damage with a warning\n"
+        "  --checkpoint FILE     store each completed job in FILE, a\n"
+        "                        nosq-store-v1 result store flushed\n"
+        "                        per record (starts empty; refuses a\n"
+        "                        FILE holding results of this sweep)\n"
+        "  --resume FILE         resume an interrupted sweep: reuse\n"
+        "                        the results in store FILE (from any\n"
+        "                        sweep or nosq_sweepd) whose job\n"
+        "                        fingerprints match, run the rest,\n"
+        "                        and keep storing to FILE. The merged\n"
+        "                        report is byte-identical to an\n"
+        "                        uninterrupted run; corrupt records\n"
+        "                        are skipped with a warning\n"
         "  --server SOCK         run the sweep on the nosq_sweepd\n"
         "                        daemon listening at Unix socket\n"
         "                        SOCK instead of in-process worker\n"
@@ -611,21 +613,25 @@ runSweepMode(const SweepOptions &opt)
         };
     }
 
-    // Checkpoint/resume journal: --resume salvages an existing
-    // journal and keeps appending to it; --checkpoint starts fresh.
-    std::optional<SweepJournal> journal;
+    // Checkpoint/resume journal: --resume reuses the matching
+    // results of an existing store and keeps appending to it;
+    // --checkpoint starts empty. A journal is not movable, so it is
+    // built in place from the factory's result.
+    std::unique_ptr<SweepJournal> journal;
     if (!opt.resume_path.empty())
-        journal.emplace(SweepJournal::resume(opt.resume_path));
+        journal.reset(
+            new SweepJournal(SweepJournal::resume(opt.resume_path)));
     else if (!opt.checkpoint_path.empty())
-        journal.emplace(SweepJournal::create(opt.checkpoint_path));
+        journal.reset(new SweepJournal(
+            SweepJournal::create(opt.checkpoint_path)));
 
     // Bind up front (the engine then skips its lazy bind) so the
     // salvage warnings and the resume summary print BEFORE the
     // sweep runs. The summary prints unconditionally for --resume:
-    // a matching-spec journal with zero salvaged records used to
-    // re-run everything silently, leaving logs with no evidence the
-    // resume found nothing -- "resuming: 0/N journaled" makes that
-    // state auditable.
+    // a store with zero matching records used to re-run everything
+    // silently, leaving logs with no evidence the resume found
+    // nothing -- "resuming: 0/N journaled" makes that state
+    // auditable.
     if (journal) {
         try {
             journal->bind(jobs);
@@ -638,6 +644,20 @@ runSweepMode(const SweepOptions &opt)
         }
         for (const std::string &warning : journal->warnings())
             std::fprintf(stderr, "journal: %s\n", warning.c_str());
+        // The report must never clobber the journal. The bound
+        // journal exists on disk, so comparing inodes sees through
+        // "./x" vs "x" and symlinks, before any job runs.
+        struct stat out_stat, journal_stat;
+        if (!opt.out_path.empty() &&
+            ::stat(opt.out_path.c_str(), &out_stat) == 0 &&
+            ::stat(journal->path().c_str(), &journal_stat) == 0 &&
+            out_stat.st_dev == journal_stat.st_dev &&
+            out_stat.st_ino == journal_stat.st_ino) {
+            std::fprintf(stderr, "--out '%s' is the journal file; "
+                         "refusing to overwrite it\n",
+                         opt.out_path.c_str());
+            return 1;
+        }
         if (!opt.resume_path.empty()) {
             std::fprintf(stderr, "journal: resuming: %zu/%zu "
                          "journaled job(s) from '%s'\n",
@@ -688,11 +708,6 @@ runSweepMode(const SweepOptions &opt)
                 ? runSweep(jobs, *journal, opt.jobs, progress)
                 : runSweep(jobs, opt.jobs, progress);
             meter.finish();
-        } catch (const JournalError &e) {
-            // Journal I/O failed outright (unwritable path).
-            meter.finish();
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
         } catch (const SweepError &e) {
             meter.finish();
             // Per-job failures were isolated by the engine: report
@@ -705,8 +720,8 @@ runSweepMode(const SweepOptions &opt)
         }
     }
     if (journal && !journal->writeError().empty()) {
-        // The sweep itself completed, but its checkpoint is not
-        // durable -- fail loudly so CI never trusts a bad journal.
+        // The sweep itself completed, but a record did not reach
+        // the checkpoint -- fail loudly so CI never trusts it.
         std::fprintf(stderr, "%s\n", journal->writeError().c_str());
         exit_code = 1;
     }
@@ -716,22 +731,6 @@ runSweepMode(const SweepOptions &opt)
         const std::string report =
             sweepReportJson(results, insts, baseline);
         if (!opt.out_path.empty()) {
-            // The earlier string comparison cannot see through
-            // "./x" vs "x" or symlinks; compare inodes before the
-            // truncating open so the report can never clobber the
-            // journal it just earned.
-            struct stat out_stat, journal_stat;
-            if (journal &&
-                ::stat(opt.out_path.c_str(), &out_stat) == 0 &&
-                ::stat(journal->path().c_str(),
-                       &journal_stat) == 0 &&
-                out_stat.st_dev == journal_stat.st_dev &&
-                out_stat.st_ino == journal_stat.st_ino) {
-                std::fprintf(stderr, "--out '%s' is the journal "
-                             "file; refusing to overwrite it\n",
-                             opt.out_path.c_str());
-                return 1;
-            }
             if (!writeTextFile(opt.out_path, report))
                 return 1;
         }
@@ -1261,13 +1260,6 @@ main(int argc, char **argv)
         std::fprintf(stderr, "--checkpoint and --resume are "
                      "mutually exclusive (--resume keeps "
                      "journaling to its own file)\n");
-        return 1;
-    }
-    if (!sweep_opt.out_path.empty() &&
-        (sweep_opt.out_path == sweep_opt.checkpoint_path ||
-         sweep_opt.out_path == sweep_opt.resume_path)) {
-        std::fprintf(stderr, "--out must not name the journal "
-                     "file\n");
         return 1;
     }
 
