@@ -94,6 +94,10 @@ Dispatcher::~Dispatcher()
         (void)client;
         close(fd);
     }
+    for (int fd : result_wake) {
+        if (fd >= 0)
+            close(fd);
+    }
     if (listen_fd >= 0) {
         close(listen_fd);
         unlink(opts.socketPath.c_str());
@@ -114,7 +118,8 @@ Dispatcher::init(std::string &error)
 {
     signal(SIGPIPE, SIG_IGN);
 
-    if (!store.open(opts.storePath, error))
+    if (!store_lock.acquire(opts.storePath, error) ||
+        !store.open(opts.storePath, error))
         return false;
     for (const std::string &warning : store.warnings())
         logLine("%s", warning.c_str());
@@ -188,6 +193,11 @@ Dispatcher::init(std::string &error)
                 FaultInjector::global().plan().c_str());
     }
 
+    if (!openWakePipe(result_wake)) {
+        error = "cannot open the result wake pipe: " +
+                std::string(std::strerror(errno));
+        return false;
+    }
     workers.resize(opts.workers);
     for (std::size_t i = 0; i < workers.size(); ++i) {
         if (!spawnWorker(i, error))
@@ -208,23 +218,46 @@ Dispatcher::spawnWorker(std::size_t slot, std::string &error)
                 std::string(std::strerror(errno));
         return false;
     }
+    int job_wake[2];
+    if (!openWakePipe(job_wake)) {
+        error = "cannot open a job wake pipe: " +
+                std::string(std::strerror(errno));
+        unmapWorkerChannel(worker.channel);
+        worker.channel = nullptr;
+        return false;
+    }
     const pid_t daemon_pid = getpid();
     const pid_t pid = faultFork();
     if (pid < 0) {
         error = "fork failed: " + std::string(std::strerror(errno));
+        close(job_wake[0]);
+        close(job_wake[1]);
         unmapWorkerChannel(worker.channel);
         worker.channel = nullptr;
         return false;
     }
     if (pid == 0) {
-        // Worker process: the listening socket and client fds
-        // belong to the parent.
+        // Worker process: it keeps only its own job wake read end
+        // and the result wake write end. The listening socket, the
+        // client fds, every job wake write end, the result wake read
+        // end, the store and its lock belong to the parent -- an
+        // orphaned worker must never hold the store's lock.
         if (listen_fd >= 0)
             close(listen_fd);
         for (const auto &[fd, client] : clients) {
             (void)client;
             close(fd);
         }
+        for (const Worker &other : workers) {
+            if (other.jobWake >= 0)
+                close(other.jobWake);
+        }
+        close(job_wake[1]);
+        close(result_wake[0]);
+        if (store.descriptor() >= 0)
+            close(store.descriptor());
+        if (store_lock.descriptor() >= 0)
+            close(store_lock.descriptor());
 #ifdef __linux__
         // Die with the daemon. Workers poll shared memory, so a
         // SIGKILLed daemon would otherwise leave them spinning
@@ -234,8 +267,11 @@ Dispatcher::spawnWorker(std::size_t slot, std::string &error)
         if (getppid() != daemon_pid)
             _exit(0); // the daemon died before prctl() armed
 #endif
-        _exit(workerMain(workers[slot].channel));
+        _exit(workerMain(workers[slot].channel, job_wake[0],
+                         result_wake[1]));
     }
+    close(job_wake[0]);
+    worker.jobWake = job_wake[1];
     worker.pid = pid;
     worker.alive = true;
     worker.wedged = false;
@@ -286,19 +322,25 @@ Dispatcher::run()
 
         std::vector<struct pollfd> fds;
         fds.push_back({listen_fd, POLLIN, 0});
+        fds.push_back({result_wake[0], POLLIN, 0});
         for (const auto &[fd, client] : clients) {
             short events = POLLIN;
             if (!client.outbuf.empty())
                 events |= POLLOUT;
             fds.push_back({fd, events, 0});
         }
-        // 20ms tick: worker rings and heartbeats are polled, not
-        // signalled, so the loop must wake even when idle.
+        // Results wake the loop through result_wake; the 20ms
+        // timeout only paces heartbeat checks, reaping and the drain
+        // deadline, which nothing signals.
         poll(fds.data(), fds.size(), 20);
 
         if (fds[0].revents & POLLIN)
             acceptClients();
-        for (std::size_t i = 1; i < fds.size(); ++i) {
+        // Before drainResults(): a result pushed after this drain
+        // leaves its wake pending for the next poll().
+        if (fds[1].revents & POLLIN)
+            drainWakes(result_wake[0]);
+        for (std::size_t i = 2; i < fds.size(); ++i) {
             if (fds[i].revents &
                 (POLLIN | POLLERR | POLLHUP))
                 readClient(fds[i].fd);
@@ -792,6 +834,8 @@ Dispatcher::reapWorkers()
             requeueWorkerJobs(slot, death_reason);
             unmapWorkerChannel(worker.channel);
             worker.channel = nullptr;
+            close(worker.jobWake);
+            worker.jobWake = -1;
             worker.pid = -1;
             std::string error;
             if (!spawnWorker(slot, error))
@@ -912,6 +956,7 @@ Dispatcher::feedWorkers()
                 workerJobLine(id, it->second.job);
             if (!worker.channel->jobs.tryPush(frame))
                 break; // ring full; try again next tick
+            postWake(worker.jobWake);
             pending.pop_front();
             it->second.worker = static_cast<int>(slot);
             it->second.id = id;
@@ -975,6 +1020,8 @@ Dispatcher::shutdownWorkers()
         if (worker.channel != nullptr)
             worker.channel->stop.store(
                 true, std::memory_order_release);
+        if (worker.jobWake >= 0)
+            postWake(worker.jobWake);
     }
     for (Worker &worker : workers) {
         if (!worker.alive)
@@ -998,6 +1045,9 @@ Dispatcher::shutdownWorkers()
     for (Worker &worker : workers) {
         unmapWorkerChannel(worker.channel);
         worker.channel = nullptr;
+        if (worker.jobWake >= 0)
+            close(worker.jobWake);
+        worker.jobWake = -1;
     }
     workers.clear();
 }

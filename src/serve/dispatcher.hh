@@ -9,7 +9,11 @@
  * parse complete request lines, drain worker result rings, reap
  * dead workers (exit + heartbeat timeout) and requeue their
  * in-flight jobs, feed pending jobs to idle workers, flush client
- * output buffers.
+ * output buffers. The loop sleeps on the client sockets plus one
+ * result wake pipe every worker posts to after pushing a result, so
+ * a finished job is forwarded at once; each worker in turn sleeps on
+ * its own job wake pipe, which the daemon posts to after each job
+ * push (spsc_ring.hh, "wake pipes").
  *
  * Dedup semantics (the daemon's whole point): a submitted job's
  * fingerprint is looked up first in the persistent store (hit:
@@ -130,6 +134,9 @@ class Dispatcher
     {
         pid_t pid = -1;
         WorkerChannel *channel = nullptr;
+        /** Write end of the worker's job wake pipe; -1 while no
+         * worker runs in this slot. */
+        int jobWake = -1;
         std::uint64_t lastBeat = 0;
         std::uint64_t lastBeatAtMs = 0;
         std::vector<std::uint64_t> inflight;
@@ -165,8 +172,12 @@ class Dispatcher
     std::uint64_t nowMs() const;
 
     DispatcherOptions opts;
+    /** Held for the daemon's lifetime: one writer per store file. */
+    StoreLock store_lock;
     JobStore store;
     int listen_fd = -1;
+    /** The result wake pipe: workers write [1], the loop polls [0]. */
+    int result_wake[2] = {-1, -1};
     std::map<int, Client> clients;
     std::vector<Worker> workers;
     std::unordered_map<std::string, Exec> execs;

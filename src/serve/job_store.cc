@@ -8,6 +8,9 @@
 #include <cerrno>
 #include <cstring>
 
+#include <fcntl.h>
+#include <sys/file.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include "serve/fault.hh"
@@ -34,7 +37,7 @@ std::string
 recordLine(const std::string &fp, const RunResult &run)
 {
     return "{\"fp\":\"" + jsonEscape(fp) +
-           "\",\"run\":" + runResultJsonLine(run) + "}\n";
+           "\",\"run\":" + runResultRecord(run) + "}\n";
 }
 
 } // anonymous namespace
@@ -243,6 +246,54 @@ JobStore::put(const std::string &fp, const RunResult &run)
                         std::string(std::strerror(errno)) +
                         " (1 record unpersisted until compaction)");
         std::clearerr(file);
+    }
+}
+
+StoreLock::~StoreLock()
+{
+    if (lock_fd >= 0) {
+        // Unlink BEFORE releasing the lock: a process that opened
+        // this inode meanwhile will fail acquire()'s post-flock inode
+        // check and retry against a fresh sidecar, so no two
+        // holders can ever coexist, and no .lock litter remains.
+        std::remove(lock_path.c_str());
+        ::close(lock_fd); // releases the flock
+    }
+}
+
+bool
+StoreLock::acquire(const std::string &store_path, std::string &error)
+{
+    // The destructor unlinks the sidecar while still holding the
+    // lock, so after flocking we must confirm the file we locked is
+    // still the one on disk (a racer may have locked a fresh sidecar
+    // created after an unlink) and retry if not.
+    lock_path = store_path + ".lock";
+    for (int attempt = 0;; ++attempt) {
+        const int fd =
+            ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
+        if (fd < 0) {
+            error = "cannot open '" + lock_path +
+                    "': " + std::strerror(errno);
+            return false;
+        }
+        struct stat fd_stat, path_stat;
+        if (::flock(fd, LOCK_EX | LOCK_NB) == 0 &&
+            ::fstat(fd, &fd_stat) == 0 &&
+            ::stat(lock_path.c_str(), &path_stat) == 0 &&
+            fd_stat.st_dev == path_stat.st_dev &&
+            fd_stat.st_ino == path_stat.st_ino) {
+            lock_fd = fd;
+            return true;
+        }
+        ::close(fd);
+        if (attempt >= 7) {
+            error = "'" + store_path + "' is in use by another "
+                    "process ('" + lock_path + "' is held); "
+                    "refusing to share it";
+            return false;
+        }
+        ::usleep(150 * 1000);
     }
 }
 

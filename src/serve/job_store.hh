@@ -14,10 +14,12 @@
  *   ...
  *
  * Each "fp" is jobFingerprint() -- a hash of the full job tuple --
- * and each "run" is runResultJsonLine(), which runResultFromJson()
- * restores bit-identically. A legacy "nosq-journal-v1" header is
- * accepted too (its records have the same shape) and rewritten as
- * "nosq-store-v1" by the load-time compaction.
+ * and each "run" is runResultRecord(), which runResultFromJson()
+ * restores bit-identically. Records of older stores, spaced the way
+ * the report emitter spaces them, load the same way. A legacy
+ * "nosq-journal-v1" header is accepted too (its records have the
+ * same shape) and rewritten as "nosq-store-v1" by the load-time
+ * compaction.
  *
  * Durability: every put() is flushed to the OS immediately, so a
  * SIGKILL loses at most an in-flight record. open() salvages rather
@@ -120,12 +122,61 @@ class JobStore
         return file_path;
     }
 
+    /** The append descriptor; -1 when the file is not open. A
+     * forked child that must not hold the store open closes it. */
+    int
+    descriptor() const
+    {
+        return file != nullptr ? fileno(file) : -1;
+    }
+
   private:
     std::string file_path;
     std::FILE *file = nullptr;
     std::unordered_map<std::string, RunResult> results;
     std::vector<std::string> warns;
     std::uint64_t append_failures = 0;
+};
+
+/**
+ * One process's exclusive claim on a store file: an flock()ed
+ * "<path>.lock" sidecar, held from acquire() until destruction. A
+ * store has one writer at a time -- a local checkpoint run or a
+ * daemon -- because a second writer's compaction rename would orphan
+ * the inode the first one appends to. The sidecar, not the store, is
+ * locked because that rename replaces the store's inode.
+ *
+ * A process that forks children which must not outlive the claim
+ * (nosq_sweepd's workers) closes descriptor() in each child.
+ */
+class StoreLock
+{
+  public:
+    StoreLock() = default;
+    ~StoreLock();
+    StoreLock(const StoreLock &) = delete;
+    StoreLock &operator=(const StoreLock &) = delete;
+
+    /**
+     * Lock the sidecar of the store at @p store_path. A holder that
+     * was just SIGKILLed can take a few milliseconds to drop its
+     * descriptors, so a held lock is retried for about a second
+     * before giving up; a live holder keeps it far longer.
+     * @return false with @p error set when another process holds the
+     *         lock or the sidecar cannot be opened
+     */
+    bool acquire(const std::string &store_path, std::string &error);
+
+    /** The locked sidecar's descriptor; -1 when not held. */
+    int
+    descriptor() const
+    {
+        return lock_fd;
+    }
+
+  private:
+    std::string lock_path;
+    int lock_fd = -1;
 };
 
 } // namespace serve

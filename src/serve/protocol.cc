@@ -566,7 +566,7 @@ jobResultLine(std::size_t index, const std::string &fp,
               const RunResult &run)
 {
     return "{\"job\":" + u64(index) + ",\"fp\":" + quoted(fp) +
-           ",\"run\":" + runResultJsonLine(run) + "}\n";
+           ",\"run\":" + runResultRecord(run) + "}\n";
 }
 
 std::string
@@ -626,7 +626,7 @@ workerResultLine(std::uint64_t id, const std::string &fp,
                  const RunResult &run)
 {
     return "{\"id\":" + u64(id) + ",\"fp\":" + quoted(fp) +
-           ",\"run\":" + runResultJsonLine(run) + "}\n";
+           ",\"run\":" + runResultRecord(run) + "}\n";
 }
 
 std::string

@@ -37,7 +37,7 @@
  * names -- so the daemon reconstructs exactly the tuple the client
  * built and both sides agree on the fingerprint, the cache key, and
  * (by the determinism contract) the result bytes. The "run" payload
- * is the journal record shape (runResultJsonLine()), which restores
+ * is the store's record (runResultRecord()), which restores
  * bit-identically; a client-side report assembled from these lines
  * is byte-identical to a local runSweep() report.
  *

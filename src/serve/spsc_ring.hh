@@ -23,18 +23,31 @@
  * a ring that simply stops advancing (and a heartbeat that stops
  * bumping), which is exactly the failure signal the daemon's
  * requeue logic consumes.
+ *
+ * The rings carry the data; wake pipes carry only "look now". A
+ * producer posts one byte to the consumer's non-blocking pipe after
+ * each push, and an idle consumer sleeps in poll() on the read end
+ * instead of on a timer. A consumer drains the pipe BEFORE it
+ * drains the ring, so a push that races the drain leaves its byte
+ * behind and the next poll() returns at once: no wake is lost. The
+ * pipe is a doorbell, not a count -- a full pipe (EAGAIN) already
+ * holds a pending wake.
  */
 
 #ifndef NOSQ_SERVE_SPSC_RING_HH
 #define NOSQ_SERVE_SPSC_RING_HH
 
 #include <atomic>
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <new>
 #include <string>
 
+#include <fcntl.h>
+#include <poll.h>
 #include <sys/mman.h>
+#include <unistd.h>
 
 namespace nosq {
 namespace serve {
@@ -174,6 +187,61 @@ unmapWorkerChannel(WorkerChannel *channel)
 {
     if (channel != nullptr)
         munmap(channel, sizeof(WorkerChannel));
+}
+
+// --- wake pipes -------------------------------------------------------------
+
+/** Open a pipe with both ends non-blocking.
+ * @return false (errno set, nothing left open) on failure */
+inline bool
+openWakePipe(int fds[2])
+{
+    if (pipe(fds) != 0)
+        return false;
+    if (fcntl(fds[0], F_SETFL, O_NONBLOCK) != 0 ||
+        fcntl(fds[1], F_SETFL, O_NONBLOCK) != 0) {
+        const int saved = errno;
+        close(fds[0]);
+        close(fds[1]);
+        errno = saved;
+        return false;
+    }
+    return true;
+}
+
+/** Ring the doorbell at write end @p fd. EAGAIN means a wake is
+ * already pending. A consumer that has exited needs none: the daemon
+ * ignores the EPIPE (and SIGPIPE), and a worker whose daemon is gone
+ * dies of SIGPIPE as it would of its parent-death signal. */
+inline void
+postWake(int fd)
+{
+    const char byte = 1;
+    while (write(fd, &byte, 1) < 0 && errno == EINTR) {
+    }
+}
+
+/** Consume every pending wake at read end @p fd. */
+inline void
+drainWakes(int fd)
+{
+    char buffer[64];
+    for (;;) {
+        const ssize_t got = read(fd, buffer, sizeof(buffer));
+        if (got > 0 || (got < 0 && errno == EINTR))
+            continue;
+        return; // empty (EAGAIN) or every writer gone
+    }
+}
+
+/** Sleep until a wake arrives at read end @p fd or @p timeout_ms
+ * passes, then consume whatever is pending. */
+inline void
+awaitWake(int fd, int timeout_ms)
+{
+    struct pollfd pfd = {fd, POLLIN, 0};
+    if (poll(&pfd, 1, timeout_ms) > 0)
+        drainWakes(fd);
 }
 
 } // namespace serve

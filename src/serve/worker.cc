@@ -34,7 +34,7 @@ napMillis(long ms)
 } // anonymous namespace
 
 int
-workerMain(WorkerChannel *channel)
+workerMain(WorkerChannel *channel, int job_wake, int result_wake)
 {
     // Re-tag the forked child so NOSQ_LOG_PREFIX attributes its
     // lines to the worker, not the daemon it inherited from.
@@ -53,7 +53,10 @@ workerMain(WorkerChannel *channel)
             // (including any inherited pipe) we keep open.
             if (getppid() != daemon)
                 return 0;
-            napMillis(2);
+            // Sleep until the daemon pushes a job (or sets stop),
+            // bounded so the stop, orphan and heartbeat checks above
+            // keep their 2ms cadence.
+            awaitWake(job_wake, 2);
             continue;
         }
 
@@ -103,6 +106,7 @@ workerMain(WorkerChannel *channel)
                 1, std::memory_order_relaxed);
             napMillis(2);
         }
+        postWake(result_wake);
     }
     return 0;
 }

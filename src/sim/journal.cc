@@ -1,9 +1,6 @@
 #include "sim/journal.hh"
 
-#include <fcntl.h>
-#include <sys/file.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -52,6 +49,34 @@ runResultJsonLine(const RunResult &run)
     json.erase(std::remove(json.begin(), json.end(), '\n'),
                json.end());
     return json;
+}
+
+std::string
+runResultRecord(const RunResult &run)
+{
+    // The emitter writes only spaces and newlines between tokens;
+    // inside a string literal every byte is kept, so a label with
+    // spaces survives.
+    const std::string json = toJson(run);
+    std::string out;
+    out.reserve(json.size());
+    bool in_string = false, escaped = false;
+    for (const char c : json) {
+        if (in_string) {
+            if (escaped)
+                escaped = false;
+            else if (c == '\\')
+                escaped = true;
+            else if (c == '"')
+                in_string = false;
+        } else if (c == '"') {
+            in_string = true;
+        } else if (c == ' ' || c == '\n') {
+            continue;
+        }
+        out += c;
+    }
+    return out;
 }
 
 /**
@@ -229,18 +254,6 @@ SweepJournal::resume(std::string path)
     return SweepJournal(std::move(path), /*resume=*/true);
 }
 
-SweepJournal::~SweepJournal()
-{
-    if (lock_fd >= 0) {
-        // Unlink BEFORE releasing the lock: a process that opened
-        // this inode meanwhile will fail bind()'s post-flock inode
-        // check and retry against a fresh sidecar, so no two
-        // holders can ever coexist, and no .lock litter remains.
-        std::remove((file_path + ".lock").c_str());
-        ::close(lock_fd); // releases the flock
-    }
-}
-
 void
 SweepJournal::bind(const std::vector<SweepJob> &jobs)
 {
@@ -248,43 +261,11 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
     bound = true;
 
     // Inter-process exclusion before any read or rewrite: two
-    // concurrent resumes of one journal would silently lose each
-    // other's records (the store's compaction rename orphans the
-    // inode the other process appends to). The lock lives on a
-    // sidecar file because the store's own inode is replaced by
-    // that rename. The destructor unlinks the sidecar while still
-    // holding the lock, so after flocking we must confirm the file
-    // we locked is still the one on disk (a racer may have locked a
-    // fresh sidecar created after an unlink) and retry if not.
-    const std::string lock_path = file_path + ".lock";
-    for (int attempt = 0;; ++attempt) {
-        const int fd =
-            ::open(lock_path.c_str(), O_CREAT | O_RDWR, 0644);
-        if (fd < 0)
-            throw JournalError("cannot open '" + lock_path + "'");
-        struct stat fd_stat, path_stat;
-        if (::flock(fd, LOCK_EX | LOCK_NB) == 0 &&
-            ::fstat(fd, &fd_stat) == 0 &&
-            ::stat(lock_path.c_str(), &path_stat) == 0 &&
-            fd_stat.st_dev == path_stat.st_dev &&
-            fd_stat.st_ino == path_stat.st_ino) {
-            lock_fd = fd;
-            break;
-        }
-        // Held by another sweep, or we locked an orphaned sidecar
-        // inode. A just-SIGKILLed holder can take a few milliseconds
-        // to tear down its descriptors, so the kill-and-resume
-        // recipe must not flake on that window: retry briefly. A
-        // genuinely live sweep holds its lock for the whole run,
-        // far longer than this grace period.
-        ::close(fd);
-        if (attempt >= 7) {
-            throw JournalError("'" + file_path + "' is in use by "
-                               "another sweep; refusing to share a "
-                               "journal");
-        }
-        ::usleep(150 * 1000);
-    }
+    // concurrent writers of one store would silently lose each
+    // other's records (serve::StoreLock).
+    std::string error;
+    if (!lock.acquire(file_path, error))
+        throw JournalError(error);
 
     fingerprints.clear();
     fingerprints.reserve(jobs.size());
@@ -301,7 +282,6 @@ SweepJournal::bind(const std::vector<SweepJob> &jobs)
             warns.push_back("journal '" + file_path +
                             "' is empty; starting fresh");
     }
-    std::string error;
     if (!store.open(file_path, error))
         throw JournalError(error);
     warns.insert(warns.end(), store.warnings().begin(),

@@ -22,8 +22,8 @@
  * whatever sweep wrote it -- and the merged report is byte-identical
  * to an uninterrupted run's. Loading, salvage of corrupt files,
  * compaction and the appends all belong to the store; the journal
- * adds the `.lock` sidecar, the label check, and the serialized
- * record() path.
+ * adds the store's lock (serve::StoreLock), the label check, and
+ * the serialized record() path.
  */
 
 #ifndef NOSQ_SIM_JOURNAL_HH
@@ -57,15 +57,26 @@ std::string jobFingerprint(const SweepJob &job);
 // shape.
 
 /**
- * toJson(RunResult) flattened to one JSONL-safe line. The emitter's
- * newlines only ever separate tokens (strings escape control
- * characters), so erasing them cannot corrupt a value.
+ * toJson(RunResult) flattened to one JSONL-safe line, the emitter's
+ * spacing kept: a stable text of every counter, for comparing and
+ * digesting results. The emitter's newlines only ever separate
+ * tokens (strings escape control characters), so erasing them
+ * cannot corrupt a value.
  */
 std::string runResultJsonLine(const RunResult &run);
 
 /**
+ * The compact record of a result: toJson(RunResult) with every
+ * whitespace character outside string literals dropped, about 20%
+ * fewer bytes than runResultJsonLine(). It is the store record, the
+ * worker -> daemon ring frame and the daemon -> client result line.
+ */
+std::string runResultRecord(const RunResult &run);
+
+/**
  * Rebuild a RunResult from a parsed record "run" object: the inverse
- * of runResultJsonLine(). Counters are exact (integral and below
+ * of runResultRecord() and runResultJsonLine() alike (older stores
+ * hold the spaced form). Counters are exact (integral and below
  * 2^53 through the parser's double) and the sampled/multicore
  * summaries round-trip bit-identically, so a restored result is
  * indistinguishable from the freshly computed one.
@@ -83,10 +94,10 @@ bool jsonExactCounter(const JsonValue &v, std::uint64_t &out);
 
 /**
  * Unusable-journal error: a fresh checkpoint would overwrite results
- * of this very sweep, another sweep holds the journal, or journal
- * I/O failed outright (unwritable path). Salvageable corruption
- * never throws this; it is reported through SweepJournal::warnings()
- * instead.
+ * of this very sweep, another process (a sweep or a daemon) holds
+ * the store, or journal I/O failed outright (unwritable path).
+ * Salvageable corruption never throws this; it is reported through
+ * SweepJournal::warnings() instead.
  */
 class JournalError : public std::runtime_error
 {
@@ -121,7 +132,6 @@ class SweepJournal
 
     SweepJournal(const SweepJournal &) = delete;
     SweepJournal &operator=(const SweepJournal &) = delete;
-    ~SweepJournal();
 
     /**
      * Bind to the sweep's job list: lock the journal, fingerprint
@@ -134,7 +144,8 @@ class SweepJournal
      *
      * @throws JournalError when a fresh checkpoint's file already
      *         holds a result for any job of this sweep, another
-     *         sweep holds the journal, or the file cannot be written
+     *         process holds the store, or the file cannot be
+     *         written
      */
     void bind(const std::vector<SweepJob> &jobs);
 
@@ -214,9 +225,10 @@ class SweepJournal
     std::string file_path;
     bool resuming = false;
     bool bound = false;
-    /** flock()ed sidecar ("<path>.lock") held from bind() until
-     * destruction: concurrent resumes of one journal are refused. */
-    int lock_fd = -1;
+    /** Taken at bind() and held until destruction: concurrent
+     * writers of one store (another sweep, or a daemon serving it)
+     * are refused. */
+    serve::StoreLock lock;
 
     /** Guards store and write_error during the sweep: record() runs
      * on worker threads, and the store is not thread-safe. */

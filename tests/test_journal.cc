@@ -545,7 +545,7 @@ TEST(JournalSalvage, NonIntegralCounterRejectsOnlyThatRecord)
             // valid JSON, but no real counter -- the record must be
             // skipped (not undefined-cast) and its job re-run.
             std::vector<std::string> lines = fileLines(path);
-            const std::string key = "\"cycles\": ";
+            const std::string key = "\"cycles\":";
             const std::size_t at = lines[2].find(key);
             ASSERT_NE(at, std::string::npos);
             lines[2].insert(at + key.size(), "-");
@@ -677,12 +677,12 @@ TEST(JournalSalvage, CorruptedSuiteLabelRejectsTheRecord)
             // into the wrong reductions group.
             std::vector<std::string> lines = fileLines(path);
             const std::string from =
-                std::string("\"suite\": \"") +
+                std::string("\"suite\":\"") +
                 suiteName(Suite::Media) + '"';
             const std::size_t at = lines[1].find(from);
             ASSERT_NE(at, std::string::npos);
             lines[1].replace(at, from.size(),
-                             std::string("\"suite\": \"") +
+                             std::string("\"suite\":\"") +
                              suiteName(Suite::Int) + '"');
             std::string text;
             for (const std::string &line : lines)

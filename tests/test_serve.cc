@@ -2,14 +2,17 @@
  * @file
  * Unit tests for the serving layer's process plumbing: the SPSC
  * shared-memory ring (wrap-around correctness, full-ring refusal,
- * cross-thread ordering) and the persistent fingerprint -> result
+ * cross-thread ordering), the persistent fingerprint -> result
  * store behind both the daemon and sweep checkpoints (round trip,
  * salvage of every corruption class, duplicate and invalid-result
- * policy, legacy journal files).
+ * policy, legacy journal files, compact records), and the wake-pipe
+ * hand-off with a forked worker.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -17,10 +20,18 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "serve/job_store.hh"
+#include "serve/protocol.hh"
 #include "serve/spsc_ring.hh"
+#include "serve/worker.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
+#include "sim/sweep.hh"
+#include "workload/profiles.hh"
 
 namespace nosq {
 namespace serve {
@@ -378,7 +389,7 @@ TEST(JobStore, NonIntegralCounterSkipsOnlyThatRecord)
     std::vector<std::string> lines = storeLines(path, 3);
     // Still valid JSON, but no real counter: the record is skipped
     // (never undefined-cast) and later records still load.
-    const std::string key = "\"cycles\": ";
+    const std::string key = "\"cycles\":";
     const std::size_t at = lines[1].find(key);
     ASSERT_NE(at, std::string::npos);
     lines[1].insert(at + key.size(), "-");
@@ -443,6 +454,78 @@ TEST(JobStore, LegacyJournalFileLoadsEveryRecord)
     std::remove(path.c_str());
 }
 
+TEST(JobStore, RecordsAreCompactAndLabelsKeepTheirSpaces)
+{
+    RunResult run = sampleRun(3);
+    run.benchmark = "a bench \"quoted\" \\ name";
+    run.config = "nosq  two spaces";
+    const std::string record = runResultRecord(run);
+    // The only spaces left are the labels' own.
+    EXPECT_EQ(std::count(record.begin(), record.end(), ' '),
+              std::count(run.benchmark.begin(), run.benchmark.end(),
+                         ' ') +
+                  std::count(run.config.begin(), run.config.end(),
+                             ' '));
+    EXPECT_EQ(record.find('\n'), std::string::npos);
+    EXPECT_LT(record.size(), runResultJsonLine(run).size());
+
+    JsonValue v;
+    ASSERT_TRUE(parseJson(record, v, nullptr));
+    RunResult back;
+    ASSERT_TRUE(runResultFromJson(v, back));
+    EXPECT_EQ(back.benchmark, run.benchmark);
+    EXPECT_EQ(back.config, run.config);
+    EXPECT_EQ(runResultJsonLine(back), runResultJsonLine(run));
+
+    // Through a store file and back.
+    const std::string path = tempPath("spaced_labels");
+    std::remove(path.c_str());
+    {
+        JobStore store;
+        std::string error;
+        ASSERT_TRUE(store.open(path, error)) << error;
+        store.put(fpOf(0), run);
+    }
+    EXPECT_EQ(readFile(path), "{\"schema\":\"nosq-store-v1\"}\n"
+                              "{\"fp\":\"" + fpOf(0) +
+                                  "\",\"run\":" + record + "}\n");
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    ASSERT_TRUE(store.has(fpOf(0)));
+    EXPECT_EQ(runResultJsonLine(store.get(fpOf(0))),
+              runResultJsonLine(run));
+    std::remove(path.c_str());
+}
+
+TEST(JobStore, SpacedRecordsOfOlderStoresStillLoad)
+{
+    // Stores written before records were compacted carry the
+    // emitter's spacing inside every "run".
+    const std::string path = tempPath("spaced");
+    std::string text = "{\"schema\":\"nosq-store-v1\"}\n";
+    for (unsigned i = 0; i < 3; ++i)
+        text += "{\"fp\":\"" + fpOf(i) + "\",\"run\":" +
+                runResultJsonLine(sampleRun(i)) + "}\n";
+    ASSERT_NE(text.find("\"cycles\": "), std::string::npos);
+    writeFile(path, text);
+
+    JobStore store;
+    std::string error;
+    ASSERT_TRUE(store.open(path, error)) << error;
+    EXPECT_TRUE(store.warnings().empty());
+    ASSERT_EQ(store.size(), 3u);
+    for (unsigned i = 0; i < 3; ++i)
+        EXPECT_EQ(runResultJsonLine(store.get(fpOf(i))),
+                  runResultJsonLine(sampleRun(i)))
+            << i;
+    // The load-time compaction rewrote them compact.
+    const std::string rewritten = readFile(path);
+    EXPECT_LT(rewritten.size(), text.size());
+    EXPECT_EQ(rewritten.find("\"cycles\": "), std::string::npos);
+    std::remove(path.c_str());
+}
+
 TEST(JobStore, UnusablePathFails)
 {
     JobStore store;
@@ -450,6 +533,113 @@ TEST(JobStore, UnusablePathFails)
     EXPECT_FALSE(
         store.open("/no/such/directory/store.jsonl", error));
     EXPECT_FALSE(error.empty());
+}
+
+// --- worker wake pipes ------------------------------------------------------
+//
+// A forked workerMain on a real channel. These tests assert outcomes
+// only: a lost wake leaves a poll() or waitpid() below blocked
+// forever, and the ctest timeout reports it.
+
+struct ForkedWorker
+{
+    WorkerChannel *channel = nullptr;
+    int job_wake[2] = {-1, -1};
+    int result_wake[2] = {-1, -1};
+    pid_t pid = -1;
+};
+
+/** Fork a worker the way the daemon does, keeping the daemon's
+ * ends of both wake pipes. */
+void
+startWorker(ForkedWorker &w)
+{
+    w.channel = mapWorkerChannel();
+    ASSERT_NE(w.channel, nullptr);
+    ASSERT_TRUE(openWakePipe(w.job_wake));
+    ASSERT_TRUE(openWakePipe(w.result_wake));
+    w.pid = fork();
+    ASSERT_GE(w.pid, 0);
+    if (w.pid == 0) {
+        close(w.job_wake[1]);
+        close(w.result_wake[0]);
+        _exit(workerMain(w.channel, w.job_wake[0], w.result_wake[1]));
+    }
+    close(w.job_wake[0]);
+    close(w.result_wake[1]);
+}
+
+/** Set stop, ring the job wake, and reap the worker.
+ * @return its wait status */
+int
+stopWorker(ForkedWorker &w)
+{
+    w.channel->stop.store(true, std::memory_order_release);
+    postWake(w.job_wake[1]);
+    int status = 0;
+    while (waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
+    }
+    close(w.job_wake[1]);
+    close(w.result_wake[0]);
+    unmapWorkerChannel(w.channel);
+    return status;
+}
+
+SweepJob
+smallJob()
+{
+    SweepJob job;
+    job.profile = findProfile("gcc");
+    job.config = "nosq/w128";
+    job.insts = 2000;
+    return job;
+}
+
+TEST(WorkerWake, PushedJobRingsTheResultWake)
+{
+    ForkedWorker w;
+    startWorker(w);
+    const SweepJob job = smallJob();
+    ASSERT_TRUE(w.channel->jobs.tryPush(workerJobLine(7, job)));
+    postWake(w.job_wake[1]);
+
+    // No timeout: only the worker's result wake ends this wait.
+    struct pollfd pfd = {w.result_wake[0], POLLIN, 0};
+    int ready;
+    while ((ready = poll(&pfd, 1, -1)) < 0 && errno == EINTR) {
+    }
+    ASSERT_EQ(ready, 1);
+    // The wake is posted after the push: the result is already in
+    // the ring.
+    std::string line;
+    ASSERT_TRUE(w.channel->results.tryPop(line));
+    WorkerResult result;
+    std::string error;
+    ASSERT_TRUE(parseWorkerResultLine(line, result, error)) << error;
+    EXPECT_EQ(result.id, 7u);
+    EXPECT_EQ(result.fp, jobFingerprint(job));
+    EXPECT_TRUE(result.error.empty()) << result.error;
+    EXPECT_EQ(runResultJsonLine(result.run),
+              runResultJsonLine(runSweepJob(job)));
+
+    const int status = stopWorker(w);
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(WorkerWake, StopWakeEndsAnIdleWorkerCleanly)
+{
+    ForkedWorker w;
+    startWorker(w);
+    // Two heartbeats mean the worker has been through its idle wait
+    // at least once and is blocked in it again.
+    while (w.channel->heartbeat.load(std::memory_order_relaxed) < 2)
+        std::this_thread::yield();
+
+    const int status = stopWorker(w);
+    // Exited on its own (a SIGKILL would show as WIFSIGNALED).
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
 } // namespace
