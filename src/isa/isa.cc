@@ -7,261 +7,18 @@
 
 namespace nosq {
 
-InstClass
-instClass(Opcode op)
+void
+opcodeMisuse(const char *query, const char *kind, Opcode op)
 {
-    switch (op) {
-      case Opcode::Mul:
-      case Opcode::FAdd:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::CvtIF:
-        return InstClass::ComplexIntFp;
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Jmp:
-      case Opcode::Call:
-      case Opcode::Ret:
-        return InstClass::Branch;
-      case Opcode::Ld1U:
-      case Opcode::Ld1S:
-      case Opcode::Ld2U:
-      case Opcode::Ld2S:
-      case Opcode::Ld4U:
-      case Opcode::Ld4S:
-      case Opcode::Ld8:
-      case Opcode::LdS:
-        return InstClass::Load;
-      case Opcode::St1:
-      case Opcode::St2:
-      case Opcode::St4:
-      case Opcode::St8:
-      case Opcode::StS:
-        return InstClass::Store;
-      default:
-        return InstClass::SimpleInt;
-    }
-}
-
-bool
-isLoad(Opcode op)
-{
-    return instClass(op) == InstClass::Load;
-}
-
-bool
-isStore(Opcode op)
-{
-    return instClass(op) == InstClass::Store;
-}
-
-bool
-isControl(Opcode op)
-{
-    return instClass(op) == InstClass::Branch;
-}
-
-bool
-isCondBranch(Opcode op)
-{
-    return op == Opcode::Beq || op == Opcode::Bne ||
-        op == Opcode::Blt || op == Opcode::Bge;
-}
-
-unsigned
-memSize(Opcode op)
-{
-    switch (op) {
-      case Opcode::Ld1U:
-      case Opcode::Ld1S:
-      case Opcode::St1:
-        return 1;
-      case Opcode::Ld2U:
-      case Opcode::Ld2S:
-      case Opcode::St2:
-        return 2;
-      case Opcode::Ld4U:
-      case Opcode::Ld4S:
-      case Opcode::LdS:
-      case Opcode::St4:
-      case Opcode::StS:
-        return 4;
-      case Opcode::Ld8:
-      case Opcode::St8:
-        return 8;
-      default:
-        nosq_panic("memSize of non-memory opcode %d",
-                   static_cast<int>(op));
-    }
-}
-
-ExtendKind
-loadExtend(Opcode op)
-{
-    switch (op) {
-      case Opcode::Ld1U:
-      case Opcode::Ld2U:
-      case Opcode::Ld4U:
-      case Opcode::Ld8:
-        return ExtendKind::Zero;
-      case Opcode::Ld1S:
-      case Opcode::Ld2S:
-      case Opcode::Ld4S:
-        return ExtendKind::Sign;
-      case Opcode::LdS:
-        return ExtendKind::FpCvt;
-      default:
-        nosq_panic("loadExtend of non-load opcode %d",
-                   static_cast<int>(op));
-    }
-}
-
-bool
-storeFpCvt(Opcode op)
-{
-    return op == Opcode::StS;
-}
-
-unsigned
-execLatency(Opcode op)
-{
-    switch (instClass(op)) {
-      case InstClass::SimpleInt:
-      case InstClass::Branch:
-      case InstClass::Store:
-        return 1;
-      case InstClass::ComplexIntFp:
-        return (op == Opcode::FDiv) ? 12 : 4;
-      case InstClass::Load:
-        return 1; // address generation; cache latency added by memsys
-    }
-    return 1;
-}
-
-bool
-writesReg(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::St1:
-      case Opcode::St2:
-      case Opcode::St4:
-      case Opcode::St8:
-      case Opcode::StS:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-      case Opcode::Jmp:
-      case Opcode::Ret:
-        return false;
-      default:
-        return inst.rd != reg_zero;
-    }
-}
-
-bool
-readsRa(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::Nop:
-      case Opcode::Halt:
-      case Opcode::LdImm:
-      case Opcode::Jmp:
-      case Opcode::Call:
-        return false;
-      default:
-        return true;
-    }
-}
-
-bool
-readsRb(const Instruction &inst)
-{
-    switch (inst.op) {
-      case Opcode::Add:
-      case Opcode::Sub:
-      case Opcode::And:
-      case Opcode::Or:
-      case Opcode::Xor:
-      case Opcode::Sll:
-      case Opcode::Srl:
-      case Opcode::Sra:
-      case Opcode::CmpEq:
-      case Opcode::CmpLt:
-      case Opcode::Mul:
-      case Opcode::FAdd:
-      case Opcode::FMul:
-      case Opcode::FDiv:
-      case Opcode::St1:
-      case Opcode::St2:
-      case Opcode::St4:
-      case Opcode::St8:
-      case Opcode::StS:
-      case Opcode::Beq:
-      case Opcode::Bne:
-      case Opcode::Blt:
-      case Opcode::Bge:
-        return true;
-      default:
-        return false;
-    }
+    nosq_panic("%s of %s opcode %d", query, kind, static_cast<int>(op));
 }
 
 const char *
 opcodeName(Opcode op)
 {
-    switch (op) {
-      case Opcode::Nop: return "nop";
-      case Opcode::Halt: return "halt";
-      case Opcode::Add: return "add";
-      case Opcode::Sub: return "sub";
-      case Opcode::And: return "and";
-      case Opcode::Or: return "or";
-      case Opcode::Xor: return "xor";
-      case Opcode::Sll: return "sll";
-      case Opcode::Srl: return "srl";
-      case Opcode::Sra: return "sra";
-      case Opcode::CmpEq: return "cmpeq";
-      case Opcode::CmpLt: return "cmplt";
-      case Opcode::AddI: return "addi";
-      case Opcode::AndI: return "andi";
-      case Opcode::OrI: return "ori";
-      case Opcode::XorI: return "xori";
-      case Opcode::SllI: return "slli";
-      case Opcode::SrlI: return "srli";
-      case Opcode::SraI: return "srai";
-      case Opcode::LdImm: return "ldimm";
-      case Opcode::Mul: return "mul";
-      case Opcode::FAdd: return "fadd";
-      case Opcode::FMul: return "fmul";
-      case Opcode::FDiv: return "fdiv";
-      case Opcode::CvtIF: return "cvtif";
-      case Opcode::Ld1U: return "ld1u";
-      case Opcode::Ld1S: return "ld1s";
-      case Opcode::Ld2U: return "ld2u";
-      case Opcode::Ld2S: return "ld2s";
-      case Opcode::Ld4U: return "ld4u";
-      case Opcode::Ld4S: return "ld4s";
-      case Opcode::Ld8: return "ld8";
-      case Opcode::LdS: return "lds";
-      case Opcode::St1: return "st1";
-      case Opcode::St2: return "st2";
-      case Opcode::St4: return "st4";
-      case Opcode::St8: return "st8";
-      case Opcode::StS: return "sts";
-      case Opcode::Beq: return "beq";
-      case Opcode::Bne: return "bne";
-      case Opcode::Blt: return "blt";
-      case Opcode::Bge: return "bge";
-      case Opcode::Jmp: return "jmp";
-      case Opcode::Call: return "call";
-      case Opcode::Ret: return "ret";
-      default: return "???";
-    }
+    const auto index = static_cast<std::size_t>(op);
+    return index < std::size(opcode_table) ? opcode_table[index].name
+                                           : "???";
 }
 
 std::uint64_t

@@ -4,20 +4,6 @@
 
 namespace nosq {
 
-const Instruction &
-Program::fetch(Addr pc) const
-{
-    nosq_assert(validPc(pc), "fetch of invalid PC 0x%llx",
-                static_cast<unsigned long long>(pc));
-    return code[pc / inst_bytes];
-}
-
-bool
-Program::validPc(Addr pc) const
-{
-    return pc % inst_bytes == 0 && pc / inst_bytes < code.size();
-}
-
 void
 ProgramBuilder::label(const std::string &name)
 {

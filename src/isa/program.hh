@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/sparse_memory.hh"
 #include "common/types.hh"
 #include "isa/isa.hh"
@@ -33,10 +34,20 @@ struct Program
     SparseMemory image;
 
     /** @return the instruction at @p pc; pc must be in range. */
-    const Instruction &fetch(Addr pc) const;
+    const Instruction &
+    fetch(Addr pc) const
+    {
+        nosq_assert(validPc(pc), "fetch of invalid PC 0x%llx",
+                    static_cast<unsigned long long>(pc));
+        return code[pc / inst_bytes];
+    }
 
     /** @return true if @p pc addresses a valid instruction. */
-    bool validPc(Addr pc) const;
+    bool
+    validPc(Addr pc) const
+    {
+        return pc % inst_bytes == 0 && pc / inst_bytes < code.size();
+    }
 
     std::size_t numInsts() const { return code.size(); }
 };

@@ -124,8 +124,9 @@ const std::vector<double> &
 defaultLatencyBucketsMs()
 {
     static const std::vector<double> buckets = {
-        1,    5,     10,    50,    100,   250,   500,
-        1000, 2500,  5000,  10000, 30000, 60000, 300000,
+        1,    5,     10,    20,    30,    40,    50,    100,
+        250,  500,   1000,  2500,  5000,  10000, 30000, 60000,
+        300000,
     };
     return buckets;
 }

@@ -72,7 +72,17 @@ OooCore::OooCore(const UarchParams &params_,
       srq(256), bypassPred(params_.bypass), tssbf(params_.tssbf)
 {
     window.setCapacity(params.robSize + params.fetchBufferSize);
+    // Each window entry points at its record in the trace ring.
+    stream.pinRecords(window.capacity());
     iqWaiting.reserve(params.iqSize + params.renameWidth);
+    const auto limit = [&](InstClass cls) -> unsigned & {
+        return issueLimit[static_cast<std::size_t>(cls)];
+    };
+    limit(InstClass::SimpleInt) = params.issueSimple;
+    limit(InstClass::ComplexIntFp) = params.issueComplex;
+    limit(InstClass::Branch) = params.issueBranch;
+    limit(InstClass::Load) = params.issueLoad;
+    limit(InstClass::Store) = params.issueStore;
     // Every in-flight store occupies a ROB entry, so a power-of-two
     // ring of at least robSize entries can never alias two live SSNs.
     storeSeqRing.assign(nextPow2(std::max<std::size_t>(
@@ -168,6 +178,7 @@ void
 OooCore::tick()
 {
     ++cycle;
+    ++work.ticks;
     tickWork = false;
     doRetire();
     doBackendEntry();
@@ -247,24 +258,24 @@ OooCore::nextEventCycle()
     // contributes a wake), and baseline designated-store waits end
     // at the store's known completion cycle.
     if (!iqWaiting.empty()) {
-        const InstSeq front_seq = robHead().di.seq;
-        for (const InstSeq seq : iqWaiting) {
-            const Inflight &inf =
-                robAt(static_cast<std::size_t>(seq - front_seq));
+        const InstSeq front_seq = robHead().di->seq;
+        for (const IssueCandidate &c : iqWaiting) {
             Cycle src = 0;
-            if (inf.physA != invalid_phys_reg)
-                src = std::max(src, rename.readyAt(inf.physA));
-            if (inf.physB != invalid_phys_reg)
-                src = std::max(src, rename.readyAt(inf.physB));
+            if (c.physA != invalid_phys_reg)
+                src = std::max(src, rename.readyAt(c.physA));
+            if (c.physB != invalid_phys_reg)
+                src = std::max(src, rename.readyAt(c.physB));
             if (src > cycle) {
                 consider(src);
                 continue;
             }
+            const Inflight &inf =
+                robAt(static_cast<std::size_t>(c.seq - front_seq));
+            nosq_assert(inf.di->seq == c.seq && inf.inIq && !inf.issued,
+                        "stale issue candidate");
             if (inf.waitStoreCommit)
                 continue; // released by the retirement chain
-            const bool is_load =
-                !inf.isShiftUop && inf.di.cls == InstClass::Load;
-            if (is_load && !params.isNosq() &&
+            if (c.cls == InstClass::Load && !params.isNosq() &&
                 inf.depSsn != invalid_ssn &&
                 inf.depSsn > ssn.commit) {
                 const Inflight *store = findStoreBySsn(inf.depSsn);
@@ -358,7 +369,9 @@ OooCore::doFetch()
 
         // Build the window slot in place: Inflight is the pipeline's
         // largest struct, and this is the only time it is written
-        // whole (rename admits it into the ROB where it stands).
+        // whole (rename admits it into the ROB where it stands). It
+        // refers to the record in the trace ring rather than copying
+        // it.
         Inflight &inf = window.emplaceBack(di);
 
         if (di.isBranch()) {
@@ -384,14 +397,14 @@ OooCore::doFetch()
 
         if (tracer) {
             tracer->event(obs::TraceLane::Fetch, "pipe", "fetch",
-                          cycle, inf.di.seq, inf.di.pc,
+                          cycle, inf.di->seq, inf.di->pc,
                           inf.branchMispredicted
                               ? "\"mispredict\":true" : "");
         }
 
         if (inf.branchMispredicted) {
             // Fetch must wait until this branch resolves.
-            redirectWaitSeq = inf.di.seq;
+            redirectWaitSeq = inf.di->seq;
             break;
         }
     }
@@ -409,11 +422,11 @@ OooCore::flushAfter(InstSeq boundary_seq)
 
     // Squash ROB entries younger than the boundary, youngest first,
     // undoing rename state.
-    while (!robEmpty() && robTail().di.seq > boundary_seq) {
+    while (!robEmpty() && robTail().di->seq > boundary_seq) {
         Inflight &inf = robTail();
         if (tracer) {
             tracer->event(obs::TraceLane::Commit, "pipe", "squash",
-                          cycle, inf.di.seq, inf.di.pc);
+                          cycle, inf.di->seq, inf.di->pc);
         }
         // Instructions already in the back-end pipe (same commit
         // group as the offender, or behind it) are squashed too;
@@ -423,8 +436,8 @@ OooCore::flushAfter(InstSeq boundary_seq)
             --backendCount;
         if (inf.allocatesDst || inf.sharesDst)
             rename.undo(inf.archDst, inf.physDst, inf.prevDst);
-        if (inf.di.isStore()) {
-            nosq_assert(ssn.rename == inf.di.ssn,
+        if (inf.di->isStore()) {
+            nosq_assert(ssn.rename == inf.di->ssn,
                         "SSN rewind out of order");
             // Rewinding SSNrename implicitly retires the squashed
             // store's storeSeqRing entry (live range check).
@@ -434,7 +447,7 @@ OooCore::flushAfter(InstSeq boundary_seq)
         }
         if (inf.inIq && !inf.issued)
             --iqCount;
-        if (!params.isNosq() && inf.di.isLoad())
+        if (!params.isNosq() && inf.di->isLoad())
             --lqOccupancy;
         window.popBack();
         --robN;
@@ -442,7 +455,7 @@ OooCore::flushAfter(InstSeq boundary_seq)
 
     // Squashed issue candidates: iqWaiting is seq-ascending, so the
     // squashed set is exactly its tail.
-    while (!iqWaiting.empty() && iqWaiting.back() > boundary_seq)
+    while (!iqWaiting.empty() && iqWaiting.back().seq > boundary_seq)
         iqWaiting.pop_back();
 
     if (!params.isNosq())
@@ -476,14 +489,14 @@ OooCore::findStoreBySsn(SSN target)
     const InstSeq seq = storeSeqRing[target & storeSeqMask];
     if (robEmpty())
         return nullptr;
-    const InstSeq front_seq = robHead().di.seq;
+    const InstSeq front_seq = robHead().di->seq;
     if (seq < front_seq)
         return nullptr;
     const std::size_t pos = static_cast<std::size_t>(seq - front_seq);
     if (pos >= robCount())
         return nullptr;
     Inflight &inf = robAt(pos);
-    nosq_assert(inf.di.seq == seq, "ROB seq indexing broken");
+    nosq_assert(inf.di->seq == seq, "ROB seq indexing broken");
     return &inf;
 }
 

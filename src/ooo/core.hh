@@ -22,6 +22,7 @@
 #ifndef NOSQ_OOO_CORE_HH
 #define NOSQ_OOO_CORE_HH
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -58,9 +59,14 @@ struct Inflight
 {
     Inflight() = default;
     /** Fetch builds each entry once, in its window slot. */
-    explicit Inflight(const DynInst &d) : di(d) {}
+    explicit Inflight(const DynInst &d) : di(&d) {}
 
-    DynInst di;
+    /**
+     * The instruction's record, read where it lies in the trace
+     * ring: the core pins the ring (TraceStream::pinRecords), so the
+     * record stays put until the instruction retires.
+     */
+    const DynInst *di = nullptr;
     /** Path history checkpoint taken at fetch/decode. */
     std::uint64_t pathHash = 0;
 
@@ -120,6 +126,28 @@ struct Inflight
     {
         return completedFlag && completeCycle <= now;
     }
+};
+
+/**
+ * One waiting entry of the issue-candidate index: the facts select
+ * tests every cycle, packed densely so the walk reaches an Inflight
+ * only for an entry that issues or needs a memory-ordering check.
+ * Rename writes it once, in place; none of its fields changes while
+ * the entry waits.
+ */
+struct IssueCandidate
+{
+    IssueCandidate(InstSeq s, PhysReg a, PhysReg b, InstClass c)
+        : seq(s), physA(a), physB(b), cls(c)
+    {
+    }
+
+    InstSeq seq;
+    PhysReg physA;
+    PhysReg physB;
+    /** The class whose issue limit the entry counts against (a
+     * shift & mask uop issues as SimpleInt). */
+    InstClass cls;
 };
 
 /** The configurable out-of-order core. */
@@ -224,6 +252,15 @@ class OooCore
     /** Rename-state invariant check (for tests). */
     bool renameConsistent() const { return rename.consistent(); }
 
+    /** The host work done so far (since construction). */
+    WorkCounters
+    workCounters() const
+    {
+        WorkCounters w = work;
+        w.traceInstsProduced = stream.functional().instCount();
+        return w;
+    }
+
   private:
     // --- pipeline stages (core.cc / core_*.cc) -----------------------
     void doFetch();
@@ -241,7 +278,7 @@ class OooCore
     void renameStore(Inflight &inf);
 
     // --- issue helpers ----------------------------------------------------
-    bool sourcesReady(const Inflight &inf) const;
+    bool sourcesReady(const IssueCandidate &c) const;
     bool loadMayIssue(Inflight &inf);
     void executeLoad(Inflight &inf);
     void executeStore(Inflight &inf);
@@ -325,15 +362,18 @@ class OooCore
     std::size_t backendCount = 0; // ROB entries already in back-end
     unsigned iqCount = 0;
     /**
-     * Issue-candidate index: the dynamic seqs of ROB entries that are
-     * in the issue queue and not yet issued, ascending (insertion
-     * order == rename order == seq order). doIssue walks and
-     * compacts this instead of scanning the whole window every
-     * cycle; flushAfter truncates the squashed tail. Selection order
-     * is identical to the full ROB scan it replaced, because both
-     * visit waiting entries oldest first.
+     * Issue-candidate index: one IssueCandidate per ROB entry that is
+     * in the issue queue and not yet issued, seq-ascending (insertion
+     * order == rename order == seq order). doIssue walks it oldest
+     * first up to the issue width, compacting as it goes, and moves
+     * the unvisited rest down in one step; flushAfter truncates the
+     * squashed tail. Selection order is identical to the full ROB
+     * scan it replaced, because both visit waiting entries oldest
+     * first.
      */
-    std::vector<InstSeq> iqWaiting;
+    std::vector<IssueCandidate> iqWaiting;
+    /** Issue limit per InstClass (params.issueSimple ...). */
+    std::array<unsigned, num_inst_classes> issueLimit{};
 
     // --- register state -----------------------------------------------------
     RenameState rename;
@@ -380,6 +420,8 @@ class OooCore
     obs::PipeTracer *tracer = nullptr;
 
     // --- results ------------------------------------------------------------
+    /** Host-work counters (workCounters() adds trace production). */
+    WorkCounters work;
     SimResult res;
     std::uint64_t committed = 0;
     std::uint64_t commitBudget = ~std::uint64_t(0);

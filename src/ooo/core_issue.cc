@@ -4,6 +4,8 @@
  * per LSU mode, store queue search, and cache access timing.
  */
 
+#include <array>
+
 #include "common/logging.hh"
 #include "obs/pipe_trace.hh"
 #include "ooo/core.hh"
@@ -11,14 +13,14 @@
 namespace nosq {
 
 bool
-OooCore::sourcesReady(const Inflight &inf) const
+OooCore::sourcesReady(const IssueCandidate &c) const
 {
-    if (inf.physA != invalid_phys_reg &&
-        rename.readyAt(inf.physA) > cycle) {
+    if (c.physA != invalid_phys_reg &&
+        rename.readyAt(c.physA) > cycle) {
         return false;
     }
-    if (inf.physB != invalid_phys_reg &&
-        rename.readyAt(inf.physB) > cycle) {
+    if (c.physB != invalid_phys_reg &&
+        rename.readyAt(c.physB) > cycle) {
         return false;
     }
     return true;
@@ -52,7 +54,7 @@ OooCore::loadMayIssue(Inflight &inf)
 
     // Associative SQ search: a partial overlap stalls the load until
     // the overlapping store commits (conventional policy).
-    const auto r = sq.search(inf.di.addr, inf.di.size, inf.di.seq);
+    const auto r = sq.search(inf.di->addr, inf.di->size, inf.di->seq);
     if (r.outcome == SqSearchOutcome::Stall) {
         ++res.sqStalls;
         inf.waitStoreCommit = true;
@@ -65,7 +67,7 @@ OooCore::loadMayIssue(Inflight &inf)
 void
 OooCore::executeLoad(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
 
     // Every load dispatched to the out-of-order engine reads the
     // data cache (in the baseline, in parallel with the SQ search).
@@ -100,7 +102,7 @@ OooCore::executeLoad(Inflight &inf)
 void
 OooCore::executeStore(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     sq.execute(di.ssn, di.addr, di.size, di.memValue);
     storeSets.storeExecuted(di.pc, di.ssn);
     inf.completeCycle = cycle + params.issueToExec;
@@ -113,55 +115,38 @@ OooCore::doIssue()
         return;
 
     unsigned total = 0;
-    unsigned n_simple = 0, n_complex = 0, n_branch = 0;
-    unsigned n_load = 0, n_store = 0;
+    std::array<unsigned, num_inst_classes> issued{};
 
     // Walk the issue-candidate index (seq-ascending, so oldest first
-    // exactly like the full ROB scan this replaced) and compact it in
-    // place: issued entries drop out, everything else stays in order.
-    const InstSeq front_seq = robHead().di.seq;
+    // exactly like the full ROB scan this replaced) up to the issue
+    // width and compact it in place: issued entries drop out,
+    // everything else stays in order. Class limits and source
+    // readiness (Section 4.1) are tested on the dense entry; the
+    // Inflight is read only for an entry that may issue.
+    const InstSeq front_seq = robHead().di->seq;
+    const std::size_t n = iqWaiting.size();
     std::size_t keep = 0;
-    for (std::size_t k = 0; k < iqWaiting.size(); ++k) {
-        const InstSeq seq = iqWaiting[k];
-        if (total >= params.issueWidth) {
-            iqWaiting[keep++] = seq;
+    std::size_t k = 0;
+    // Entries stay where they are until one issues, so a cycle that
+    // issues nothing writes nothing.
+    const auto keep_candidate = [&] {
+        if (keep != k)
+            iqWaiting[keep] = iqWaiting[k];
+        ++keep;
+    };
+    for (; k < n && total < params.issueWidth; ++k) {
+        const IssueCandidate &c = iqWaiting[k];
+        const auto cls = static_cast<std::size_t>(c.cls);
+        if (issued[cls] >= issueLimit[cls] || !sourcesReady(c)) {
+            keep_candidate();
             continue;
         }
         Inflight &inf =
-            robAt(static_cast<std::size_t>(seq - front_seq));
-        nosq_assert(inf.di.seq == seq && inf.inIq && !inf.issued,
+            robAt(static_cast<std::size_t>(c.seq - front_seq));
+        nosq_assert(inf.di->seq == c.seq && inf.inIq && !inf.issued,
                     "stale issue candidate");
-
-        // Per-class issue limits (Section 4.1).
-        const InstClass cls = inf.isShiftUop
-            ? InstClass::SimpleInt : inf.di.cls;
-        unsigned *count = nullptr;
-        unsigned limit = 0;
-        switch (cls) {
-          case InstClass::SimpleInt:
-            count = &n_simple;
-            limit = params.issueSimple;
-            break;
-          case InstClass::ComplexIntFp:
-            count = &n_complex;
-            limit = params.issueComplex;
-            break;
-          case InstClass::Branch:
-            count = &n_branch;
-            limit = params.issueBranch;
-            break;
-          case InstClass::Load:
-            count = &n_load;
-            limit = params.issueLoad;
-            break;
-          case InstClass::Store:
-            count = &n_store;
-            limit = params.issueStore;
-            break;
-        }
-        if (*count >= limit || !sourcesReady(inf) ||
-            (cls == InstClass::Load && !loadMayIssue(inf))) {
-            iqWaiting[keep++] = seq;
+        if (c.cls == InstClass::Load && !loadMayIssue(inf)) {
+            keep_candidate();
             continue;
         }
 
@@ -170,26 +155,26 @@ OooCore::doIssue()
         inf.issued = true;
         inf.completedFlag = true;
         --iqCount;
-        ++*count;
+        ++issued[cls];
         ++total;
 
         if (tracer) {
             tracer->event(obs::TraceLane::Issue, "pipe", "issue",
-                          cycle, inf.di.seq, inf.di.pc,
+                          cycle, inf.di->seq, inf.di->pc,
                           inf.isShiftUop ? "\"shift_uop\":true" : "");
         }
 
-        if (cls == InstClass::Load) {
+        if (c.cls == InstClass::Load) {
             executeLoad(inf);
-        } else if (cls == InstClass::Store) {
+        } else if (c.cls == InstClass::Store) {
             executeStore(inf);
         } else if (inf.isShiftUop) {
             inf.completeCycle = cycle + params.issueToExec;
         } else {
             inf.completeCycle = cycle + params.issueToExec +
-                execLatency(inf.di.si.op) - 1;
-            if (inf.di.isBranch() && inf.branchMispredicted &&
-                redirectWaitSeq == inf.di.seq) {
+                execLatency(inf.di->si.op) - 1;
+            if (inf.di->isBranch() && inf.branchMispredicted &&
+                redirectWaitSeq == inf.di->seq) {
                 // Fetch redirects when the branch resolves.
                 fetchStalledUntil = std::max(fetchStalledUntil,
                                              inf.completeCycle + 1);
@@ -205,7 +190,10 @@ OooCore::doIssue()
             rename.setReadyAt(inf.physDst, cycle + effective);
         }
     }
-    iqWaiting.resize(keep);
+    work.issueCandidatesExamined += k;
+    // The entries past the issue width were not visited: move them
+    // down behind the kept ones in one step.
+    iqWaiting.erase(iqWaiting.begin() + keep, iqWaiting.begin() + k);
 }
 
 } // namespace nosq

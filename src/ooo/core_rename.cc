@@ -27,15 +27,19 @@ OooCore::doRename()
         ++robN;
         if (tracer) {
             tracer->event(obs::TraceLane::Rename, "pipe", "rename",
-                          cycle, entry.di.seq, entry.di.pc);
+                          cycle, entry.di->seq, entry.di->pc);
         }
         // Newly renamed IQ entries are by construction not yet
-        // issued: register them as issue candidates.
+        // issued: register them as issue candidates, constructed in
+        // place in the index.
         if (entry.inIq) {
             nosq_assert(iqWaiting.empty() ||
-                            iqWaiting.back() < entry.di.seq,
+                            iqWaiting.back().seq < entry.di->seq,
                         "issue-candidate index out of order");
-            iqWaiting.push_back(entry.di.seq);
+            iqWaiting.emplace_back(
+                entry.di->seq, entry.physA, entry.physB,
+                entry.isShiftUop ? InstClass::SimpleInt
+                                 : entry.di->cls);
         }
         ++renamed;
         tickWork = true;
@@ -45,16 +49,16 @@ OooCore::doRename()
 void
 OooCore::renameSources(Inflight &inf)
 {
-    if (readsRa(inf.di.si))
-        inf.physA = rename.lookup(inf.di.si.ra);
-    if (readsRb(inf.di.si))
-        inf.physB = rename.lookup(inf.di.si.rb);
+    if (readsRa(inf.di->si))
+        inf.physA = rename.lookup(inf.di->si.ra);
+    if (readsRb(inf.di->si))
+        inf.physB = rename.lookup(inf.di->si.rb);
 }
 
 void
 OooCore::allocateDest(Inflight &inf)
 {
-    inf.archDst = inf.di.si.rd;
+    inf.archDst = inf.di->si.rd;
     inf.physDst = rename.allocate(inf.archDst, inf.prevDst);
     inf.allocatesDst = true;
 }
@@ -66,7 +70,7 @@ OooCore::allocateDest(Inflight &inf)
 bool
 OooCore::renameLoadNosq(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     const bool writes = writesReg(di.si);
 
     // --- decide bypass / delay / plain cache access -------------------
@@ -131,13 +135,13 @@ OooCore::renameLoadNosq(Inflight &inf)
         const SrqEntry &se = srq.read(ssn_byp);
 
         BypassPair pair;
-        pair.storeData = store->di.storeData;
+        pair.storeData = store->di->storeData;
         pair.storeSizeLog = se.sizeLog;
         pair.storeFpCvt = se.fpCvt;
         pair.loadSize = di.size;
         pair.loadExtend = loadExtend(di.si.op);
         pair.shiftBytes = params.mode == LsuMode::NosqPerfect
-            ? shiftAmount(store->di.addr, di.addr)
+            ? shiftAmount(store->di->addr, di.addr)
             : pred_shift;
 
         inf.bypassed = true;
@@ -206,7 +210,7 @@ OooCore::renameLoadNosq(Inflight &inf)
 void
 OooCore::renameLoadBaseline(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     if (writesReg(di.si))
         allocateDest(inf);
     ++lqOccupancy;
@@ -236,7 +240,7 @@ OooCore::renameLoadBaseline(Inflight &inf)
 void
 OooCore::renameStore(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     ++ssn.rename;
     nosq_assert(ssn.rename == di.ssn, "SSN diverged from oracle");
     storeSeqRing[di.ssn & storeSeqMask] = di.seq;
@@ -264,7 +268,7 @@ OooCore::renameStore(Inflight &inf)
 bool
 OooCore::renameOne(Inflight &inf)
 {
-    const DynInst &di = inf.di;
+    const DynInst &di = *inf.di;
     inf.ssnAtRename = ssn.rename;
 
     // --- SSN wraparound drain (Section 2) -----------------------------

@@ -20,21 +20,6 @@ RenameState::RenameState(unsigned num_phys_regs)
         freeList.push_back(p);
 }
 
-PhysReg
-RenameState::allocate(RegIndex arch, PhysReg &prev)
-{
-    nosq_assert(!freeList.empty(), "physical register underflow");
-    nosq_assert(arch != reg_zero, "rename of the zero register");
-    const PhysReg phys = freeList.back();
-    freeList.pop_back();
-    nosq_assert(refs[phys] == 0, "allocating a live register");
-    refs[phys] = 1;
-    readyCycle[phys] = ~Cycle(0); // not ready until producer issues
-    prev = rat[arch];
-    rat[arch] = phys;
-    return phys;
-}
-
 void
 RenameState::shareMap(RegIndex arch, PhysReg phys, PhysReg &prev)
 {
@@ -43,14 +28,6 @@ RenameState::shareMap(RegIndex arch, PhysReg phys, PhysReg &prev)
     ++refs[phys];
     prev = rat[arch];
     rat[arch] = phys;
-}
-
-void
-RenameState::release(PhysReg phys)
-{
-    nosq_assert(refs[phys] > 0, "double free of physical register");
-    if (--refs[phys] == 0)
-        freeList.push_back(phys);
 }
 
 void

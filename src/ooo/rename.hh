@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "isa/isa.hh"
 
@@ -40,7 +41,20 @@ class RenameState
      * @param[out] prev the previous mapping (to free at commit)
      * @return the new physical register
      */
-    PhysReg allocate(RegIndex arch, PhysReg &prev);
+    PhysReg
+    allocate(RegIndex arch, PhysReg &prev)
+    {
+        nosq_assert(!freeList.empty(), "physical register underflow");
+        nosq_assert(arch != reg_zero, "rename of the zero register");
+        const PhysReg phys = freeList.back();
+        freeList.pop_back();
+        nosq_assert(refs[phys] == 0, "allocating a live register");
+        refs[phys] = 1;
+        readyCycle[phys] = ~Cycle(0); // not ready until producer issues
+        prev = rat[arch];
+        rat[arch] = phys;
+        return phys;
+    }
 
     /**
      * SMB short-circuit: map @p arch directly onto @p phys,
@@ -51,7 +65,13 @@ class RenameState
     void shareMap(RegIndex arch, PhysReg phys, PhysReg &prev);
 
     /** Drop one reference; frees the register at zero. */
-    void release(PhysReg phys);
+    void
+    release(PhysReg phys)
+    {
+        nosq_assert(refs[phys] > 0, "double free of physical register");
+        if (--refs[phys] == 0)
+            freeList.push_back(phys);
+    }
 
     /** Squash undo: restore @p arch to @p prev, releasing @p mapped. */
     void undo(RegIndex arch, PhysReg mapped, PhysReg prev);

@@ -199,6 +199,31 @@ struct SimResult
     }
 };
 
+/**
+ * Deterministic counts of the host work a run did. They reproduce
+ * exactly run to run (unlike wall time), so the perf harness reports
+ * them and CI gates on them. They are not simulated statistics and
+ * stay out of SimResult, so reports never change with them.
+ */
+struct WorkCounters
+{
+    /** Cycles actually ticked (skipped cycles excluded). */
+    std::uint64_t ticks = 0;
+    /** Issue-candidate entries doIssue tested for issue. */
+    std::uint64_t issueCandidatesExamined = 0;
+    /** Instructions the functional simulator produced. */
+    std::uint64_t traceInstsProduced = 0;
+
+    WorkCounters &
+    operator+=(const WorkCounters &o)
+    {
+        ticks += o.ticks;
+        issueCandidatesExamined += o.issueCandidatesExamined;
+        traceInstsProduced += o.traceInstsProduced;
+        return *this;
+    }
+};
+
 } // namespace nosq
 
 #endif // NOSQ_OOO_SIM_STATS_HH

@@ -39,6 +39,42 @@ stallHeavyParams(bool event_skip)
     return params;
 }
 
+/** One timed row: @p sim_insts over @p wall_ms, plus its work. */
+PerfRun
+timedRun(std::string benchmark, std::string config,
+         std::uint64_t sim_insts, const SimResult &sim, double wall_ms,
+         const WorkCounters &work)
+{
+    PerfRun run;
+    run.benchmark = std::move(benchmark);
+    run.config = std::move(config);
+    run.simInsts = sim_insts;
+    run.cycles = sim.cycles;
+    run.wallMs = wall_ms;
+    run.mips = wall_ms > 0.0
+        ? static_cast<double>(run.simInsts) / wall_ms / 1e3
+        : 0.0;
+    run.work = work;
+    return run;
+}
+
+/** One JSON row of the runs / extra_runs arrays. */
+std::string
+runJson(const PerfRun &run)
+{
+    return "{\"benchmark\": \"" + jsonEscape(run.benchmark) +
+        "\", \"config\": \"" + jsonEscape(run.config) +
+        "\", \"sim_insts\": " + std::to_string(run.simInsts) +
+        ", \"cycles\": " + std::to_string(run.cycles) +
+        ", \"wall_ms\": " + jsonNumber(run.wallMs) +
+        ", \"mips\": " + jsonNumber(run.mips) +
+        ", \"ticks\": " + std::to_string(run.work.ticks) +
+        ", \"issue_candidates_examined\": " +
+        std::to_string(run.work.issueCandidatesExamined) +
+        ", \"trace_insts_produced\": " +
+        std::to_string(run.work.traceInstsProduced) + "}";
+}
+
 } // anonymous namespace
 
 PerfReport
@@ -70,19 +106,12 @@ runPerfHarness(std::uint64_t insts, std::uint64_t warmup)
                 std::chrono::duration<double, std::milli>(
                     clock::now() - start).count();
 
-            PerfRun run;
-            run.benchmark = profile->name;
-            run.config = config.name;
             // sim.insts is the measured phase only; the warm-up
             // instructions were simulated (and paid for) too.
-            run.simInsts = sim.insts + report.warmup;
-            run.cycles = sim.cycles;
-            run.wallMs = wall_ms;
-            run.mips = wall_ms > 0.0
-                ? static_cast<double>(run.simInsts) / wall_ms / 1e3
-                : 0.0;
-            report.totalSimInsts += run.simInsts;
-            report.runs.push_back(std::move(run));
+            report.runs.push_back(timedRun(
+                profile->name, config.name, sim.insts + report.warmup,
+                sim, wall_ms, core.workCounters()));
+            report.totalSimInsts += report.runs.back().simInsts;
         }
     }
     report.totalWallMs =
@@ -109,16 +138,10 @@ runPerfHarness(std::uint64_t insts, std::uint64_t warmup)
             const double wall_ms =
                 std::chrono::duration<double, std::milli>(
                     clock::now() - start).count();
-            PerfRun run;
-            run.benchmark = profile->name;
-            run.config = skip ? "stall-skip" : "stall-noskip";
-            run.simInsts = sim.insts + report.warmup;
-            run.cycles = sim.cycles;
-            run.wallMs = wall_ms;
-            run.mips = wall_ms > 0.0
-                ? static_cast<double>(run.simInsts) / wall_ms / 1e3
-                : 0.0;
-            report.extraRuns.push_back(std::move(run));
+            report.extraRuns.push_back(timedRun(
+                profile->name, skip ? "stall-skip" : "stall-noskip",
+                sim.insts + report.warmup, sim, wall_ms,
+                core.workCounters()));
         }
 
         SamplingParams sp;
@@ -133,19 +156,13 @@ runPerfHarness(std::uint64_t insts, std::uint64_t warmup)
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
                 clock::now() - start).count();
-        PerfRun run;
-        run.benchmark = profile->name;
-        run.config = "stall-sampled";
         // Effective throughput: every traversed instruction
         // (fast-forwarded + warmup + measured) per wall second.
-        run.simInsts = sim.sampleFfInsts +
-            (sp.warmupLength + sp.interval) * sim.sampleIntervals;
-        run.cycles = sim.cycles;
-        run.wallMs = wall_ms;
-        run.mips = wall_ms > 0.0
-            ? static_cast<double>(run.simInsts) / wall_ms / 1e3
-            : 0.0;
-        report.extraRuns.push_back(std::move(run));
+        report.extraRuns.push_back(timedRun(
+            profile->name, "stall-sampled",
+            sim.sampleFfInsts +
+                (sp.warmupLength + sp.interval) * sim.sampleIntervals,
+            sim, wall_ms, core.workCounters()));
     }
 
     // Multi-core extension row: a 2-core spsc-ring System under
@@ -162,17 +179,13 @@ runPerfHarness(std::uint64_t insts, std::uint64_t warmup)
         const double wall_ms =
             std::chrono::duration<double, std::milli>(
                 clock::now() - start).count();
-        PerfRun run;
-        run.benchmark = "spsc-ring";
-        run.config = "multicore-spsc";
+        WorkCounters work;
+        for (unsigned i = 0; i < system.numCores(); ++i)
+            work += system.core(i).workCounters();
         // Both cores simulate the full budget each.
-        run.simInsts = sim.insts + 2 * report.warmup;
-        run.cycles = sim.cycles;
-        run.wallMs = wall_ms;
-        run.mips = wall_ms > 0.0
-            ? static_cast<double>(run.simInsts) / wall_ms / 1e3
-            : 0.0;
-        report.extraRuns.push_back(std::move(run));
+        report.extraRuns.push_back(timedRun(
+            "spsc-ring", "multicore-spsc", sim.insts + 2 * report.warmup,
+            sim, wall_ms, work));
     }
     return report;
 }
@@ -186,13 +199,7 @@ perfReportJson(const PerfReport &report)
     out += "  \"warmup\": " + std::to_string(report.warmup) + ",\n";
     out += "  \"runs\": [\n";
     for (std::size_t i = 0; i < report.runs.size(); ++i) {
-        const PerfRun &run = report.runs[i];
-        out += "    {\"benchmark\": \"" + jsonEscape(run.benchmark) +
-            "\", \"config\": \"" + jsonEscape(run.config) +
-            "\", \"sim_insts\": " + std::to_string(run.simInsts) +
-            ", \"cycles\": " + std::to_string(run.cycles) +
-            ", \"wall_ms\": " + jsonNumber(run.wallMs) +
-            ", \"mips\": " + jsonNumber(run.mips) + "}";
+        out += "    " + runJson(report.runs[i]);
         out += i + 1 < report.runs.size() ? ",\n" : "\n";
     }
     out += "  ],\n";
@@ -200,13 +207,7 @@ perfReportJson(const PerfReport &report)
     // Excluded from "total" so trajectory deltas stay meaningful.
     out += "  \"extra_runs\": [\n";
     for (std::size_t i = 0; i < report.extraRuns.size(); ++i) {
-        const PerfRun &run = report.extraRuns[i];
-        out += "    {\"benchmark\": \"" + jsonEscape(run.benchmark) +
-            "\", \"config\": \"" + jsonEscape(run.config) +
-            "\", \"sim_insts\": " + std::to_string(run.simInsts) +
-            ", \"cycles\": " + std::to_string(run.cycles) +
-            ", \"wall_ms\": " + jsonNumber(run.wallMs) +
-            ", \"mips\": " + jsonNumber(run.mips) + "}";
+        out += "    " + runJson(report.extraRuns[i]);
         out += i + 1 < report.extraRuns.size() ? ",\n" : "\n";
     }
     out += "  ],\n";

@@ -18,7 +18,10 @@
  * MIPS are measurement outputs, not simulated statistics -- the
  * simulated counters inside each run stay bit-identical across
  * simulator optimizations, and the golden-stats test enforces that
- * separately.
+ * separately. Each row also carries the run's WorkCounters (ticks,
+ * issue candidates examined, trace instructions produced): host work
+ * that, unlike wall time, reproduces exactly, so CI fails when they
+ * differ from the committed trajectory's last entry.
  */
 
 #ifndef NOSQ_SIM_PERF_HH
@@ -27,6 +30,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "ooo/sim_stats.hh"
 
 namespace nosq {
 
@@ -42,6 +47,9 @@ struct PerfRun
     double wallMs = 0.0;
     /** simInsts / wall seconds / 1e6. */
     double mips = 0.0;
+    /** Deterministic host work of the run (all cores, warmup
+     * included): the counters CI gates on, where MIPS only warns. */
+    WorkCounters work;
 };
 
 /** The full harness result. */

@@ -7,6 +7,13 @@
 
 namespace nosq {
 
+namespace {
+
+/** The record every step starts from (see FunctionalSim::step). */
+const DynInst blank_record{};
+
+} // anonymous namespace
+
 FunctionalSim::FunctionalSim(std::shared_ptr<const Program> program)
     : prog(std::move(program)), currentPc(prog->entryPc),
       mem(prog->image)
@@ -90,7 +97,11 @@ FunctionalSim::step(DynInst &out, OracleBytes *bytes)
 
     const Instruction &si = prog->fetch(currentPc);
 
-    out = DynInst();
+    // Reset the slot by copying a blank record, which compiles to a
+    // few vector moves; value-initializing it in place
+    // (out = DynInst()) compiles to a rep stosq over the whole
+    // record, whose start-up cost is paid on every instruction.
+    out = blank_record;
     out.seq = ++seqCounter;
     out.pc = currentPc;
     out.si = si;
@@ -234,8 +245,22 @@ TraceStream::TraceStream(const Program &program)
 }
 
 void
+TraceStream::pinRecords(std::size_t window)
+{
+    // Before a fill, the held range [baseSeq, endSeq) spans at most
+    // window + rewind_margin - 1 seqs: baseSeq trails the barrier by
+    // rewind_margin and the reader holds at most window records past
+    // it, so this capacity leaves fill() a free slot every time.
+    while (ring.size() < window + rewind_margin)
+        grow();
+    pinned = true;
+}
+
+void
 TraceStream::grow()
 {
+    nosq_assert(!pinned,
+                "trace ring grew while a reader references its records");
     // Re-place every held instruction at its seq under the doubled
     // mask; seqs outside [baseSeq, endSeq) are dead slots.
     std::vector<DynInst> bigger(ring.size() * 2);
@@ -246,43 +271,6 @@ TraceStream::grow()
     mask = bigger_mask;
 }
 
-bool
-TraceStream::fill()
-{
-    if (endSeq - baseSeq == ring.size())
-        grow();
-    // The functional simulator writes the record straight into its
-    // ring slot: no local, no copy.
-    if (!func.step(slot(endSeq)))
-        return false;
-    ++endSeq;
-    return true;
-}
-
-bool
-TraceStream::hasNext()
-{
-    while (cursor >= endSeq) {
-        if (!fill())
-            return false;
-    }
-    return true;
-}
-
-const DynInst &
-TraceStream::peek()
-{
-    nosq_assert(hasNext(), "peek past end of trace");
-    return slot(cursor);
-}
-
-const DynInst &
-TraceStream::next()
-{
-    nosq_assert(hasNext(), "next past end of trace");
-    return slot(cursor++);
-}
-
 void
 TraceStream::rewindTo(InstSeq seq)
 {
@@ -290,20 +278,6 @@ TraceStream::rewindTo(InstSeq seq)
     nosq_assert(seq >= baseSeq && seq <= endSeq,
                 "rewind target not buffered");
     cursor = seq;
-}
-
-void
-TraceStream::retireUpTo(InstSeq seq)
-{
-    retired = std::max(retired, seq);
-    // Recycle slots, keeping rewind_margin instructions behind both
-    // the barrier and the cursor so rewindTo(retired + 1) always
-    // works.
-    if (retired < rewind_margin || cursor <= rewind_margin)
-        return;
-    const InstSeq floor = std::min({retired + 1 - rewind_margin,
-                                    cursor - rewind_margin, endSeq});
-    baseSeq = std::max(baseSeq, floor);
 }
 
 } // namespace nosq

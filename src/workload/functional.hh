@@ -11,10 +11,12 @@
 #ifndef NOSQ_WORKLOAD_FUNCTIONAL_HH
 #define NOSQ_WORKLOAD_FUNCTIONAL_HH
 
+#include <algorithm>
 #include <array>
 #include <memory>
 #include <vector>
 
+#include "common/logging.hh"
 #include "isa/program.hh"
 #include "workload/memory.hh"
 #include "workload/trace.hh"
@@ -92,15 +94,22 @@ class FunctionalSim
  * rewinds the cursor to the squashed instruction. Instructions live
  * in a power-of-two ring indexed by seq & mask, into which
  * FunctionalSim::step writes each record directly. Entries more than
- * a small margin older than the retirement barrier are recycled, so
- * the ring stays at its initial size under any timing core; it
- * doubles only when a reader runs further ahead of retirement than
- * that.
+ * a small margin older than the retirement barrier are recycled; the
+ * ring doubles only when a reader runs further ahead of retirement
+ * than its capacity allows.
  *
- * A reference returned by peek() or next() stays valid only until
- * the next call that produces an instruction (hasNext(), peek() or
- * next() reaching past the newest produced one): producing may
- * recycle or move ring slots.
+ * The ring is a single-producer/single-consumer queue whose consumer
+ * reads each record where it lies. A record returned by peek() or
+ * next() is never overwritten before it retires: a slot is recycled
+ * only once its seq has fallen rewind_margin behind the retirement
+ * barrier. The one thing that moves records is growth, so a
+ * reference stays valid until the ring grows. A reader that holds
+ * references to its unretired records (a timing core's window)
+ * calls pinRecords() first: that sizes the ring for the reader's
+ * window so it never grows, and panics if it ever would. Without
+ * pinRecords(), a reference is valid only until the next call that
+ * produces an instruction (hasNext(), peek() or next() reaching past
+ * the newest produced one).
  */
 class TraceStream
 {
@@ -108,14 +117,40 @@ class TraceStream
     explicit TraceStream(std::shared_ptr<const Program> program);
     explicit TraceStream(const Program &program);
 
+    /**
+     * Size the ring so that a reader holding at most @p window
+     * unretired records after the retirement barrier never makes it
+     * grow, and from then on treat growth as a bug: every record the
+     * reader was handed stays where it is until it retires.
+     */
+    void pinRecords(std::size_t window);
+
     /** @return true if an instruction is available at the cursor. */
-    bool hasNext();
+    bool
+    hasNext()
+    {
+        while (cursor >= endSeq) {
+            if (!fill())
+                return false;
+        }
+        return true;
+    }
 
     /** Inspect the instruction at the cursor without consuming it. */
-    const DynInst &peek();
+    const DynInst &
+    peek()
+    {
+        nosq_assert(hasNext(), "peek past end of trace");
+        return slot(cursor);
+    }
 
     /** Consume the instruction at the cursor and advance. */
-    const DynInst &next();
+    const DynInst &
+    next()
+    {
+        nosq_assert(hasNext(), "next past end of trace");
+        return slot(cursor++);
+    }
 
     /**
      * Move the cursor back so the next fetched instruction is @p seq.
@@ -124,7 +159,20 @@ class TraceStream
     void rewindTo(InstSeq seq);
 
     /** Mark all instructions with seq <= @p seq retired. */
-    void retireUpTo(InstSeq seq);
+    void
+    retireUpTo(InstSeq seq)
+    {
+        retired = std::max(retired, seq);
+        // Recycle slots, keeping rewind_margin instructions behind
+        // both the barrier and the cursor so rewindTo(retired + 1)
+        // always works.
+        if (retired < rewind_margin || cursor <= rewind_margin)
+            return;
+        const InstSeq floor = std::min({retired + 1 - rewind_margin,
+                                        cursor - rewind_margin,
+                                        endSeq});
+        baseSeq = std::max(baseSeq, floor);
+    }
 
     /** Dynamic seq the cursor will deliver next (1-based). */
     InstSeq cursorSeq() const { return cursor; }
@@ -136,11 +184,12 @@ class TraceStream
     std::size_t capacity() const { return ring.size(); }
 
     FunctionalSim &functional() { return func; }
+    const FunctionalSim &functional() const { return func; }
 
     /**
-     * Initial ring capacity: covers the largest timing window (a
+     * Initial ring capacity: covers the paper's larger window (a
      * 256-entry ROB plus a 64-entry fetch queue) plus the rewind
-     * margin, so a core never grows the ring.
+     * margin. pinRecords() enlarges it for larger windows.
      */
     static constexpr std::size_t initial_capacity = 512;
 
@@ -149,7 +198,18 @@ class TraceStream
      * cursor so a rewind to just past the barrier always works. */
     static constexpr InstSeq rewind_margin = 64;
 
-    bool fill();
+    bool
+    fill()
+    {
+        if (endSeq - baseSeq == ring.size())
+            grow();
+        // The functional simulator writes the record straight into
+        // its ring slot: no local, no copy.
+        if (!func.step(slot(endSeq)))
+            return false;
+        ++endSeq;
+        return true;
+    }
     void grow();
     DynInst &slot(InstSeq seq) { return ring[seq & mask]; }
 
@@ -161,6 +221,8 @@ class TraceStream
     InstSeq endSeq = 1;  // next seq to produce
     InstSeq cursor = 1;  // next seq to deliver
     InstSeq retired = 0;
+    /** Set by pinRecords(): the ring must never grow again. */
+    bool pinned = false;
 };
 
 } // namespace nosq

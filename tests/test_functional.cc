@@ -568,5 +568,51 @@ TEST(TraceStream, ReadAheadGrowsRingAndRewindReplaysExactly)
         expectSameInst(ts.next(), longer[i]);
 }
 
+TEST(TraceStream, PinnedRecordsStayPutUntilTheyRetire)
+{
+    const Program p = synthesize(*findProfile("gcc"), 1);
+    const std::vector<DynInst> fresh = runAll(p, 5000);
+    ASSERT_EQ(fresh.size(), 5000u);
+
+    // A reader holding up to 700 unretired records, more than the
+    // initial ring holds.
+    constexpr std::size_t window = 700;
+    TraceStream ts(p);
+    ts.pinRecords(window);
+    EXPECT_GE(ts.capacity(), window + 64);
+    const std::size_t capacity = ts.capacity();
+
+    std::vector<const DynInst *> held;
+    for (const DynInst &want : fresh) {
+        if (held.size() == window) {
+            // Every held record is where it was handed out, intact.
+            for (std::size_t i = 0; i < held.size(); ++i)
+                ASSERT_EQ(held[i]->seq, want.seq - window + i);
+            ts.retireUpTo(held.front()->seq);
+            held.erase(held.begin());
+        }
+        const DynInst &di = ts.next();
+        expectSameInst(di, want);
+        held.push_back(&di);
+    }
+    EXPECT_EQ(ts.capacity(), capacity);
+}
+
+TEST(TraceStream, PinnedRingPanicsInsteadOfGrowing)
+{
+    const Program p = synthesize(*findProfile("gcc"), 1);
+    TraceStream ts(p);
+    ts.pinRecords(100);
+    // Holding more unretired records than pinned would have to move
+    // them: that is a bug in the reader, so it must not pass
+    // silently.
+    EXPECT_DEATH(
+        {
+            for (int i = 0; i < 2000; ++i)
+                ts.next();
+        },
+        "!pinned");
+}
+
 } // anonymous namespace
 } // namespace nosq

@@ -11,7 +11,9 @@
 #include "ooo/core.hh"
 #include "ooo/rename.hh"
 #include "workload/functional.hh"
+#include "workload/generator.hh"
 #include "workload/kernels.hh"
+#include "workload/profiles.hh"
 
 namespace nosq {
 namespace {
@@ -412,6 +414,39 @@ TEST(Core, BigWindowConfigRuns)
         const SimResult r = core.run(20000);
         EXPECT_EQ(r.insts, 20000u) << lsuModeName(mode);
         EXPECT_TRUE(core.renameConsistent());
+    }
+}
+
+// ---------------------------------------------------------------------
+// In-place instruction records
+// ---------------------------------------------------------------------
+
+TEST(Core, WindowLargerThanInitialTraceRingRuns)
+{
+    // Each in-flight entry points at its record in the trace ring,
+    // so the core must size the ring for its window up front: a
+    // 512-entry ROB plus a 64-entry fetch queue holds more records
+    // than the ring's initial 512 slots. A slow memory and ample
+    // registers and queues let the window actually fill.
+    const Program p = synthesize(*findProfile("gcc"), 1);
+    for (const auto mode : {LsuMode::SqStoreSets, LsuMode::Nosq}) {
+        UarchParams params = makeParams(mode, /*big_window=*/true);
+        params.robSize = 512;
+        params.fetchBufferSize = 64;
+        params.iqSize = 512;
+        params.lqSize = 512;
+        params.sqSize = 256;
+        params.numPhysRegs = 640;
+        params.memsys.memoryLatency = 400;
+        params.memsys.l1d.sizeBytes = 4 * 1024;
+        params.memsys.prefetchDegree = 0;
+        ASSERT_GT(params.robSize + params.fetchBufferSize,
+                  TraceStream::initial_capacity);
+        OooCore core(params, p);
+        const SimResult r = core.run(30000, 10000);
+        EXPECT_EQ(r.insts, 30000u) << lsuModeName(mode);
+        EXPECT_EQ(core.committedInsts(), 40000u) << lsuModeName(mode);
+        EXPECT_TRUE(core.renameConsistent()) << lsuModeName(mode);
     }
 }
 
