@@ -5,51 +5,28 @@
 
 #include "obs/pipe_trace.hh"
 
-#include <cstdlib>
+#include "common/cli.hh"
 
 namespace nosq {
 namespace obs {
-
-namespace {
-
-bool
-parseU64Field(const std::string &text, std::uint64_t &out)
-{
-    if (text.empty())
-        return false;
-    char *end = nullptr;
-    const unsigned long long v =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size())
-        return false;
-    out = v;
-    return true;
-}
-
-} // anonymous namespace
 
 bool
 parsePipeTraceSpec(const std::string &spec, PipeTraceConfig &out,
                    std::string &error)
 {
     out = PipeTraceConfig();
-    const std::size_t first = spec.find(':');
-    if (first == std::string::npos) {
-        out.path = spec;
-    } else {
-        const std::size_t second = spec.find(':', first + 1);
-        if (second == std::string::npos) {
-            error = "trace spec '" + spec +
-                    "' has a lone window field (want "
-                    "FILE or FILE:skip:count)";
-            return false;
-        }
-        out.path = spec.substr(0, first);
-        const std::string skip =
-            spec.substr(first + 1, second - first - 1);
-        const std::string count = spec.substr(second + 1);
-        if (!parseU64Field(skip, out.skip) ||
-            !parseU64Field(count, out.count)) {
+    const std::vector<std::string> fields = cli::splitList(spec, ':');
+    out.path = fields.front();
+    if (fields.size() == 2 || fields.size() > 3) {
+        error = "trace spec '" + spec +
+                "' is neither FILE nor FILE:skip:count";
+        return false;
+    }
+    if (fields.size() == 3) {
+        try {
+            out.skip = cli::parseNumber(fields[1], 0, ~std::uint64_t(0));
+            out.count = cli::parseNumber(fields[2], 0, ~std::uint64_t(0));
+        } catch (const cli::UsageError &) {
             error = "trace spec '" + spec +
                     "' has a non-numeric window field";
             return false;

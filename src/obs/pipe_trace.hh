@@ -59,7 +59,8 @@ struct PipeTraceConfig
 };
 
 /**
- * Parse @p spec ("FILE", "FILE:skip:count") into @p out.
+ * Parse @p spec ("FILE", "FILE:skip:count") into @p out; the
+ * window fields are decimal digits only (cli::parseNumber()).
  * @return false with @p error set on a malformed spec (missing
  *         file, non-numeric or lone window fields)
  */

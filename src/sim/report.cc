@@ -253,14 +253,12 @@ toJson(const SimResult &r, int indent)
         out += inner + '"' + key +
             "\": " + std::to_string(value) + ",\n";
     });
-    out += inner + "\"ipc\": " + jsonNumber(r.ipc()) + ",\n";
-    out += inner + "\"l1d_mpki\": " + jsonNumber(r.l1dMpki()) +
-        ",\n";
-    out += inner + "\"l2_mpki\": " + jsonNumber(r.l2Mpki()) + ",\n";
-    out += inner + "\"avg_miss_latency\": " +
-        jsonNumber(r.avgMissLatency()) + ",\n";
-    out += inner + "\"pref_accuracy\": " +
-        jsonNumber(r.prefetchAccuracy());
+    const char *separator = "";
+    forEachDerivedStat(r, [&](const char *key, double value) {
+        out += separator + inner + '"' + key + "\": " +
+            jsonNumber(value);
+        separator = ",\n";
+    });
     // Sampled-simulation summary: additive, emitted only for sampled
     // runs so exact-mode reports stay byte-identical.
     if (r.sampled) {
@@ -690,27 +688,29 @@ requiredStatKeys()
  * their derived statistics). Additive, hence OPTIONAL: reports
  * emitted before they existed still validate (the schema string is
  * only bumped on breaking changes), but when present they must be
- * well-typed. Derived from the shared counter table so a new
- * SimResult counter can never be forgotten here.
+ * well-typed. Derived from the shared counter and derived-stat
+ * tables so a new SimResult statistic can never be forgotten here.
  */
 const std::vector<const char *> &
 optionalStatKeys()
 {
     static const std::vector<const char *> keys = [] {
         std::vector<const char *> k;
-        SimResult dummy;
-        forEachSimCounter(dummy, [&](const char *key,
-                                     std::uint64_t &) {
+        auto add_optional = [&](const char *key) {
             bool required = false;
             for (const char *req : requiredStatKeys())
                 required |= std::string(req) == key;
             if (!required)
                 k.push_back(key);
+        };
+        SimResult dummy;
+        forEachSimCounter(dummy, [&](const char *key,
+                                     std::uint64_t &) {
+            add_optional(key);
         });
-        k.push_back("l1d_mpki");
-        k.push_back("l2_mpki");
-        k.push_back("avg_miss_latency");
-        k.push_back("pref_accuracy");
+        forEachDerivedStat(dummy, [&](const char *key, double) {
+            add_optional(key);
+        });
         // Sampled-simulation summary (PR 6): present only on
         // sampled runs.
         k.push_back("sample_intervals");

@@ -141,7 +141,7 @@ computeReductions(const std::vector<RunResult> &results,
  * of truth for the counter set -- the JSON emitter, the schema
  * validator's key list, and the journal's record loader all iterate
  * it, so adding a SimResult counter means extending only this list
- * (plus the derived "ipc", emitted separately).
+ * (derived statistics are listed by forEachDerivedStat()).
  */
 template <typename SimResultT, typename Fn>
 void
@@ -184,6 +184,25 @@ forEachSimCounter(SimResultT &r, Fn &&fn)
     fn("pref_issued", r.prefIssued);
     fn("pref_useful", r.prefUseful);
     fn("miss_cycles", r.missCycles);
+}
+
+/**
+ * Visit every derived statistic of a SimResult, in the emission
+ * order of toJson(SimResult): fn(key, value). The single source of
+ * truth for the derived keys, as forEachSimCounter is for the
+ * counters: the emitter, the validator's key lists and the docs
+ * drift gate all iterate it. "ipc" is a required key, the rest are
+ * additive-optional.
+ */
+template <typename Fn>
+void
+forEachDerivedStat(const SimResult &r, Fn &&fn)
+{
+    fn("ipc", r.ipc());
+    fn("l1d_mpki", r.l1dMpki());
+    fn("l2_mpki", r.l2Mpki());
+    fn("avg_miss_latency", r.avgMissLatency());
+    fn("pref_accuracy", r.prefetchAccuracy());
 }
 
 /**

@@ -1,8 +1,9 @@
 #include "sim/sampling.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
+
+#include "common/cli.hh"
 
 namespace nosq {
 
@@ -11,31 +12,17 @@ parseSamplingSpec(const std::string &text, SamplingParams &out,
                   std::string &err)
 {
     std::vector<std::uint64_t> fields;
-    std::size_t pos = 0;
-    while (pos <= text.size()) {
-        const std::size_t colon = text.find(':', pos);
-        const std::string part = text.substr(
-            pos, colon == std::string::npos ? std::string::npos
-                                            : colon - pos);
-        if (part.empty()) {
-            err = "--sample: empty field in '" + text + "'";
-            return false;
-        }
-        char *end = nullptr;
-        const unsigned long long v =
-            std::strtoull(part.c_str(), &end, 10);
-        if (end == part.c_str() || *end != '\0') {
-            err = "--sample: '" + part + "' is not a number";
-            return false;
-        }
-        fields.push_back(v);
-        if (colon == std::string::npos)
-            break;
-        pos = colon + 1;
+    try {
+        for (const std::string &field : cli::splitList(text, ':'))
+            fields.push_back(
+                cli::parseNumber(field, 0, ~std::uint64_t(0)));
+    } catch (const cli::UsageError &e) {
+        err = e.what();
+        return false;
     }
     if (fields.size() < 4 || fields.size() > 5) {
-        err = "--sample: expected ff:warmup:interval:count[:seed], "
-              "got '" + text + "'";
+        err = "expected ff:warmup:interval:count[:seed], got '" +
+            text + "'";
         return false;
     }
     SamplingParams p;
@@ -46,11 +33,11 @@ parseSamplingSpec(const std::string &text, SamplingParams &out,
     p.intervals = fields[3];
     p.seed = fields.size() == 5 ? fields[4] : 0;
     if (p.interval == 0) {
-        err = "--sample: measured interval must be nonzero";
+        err = "measured interval must be nonzero";
         return false;
     }
     if (p.intervals == 0) {
-        err = "--sample: interval count must be nonzero";
+        err = "interval count must be nonzero";
         return false;
     }
     out = p;

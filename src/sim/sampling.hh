@@ -44,7 +44,8 @@ struct SamplingParams
 
 /**
  * Parse a `--sample=` spec: `ff:warmup:interval:count[:seed]`,
- * e.g. `--sample=20000:2000:1000:10`.
+ * e.g. `--sample=20000:2000:1000:10`. Every field is decimal digits
+ * only (cli::parseNumber()).
  *
  * @return false (with @p err set) on malformed or invalid specs
  */

@@ -382,7 +382,7 @@ SweepError::SweepError(std::vector<Failure> failures_,
  * what makes worker count and claim order irrelevant to the result.
  */
 RunResult
-runSweepJob(const SweepJob &job)
+runSweepJob(const SweepJob &job, obs::PipeTracer *tracer)
 {
     RunResult result;
     result.benchmark = job.profile ? job.profile->name
@@ -390,6 +390,8 @@ runSweepJob(const SweepJob &job)
     result.suite = job.profile ? job.profile->suite : job.suite;
     result.config = job.config;
     result.memsys = job.memsysLabel;
+    nosq_assert(tracer == nullptr || (!job.runner && job.cores == 1),
+                "only a single-core default-pipeline job is traced");
     if (job.runner) {
         result.sim = job.runner(job);
         return result;
@@ -425,6 +427,7 @@ runSweepJob(const SweepJob &job)
     // shared const across every job and worker that replays it.
     OooCore core(job.params,
                  ProgramCache::global().get(*job.profile, job.seed));
+    core.setTracer(tracer);
     result.sim = job.sampling.enabled
         ? core.runSampled(job.sampling)
         : core.run(job.insts, job.warmup);

@@ -38,6 +38,10 @@
 
 namespace nosq {
 
+namespace obs {
+class PipeTracer;
+} // namespace obs
+
 struct SweepJob;
 
 /**
@@ -363,8 +367,13 @@ unsigned defaultSweepWorkers();
  *
  * Exceptions from the simulation propagate (runSweep() adds the
  * per-job isolation guard; remote executors add their own).
+ *
+ * @param tracer optional pipeline tracer (obs/pipe_trace.hh) for a
+ *        single-core default-pipeline job; tracing never changes
+ *        the result
  */
-RunResult runSweepJob(const SweepJob &job);
+RunResult runSweepJob(const SweepJob &job,
+                      obs::PipeTracer *tracer = nullptr);
 
 class SweepJournal;
 

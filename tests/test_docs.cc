@@ -4,8 +4,11 @@
  * checkable claims -- the counter glossary lists every counter, the
  * CLI reference lists every flag, relative links resolve -- and
  * this suite pins each claim to the code so the docs cannot rot
- * silently. Built with NOSQ_SOURCE_DIR (the repo root) and
- * NOSQ_SIM_PATH (the nosq_sim binary) baked in by CMake.
+ * silently. The flag check scrapes both binaries' --help, which is
+ * rendered from their option tables (common/cli.hh), so it compares
+ * docs/cli.md with the flags the parsers actually accept. Built
+ * with NOSQ_SOURCE_DIR (the repo root), NOSQ_SIM_PATH and
+ * NOSQ_SWEEPD_PATH (the two binaries) baked in by CMake.
  */
 
 #include <gtest/gtest.h>
@@ -77,17 +80,20 @@ TEST(Docs, CounterGlossaryCoversEveryCounter)
             << "counter '" << name
             << "' (forEachSimCounter) missing from docs/counters.md";
     });
-    // Derived statistics and the sampled-run summary keys emitted
-    // by the report layer.
-    for (const char *key :
-         {"ipc", "l1d_mpki", "l2_mpki", "avg_miss_latency",
-          "pref_accuracy", "sample_intervals", "sample_ff_insts",
-          "sample_ipc_mean", "sample_ipc_ci95"}) {
+    // Derived statistics (their own table) and the sampled-run
+    // summary keys emitted by the report layer.
+    auto expect_key = [&](const char *key) {
         EXPECT_NE(doc.find("`" + std::string(key) + "`"),
                   std::string::npos)
             << "derived key '" << key
             << "' missing from docs/counters.md";
-    }
+    };
+    forEachDerivedStat(dummy, [&](const char *key, double) {
+        expect_key(key);
+    });
+    for (const char *key : {"sample_intervals", "sample_ff_insts",
+                            "sample_ipc_mean", "sample_ipc_ci95"})
+        expect_key(key);
     // The event-skip diagnostic is table-only by design; the doc
     // must say so under its table name.
     EXPECT_NE(doc.find("cycles skipped (events)"), std::string::npos);

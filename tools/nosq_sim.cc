@@ -19,212 +19,534 @@
  *   nosq_sim --sweep=history --suite int --json
  *   nosq_sim --sweep=cache-reads --json --out fig4.json
  *   nosq_sim --validate sweep.json
+ *
+ * Every flag is declared once, in optionTable(): the table drives
+ * parsing, the --help text and the check that a flag applies to the
+ * mode it is given in. A single run is a one-job sweep: it builds its
+ * job with the sweep's own machine-flag mapping and runs it through
+ * runSweepJob().
  */
 
 #include <sys/stat.h>
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "memsys/coherence.hh"
-#include "obs/metrics.hh"
 #include "obs/pipe_trace.hh"
 #include "obs/progress.hh"
 #include "serve/client.hh"
 #include "serve/fault.hh"
-#include "sim/experiment.hh"
 #include "sim/journal.hh"
 #include "sim/perf.hh"
 #include "sim/report.hh"
 #include "sim/sampling.hh"
 #include "sim/sweep.hh"
-#include "sim/system.hh"
 #include "workload/multicore.hh"
 #include "workload/profiles.hh"
-#include "workload/program_cache.hh"
 
 using namespace nosq;
+using cli::UsageError;
 
 namespace {
 
-void
-usage()
+/** The modes of operation; each run is in exactly one. */
+enum Mode : cli::ModeMask {
+    Run = 1u << 0,       ///< one benchmark profile
+    KernelRun = 1u << 1, ///< one multicore producer/consumer kernel
+    Sweep = 1u << 2,     ///< --sweep: modes x windows x benchmarks
+    SweepCapacity = 1u << 3,
+    SweepHistory = 1u << 4,
+    SweepCacheReads = 1u << 5,
+    SweepMemsys = 1u << 6,
+    SweepMulticore = 1u << 7,
+    Perf = 1u << 8,
+    Validate = 1u << 9,
+    ValidateTrace = 1u << 10,
+    List = 1u << 11,
+    ServerStatus = 1u << 12,
+    ServerMetrics = 1u << 13,
+};
+
+constexpr cli::ModeMask single_runs = Run | KernelRun;
+constexpr cli::ModeMask sweeps = Sweep | SweepCapacity | SweepHistory |
+    SweepCacheReads | SweepMemsys | SweepMulticore;
+/** Modes that simulate a machine the machine flags describe. */
+constexpr cli::ModeMask simulations = single_runs | sweeps;
+constexpr cli::ModeMask single_core_sims =
+    simulations & ~(KernelRun | SweepMulticore);
+
+/** The --sweep=DIM dimensions. */
+const std::vector<std::pair<std::string, Mode>> sweep_dimensions = {
+    {"capacity", SweepCapacity}, {"history", SweepHistory},
+    {"cache-reads", SweepCacheReads}, {"memsys", SweepMemsys},
+    {"multicore", SweepMulticore},
+};
+
+const char *default_capacities = "64,128,256,512,1K,2K,4K,Inf";
+
+/** Knobs forwarded into every configuration's UarchParams. */
+struct MachineFlags
 {
-    std::printf(
-        "usage: nosq_sim [options]\n"
-        "  --list                list benchmark profiles\n"
-        "  --bench NAME          benchmark to run (single-run mode:\n"
-        "                        required; sweep mode: restrict the\n"
-        "                        sweep to this benchmark)\n"
-        "  --mode MODE           perfect | storesets | nosq |\n"
-        "                        nosq-perfect   (default: nosq)\n"
-        "  --insts N             measured instructions "
-        "(default 300000)\n"
-        "  --warmup N            warm-up instructions "
-        "(default insts/3)\n"
-        "  --window SIZE         128 | 256 (default 128)\n"
-        "  --no-delay            disable the delay mechanism\n"
-        "  --no-svw              disable SVW filtering "
-        "(re-execute all)\n"
-        "  --history BITS        bypassing predictor history bits\n"
-        "  --entries N           bypassing predictor entries/table\n"
-        "  --mshrs N             L1D miss-status holding registers\n"
-        "                        (0: legacy blocking-latency miss\n"
-        "                        model, the default)\n"
-        "  --prefetch N          stream-prefetcher degree (lines per\n"
-        "                        trigger; 0: off, the default)\n"
-        "  --bus-occupancy       model DRAM-bus occupancy (queueing)\n"
-        "                        instead of the flat transfer cost\n"
-        "  --cores N             core count, 1..64 (default 1; > 1\n"
-        "                        runs an N-core System with a shared\n"
-        "                        coherent L2; a profile --bench\n"
-        "                        replicates homogeneously, a\n"
-        "                        multicore kernel --bench builds its\n"
-        "                        producer/consumer programs)\n"
-        "  --queue-depth N       multicore kernel ring slots, a power\n"
-        "                        of two in 8..4096 (default 16)\n"
-        "  --seed N              workload seed (default 1)\n"
-        "  --no-skip             disable event-driven cycle skipping\n"
-        "                        (a wall-clock optimization only;\n"
-        "                        statistics are bit-identical either\n"
-        "                        way)\n"
-        "  --sample SPEC         SMARTS-style sampled simulation:\n"
-        "                        SPEC is ff:warmup:interval:count\n"
-        "                        [:seed] in instructions. Each period\n"
-        "                        fast-forwards ff insts\n"
-        "                        architecturally, re-warms the timing\n"
-        "                        model for warmup insts, then\n"
-        "                        measures interval insts; stats are\n"
-        "                        sums over the measured intervals\n"
-        "                        plus a per-interval IPC mean and 95%%\n"
-        "                        confidence interval. seed != 0 adds\n"
-        "                        a random initial offset. Applies to\n"
-        "                        single runs and sweeps; --insts/\n"
-        "                        --warmup are ignored when sampling\n"
-        "sweep mode:\n"
-        "  --sweep               run a modes x windows x benchmarks\n"
-        "                        cross-product in parallel\n"
-        "  --sweep=capacity      Fig. 5 (top) dimension: NoSQ over\n"
-        "                        total predictor capacities vs a\n"
-        "                        SQ+perfect baseline\n"
-        "  --sweep=history       Fig. 5 (bottom) dimension: NoSQ\n"
-        "                        over path-history lengths (bounded\n"
-        "                        and unbounded capacity) vs a\n"
-        "                        SQ+perfect baseline\n"
-        "  --sweep=cache-reads   Fig. 4 pair: NoSQ vs the\n"
-        "                        associative-SQ baseline\n"
-        "  --sweep=memsys        memory-hierarchy dimension: L2\n"
-        "                        size/latency x MSHR count x\n"
-        "                        prefetcher on/off (16 points, DRAM\n"
-        "                        bus occupancy on), each point under\n"
-        "                        both the associative-SQ baseline\n"
-        "                        and NoSQ; report rows carry a\n"
-        "                        \"memsys\" hierarchy label\n"
-        "  --sweep=multicore     multi-core dimension: core count x\n"
-        "                        queue depth over the producer/\n"
-        "                        consumer kernels (spsc-ring,\n"
-        "                        mpsc-queue), each point under both\n"
-        "                        the associative-SQ baseline and\n"
-        "                        NoSQ; --bench restricts the kernel\n"
-        "                        set, --cores/--queue-depth pin one\n"
-        "                        grid axis\n"
-        "  --jobs N              worker threads (default: NOSQ_JOBS\n"
-        "                        env, else hardware concurrency)\n"
-        "  --suite NAME          media | int | fp | selected | all\n"
-        "                        (default: selected)\n"
-        "  --bench LIST          restrict the sweep to these\n"
-        "                        benchmarks (comma-separated)\n"
-        "  --modes LIST          comma-separated mode list, --sweep\n"
-        "                        only (default: all four modes, or\n"
-        "                        --mode when given)\n"
-        "  --windows LIST        comma-separated window sizes, each\n"
-        "                        128 or 256 (--sweep default:\n"
-        "                        128,256 or --window when given;\n"
-        "                        dimension sweeps take exactly one,\n"
-        "                        default 128)\n"
-        "  --capacities LIST     --sweep=capacity points: total\n"
-        "                        entries, K suffix allowed, Inf for\n"
-        "                        unbounded (default\n"
-        "                        64,128,256,512,1K,2K,4K,Inf)\n"
-        "  --checkpoint FILE     store each completed job in FILE, a\n"
-        "                        nosq-store-v1 result store flushed\n"
-        "                        per record (starts empty; refuses a\n"
-        "                        FILE holding results of this sweep)\n"
-        "  --resume FILE         resume an interrupted sweep: reuse\n"
-        "                        the results in store FILE (from any\n"
-        "                        sweep or nosq_sweepd) whose job\n"
-        "                        fingerprints match, run the rest,\n"
-        "                        and keep storing to FILE. The merged\n"
-        "                        report is byte-identical to an\n"
-        "                        uninterrupted run; corrupt records\n"
-        "                        are skipped with a warning\n"
-        "  --server SOCK         run the sweep on the nosq_sweepd\n"
-        "                        daemon listening at Unix socket\n"
-        "                        SOCK instead of in-process worker\n"
-        "                        threads; the report is\n"
-        "                        byte-identical to a local sweep.\n"
-        "                        Mutually exclusive with\n"
-        "                        --checkpoint/--resume (the daemon\n"
-        "                        owns its own persistent store)\n"
-        "  --server-status       print the daemon's one-line status\n"
-        "                        JSON (workers, executed,\n"
-        "                        cache_hits, ...) and exit;\n"
-        "                        requires --server\n"
-        "  --server-metrics      scrape the daemon's metrics\n"
-        "                        registry and print the Prometheus\n"
-        "                        text exposition (queue depth,\n"
-        "                        service-time histograms, fault\n"
-        "                        counters, ...) and exit; requires\n"
-        "                        --server\n"
-        "  --retries N           total --server connection attempts\n"
-        "                        before giving up; dropped\n"
-        "                        connections, 'draining', and\n"
-        "                        'overloaded' replies are retried\n"
-        "                        with exponential backoff + jitter,\n"
-        "                        resuming the result stream where\n"
-        "                        it left off (default: 5)\n"
-        "  --json                emit the nosq-sweep-v2 JSON report\n"
-        "                        (runs + per-suite reductions) to\n"
-        "                        stdout instead of a table\n"
-        "  --out FILE            write the JSON report to FILE (the\n"
-        "                        table still prints without --json)\n"
-        "  (--no-delay, --no-svw, --history, --entries, --mshrs,\n"
-        "   --prefetch, --bus-occupancy apply to every sweep\n"
-        "   configuration; the swept dimension wins on its own\n"
-        "   knob, and --history takes a comma list as the\n"
-        "   --sweep=history points)\n"
-        "observability:\n"
-        "  --trace-pipe SPEC     export a pipeline trace of the\n"
-        "                        single run as Chrome trace-event\n"
-        "                        JSON (chrome://tracing, Perfetto);\n"
-        "                        SPEC is FILE[:SKIP:COUNT]: trace\n"
-        "                        the COUNT instructions after the\n"
-        "                        first SKIP (default: first 50000).\n"
-        "                        Single-core single-run mode only\n"
-        "validation mode:\n"
-        "  --validate FILE       strict-parse FILE and check it\n"
-        "                        against the nosq-sweep-v2 schema;\n"
-        "                        exits nonzero on any violation\n"
-        "  --validate-trace FILE strict-parse FILE as a --trace-pipe\n"
-        "                        export: event shape plus\n"
-        "                        nondecreasing timestamps; prints\n"
-        "                        per-event-name counts and exits\n"
-        "                        nonzero on any violation\n"
-        "perf mode:\n"
-        "  --perf                time the simulator itself over the\n"
-        "                        reference workload (serial) and\n"
-        "                        emit nosq-bench-core-v1 JSON with\n"
-        "                        simulated MIPS to stdout; honours\n"
-        "                        --insts/--warmup and writes --out\n");
+    bool svw = true;
+    bool eventSkip = true;
+    bool busOccupancy = false;
+    /** --history points; more than one only with --sweep=history,
+     * where they are the swept points instead of a knob. */
+    std::vector<unsigned> history;
+    std::optional<unsigned> entries;
+    std::optional<unsigned> mshrs;
+    std::optional<unsigned> prefetch;
+};
+
+/** Everything the flags set; every mode reads this one struct. */
+struct Options
+{
+    /** The Mode a mode flag selected; 0: a single run. */
+    cli::ModeMask selected = 0;
+    /** --validate or --validate-trace FILE. */
+    std::string validatePath;
+
+    // Workload.
+    std::string bench;
+    std::vector<const BenchmarkProfile *> suite = selectedProfiles();
+    std::uint64_t insts = 300000;
+    std::optional<std::uint64_t> warmup;
+    std::uint64_t seed = 1;
+    SamplingParams sampling;
+
+    // Machine.
+    std::optional<LsuMode> mode;
+    std::optional<unsigned> window;
+    bool delay = true;
+    std::optional<unsigned> cores;
+    std::optional<unsigned> queueDepth;
+    MachineFlags machine;
+
+    // Sweep.
+    std::vector<LsuMode> modes;
+    std::vector<unsigned> windows;
+    std::vector<std::pair<std::string, unsigned>> capacities;
+    unsigned jobs = 0;
+    bool json = false;
+    std::string outPath;
+    std::string checkpointPath;
+    std::string resumePath;
+    /** nosq_sweepd socket; non-empty runs the sweep as a client. */
+    std::string server;
+    /** Total --server connection attempts (see RetryPolicy). */
+    unsigned retries = 5;
+
+    // Observability.
+    std::optional<obs::PipeTraceConfig> tracePipe;
+};
+
+LsuMode
+parseMode(const std::string &name)
+{
+    if (name == "perfect")
+        return LsuMode::SqPerfect;
+    if (name == "storesets")
+        return LsuMode::SqStoreSets;
+    if (name == "nosq")
+        return LsuMode::Nosq;
+    if (name == "nosq-perfect")
+        return LsuMode::NosqPerfect;
+    throw UsageError("unknown mode '" + name +
+                     "' (perfect | storesets | nosq | nosq-perfect)");
+}
+
+/**
+ * Parse a window size: only the paper's two machines exist, so
+ * anything but 128 or 256 is rejected, never silently coerced.
+ */
+unsigned
+parseWindow(const std::string &value)
+{
+    const unsigned size = cli::parseUnsigned(value);
+    if (size != 128 && size != 256)
+        throw UsageError("invalid window size '" + value +
+                         "' (must be 128 or 256)");
+    return size;
+}
+
+/**
+ * Parse --capacities points: total entries with an optional K
+ * suffix, or Inf (0) for unbounded. Totals must be a multiple of 8
+ * (two equally split 4-way tables) so the labeled capacity is
+ * exactly the simulated one, never a rounded approximation.
+ */
+std::vector<std::pair<std::string, unsigned>>
+parseCapacities(const std::string &list)
+{
+    std::vector<std::pair<std::string, unsigned>> points;
+    for (const std::string &label : cli::splitList(list)) {
+        std::uint64_t total = 0; // Inf: unbounded
+        if (label != "Inf" && label != "inf") {
+            const bool kilo = !label.empty() &&
+                (label.back() == 'K' || label.back() == 'k');
+            const std::uint64_t scale = kilo ? 1024 : 1;
+            // 2^30 caps any sane geometry and keeps the total far
+            // from wrapping 32 bits.
+            try {
+                total = scale * cli::parseNumber(
+                    label.substr(0, label.size() - kilo), 1,
+                    (std::uint64_t(1) << 30) / scale);
+            } catch (const UsageError &) {
+            }
+            if (total == 0 || total % 8 != 0) {
+                throw UsageError("invalid capacity '" + label +
+                                 "' (total entries, multiple of 8, "
+                                 "K suffix allowed, or Inf)");
+            }
+        }
+        points.emplace_back(label, static_cast<unsigned>(total));
+    }
+    return points;
+}
+
+/** The profiles of a --suite name. */
+std::vector<const BenchmarkProfile *>
+parseSuite(const std::string &name)
+{
+    if (name == "all")
+        return allProfilePtrs();
+    if (name == "selected")
+        return selectedProfiles();
+    if (name == "media")
+        return profilesOfSuite(Suite::Media);
+    if (name == "int")
+        return profilesOfSuite(Suite::Int);
+    if (name == "fp")
+        return profilesOfSuite(Suite::Fp);
+    throw UsageError("unknown suite '" + name +
+                     "' (media | int | fp | selected | all)");
+}
+
+/** Every nosq_sim flag, declared once. */
+cli::Table
+optionTable(Options &o)
+{
+    using cli::Arg;
+    using cli::number;
+    using cli::set;
+    using cli::store;
+    constexpr std::uint64_t any = ~std::uint64_t(0);
+    // Each mode flag applies only to the mode it selects, so
+    // checkModes() rejects any second one.
+    auto select = [&o](Mode mode) {
+        return [&o, mode](const std::string &) { o.selected = mode; };
+    };
+    auto validate = [&o](Mode mode) {
+        return [&o, mode](const std::string &v) {
+            o.selected = mode;
+            o.validatePath = v;
+        };
+    };
+    return cli::Table{
+        "usage: nosq_sim [options]",
+        nullptr,
+        {
+            {"--list", Arg::None, nullptr,
+             "list benchmark profiles", select(List), List},
+            {"--bench", Arg::Required, "NAME",
+             "benchmark profile or multicore kernel to run (required "
+             "for a single run); in sweep mode, a comma-separated "
+             "list restricting the sweep",
+             store(o.bench), simulations},
+            {"--mode", Arg::Required, "MODE",
+             "perfect | storesets | nosq | nosq-perfect (default: "
+             "nosq)",
+             [&o](const std::string &v) { o.mode = parseMode(v); },
+             single_runs | Sweep},
+            {"--insts", Arg::Required, "N",
+             "measured instructions, at least 1 (default 300000)",
+             number(o.insts, 1, any),
+             simulations | Perf},
+            {"--warmup", Arg::Required, "N",
+             "warm-up instructions (default insts/3)",
+             number(o.warmup, 0, any),
+             simulations | Perf},
+            {"--window", Arg::Required, "SIZE",
+             "128 | 256 (default 128)",
+             [&o](const std::string &v) { o.window = parseWindow(v); },
+             simulations},
+            {"--no-delay", Arg::None, nullptr,
+             "disable the delay mechanism", set(o.delay, false),
+             simulations},
+            {"--no-svw", Arg::None, nullptr,
+             "disable SVW filtering (re-execute all)",
+             set(o.machine.svw, false), simulations},
+            {"--history", Arg::Required, "BITS",
+             "bypassing predictor history bits; with --sweep=history "
+             "a comma list of the swept points",
+             [&o](const std::string &v) {
+                 o.machine.history.clear();
+                 for (const std::string &bits : cli::splitList(v))
+                     o.machine.history.push_back(cli::parseUnsigned(bits));
+             },
+             simulations},
+            {"--entries", Arg::Required, "N",
+             "bypassing predictor entries per table, a nonzero "
+             "multiple of 4",
+             [&o](const std::string &v) {
+                 // A zero entry count would crash the predictor's
+                 // set indexing, and a set holds 4 ways.
+                 const unsigned n = cli::parseUnsigned(v, 1);
+                 if (n % 4 != 0)
+                     throw UsageError("'" + v + "' is not a nonzero "
+                                      "multiple of 4");
+                 o.machine.entries = n;
+             },
+             simulations},
+            {"--mshrs", Arg::Required, "N",
+             "L1D miss-status holding registers, 0..256 (0: legacy "
+             "blocking-latency miss model, the default)",
+             number(o.machine.mshrs, 0, 256), simulations},
+            {"--prefetch", Arg::Required, "N",
+             "stream-prefetcher degree (lines per trigger), 0..64 "
+             "(0: off, the default)",
+             number(o.machine.prefetch, 0, 64), simulations},
+            {"--bus-occupancy", Arg::None, nullptr,
+             "model DRAM-bus occupancy (queueing) instead of the "
+             "flat transfer cost",
+             set(o.machine.busOccupancy, true), simulations},
+            {"--cores", Arg::Required, "N",
+             "core count, 1..64 (default 1, or 2 for a multicore "
+             "kernel --bench); > 1 runs an N-core System over a "
+             "shared coherent L2",
+             number(o.cores, 1, max_cores), simulations},
+            {"--queue-depth", Arg::Required, "N",
+             "multicore kernel ring slots, a power of two in "
+             "8..4096 (default 16)",
+             [&o](const std::string &v) {
+                 const unsigned n = cli::parseUnsigned(v, 8, 4096);
+                 if ((n & (n - 1)) != 0)
+                     throw UsageError("'" + v + "' is not a power of "
+                                      "two in 8..4096");
+                 o.queueDepth = n;
+             },
+             KernelRun | SweepMulticore},
+            {"--seed", Arg::Required, "N",
+             "workload seed (default 1)",
+             number(o.seed, 0, any),
+             simulations},
+            {"--no-skip", Arg::None, nullptr,
+             "disable event-driven cycle skipping (wall-clock only: "
+             "statistics are bit-identical)",
+             set(o.machine.eventSkip, false), simulations},
+            {"--sample", Arg::Required, "SPEC",
+             "SMARTS-style sampled simulation; SPEC is "
+             "ff:warmup:interval:count[:seed] in instructions: each "
+             "period fast-forwards ff, re-warms warmup and measures "
+             "interval. Stats are sums plus an IPC mean and 95% "
+             "confidence interval; --insts/--warmup are ignored",
+             [&o](const std::string &v) {
+                 std::string error;
+                 if (!parseSamplingSpec(v, o.sampling, error))
+                     throw UsageError("'" + v + "': " + error);
+             },
+             single_core_sims},
+            cli::heading("sweep mode:"),
+            {"--sweep", Arg::Optional, "DIM",
+             "run a sweep in parallel: bare, the modes x windows x "
+             "benchmarks cross-product; DIM = capacity or history "
+             "(the Fig. 5 predictor dimensions), cache-reads (the "
+             "Fig. 4 pair), memsys (L2 x MSHR x prefetcher grid) or "
+             "multicore (cores x queue depth over the kernels). The "
+             "machine flags apply to every configuration; the swept "
+             "dimension wins on its own knob",
+             [&o](const std::string &v) {
+                 if (v.empty()) {
+                     o.selected = Sweep;
+                     return;
+                 }
+                 for (const auto &[name, mode] : sweep_dimensions) {
+                     if (v == name) {
+                         o.selected = mode;
+                         return;
+                     }
+                 }
+                 throw UsageError("unknown sweep dimension '" + v +
+                                  "' (capacity | history | "
+                                  "cache-reads | memsys | "
+                                  "multicore)");
+             },
+             sweeps},
+            {"--jobs", Arg::Required, "N",
+             "worker threads (default: NOSQ_JOBS env, else hardware "
+             "concurrency)",
+             number(o.jobs, 0, std::numeric_limits<unsigned>::max()),
+             sweeps},
+            {"--suite", Arg::Required, "NAME",
+             "media | int | fp | selected | all (default: selected)",
+             [&o](const std::string &v) { o.suite = parseSuite(v); },
+             sweeps & ~SweepMulticore},
+            {"--modes", Arg::Required, "LIST",
+             "comma-separated mode list, --sweep only (default: all "
+             "four modes, or --mode when given)",
+             [&o](const std::string &v) {
+                 o.modes.clear();
+                 for (const std::string &name : cli::splitList(v))
+                     o.modes.push_back(parseMode(name));
+             },
+             Sweep},
+            {"--windows", Arg::Required, "LIST",
+             "comma-separated window sizes, each 128 or 256 (--sweep "
+             "default: 128,256 or --window when given; dimension "
+             "sweeps take exactly one, default 128)",
+             [&o](const std::string &v) {
+                 o.windows.clear();
+                 for (const std::string &size : cli::splitList(v))
+                     o.windows.push_back(parseWindow(size));
+             },
+             sweeps},
+            {"--capacities", Arg::Required, "LIST",
+             "--sweep=capacity points: total entries, K suffix "
+             "allowed, Inf for unbounded (default "
+             "64,128,256,512,1K,2K,4K,Inf)",
+             [&o](const std::string &v) {
+                 o.capacities = parseCapacities(v);
+             },
+             SweepCapacity},
+            {"--checkpoint", Arg::Required, "FILE",
+             "store each completed job in FILE, a nosq-store-v1 "
+             "result store (starts empty; refuses a FILE holding "
+             "results of this sweep)",
+             store(o.checkpointPath), sweeps},
+            {"--resume", Arg::Required, "FILE",
+             "resume an interrupted sweep from store FILE: reuse the "
+             "results whose job fingerprints match, run the rest and "
+             "keep storing to FILE; the report is byte-identical to "
+             "an uninterrupted run",
+             store(o.resumePath), sweeps},
+            {"--server", Arg::Required, "SOCK",
+             "run the sweep on the nosq_sweepd daemon at Unix socket "
+             "SOCK; the report is byte-identical to a local sweep. "
+             "Not with --checkpoint/--resume: the daemon owns its own "
+             "store",
+             store(o.server), sweeps | ServerStatus | ServerMetrics},
+            {"--server-status", Arg::None, nullptr,
+             "print the daemon's one-line status JSON and exit; "
+             "requires --server",
+             select(ServerStatus), ServerStatus},
+            {"--server-metrics", Arg::None, nullptr,
+             "print the daemon's metrics in the Prometheus text "
+             "format and exit; requires --server",
+             select(ServerMetrics), ServerMetrics},
+            {"--retries", Arg::Required, "N",
+             "total --server connection attempts, 1..1000 (default "
+             "5); dropped connections and 'draining' or 'overloaded' "
+             "replies back off and resume the result stream",
+             number(o.retries, 1, 1000),
+             sweeps},
+            {"--json", Arg::None, nullptr,
+             "emit the nosq-sweep-v2 JSON report to stdout instead of "
+             "a table",
+             set(o.json, true), sweeps},
+            {"--out", Arg::Required, "FILE",
+             "write the JSON report to FILE (the table still prints "
+             "without --json)",
+             store(o.outPath), sweeps | Perf},
+            cli::heading("observability:"),
+            {"--trace-pipe", Arg::Required, "SPEC",
+             "export a pipeline trace of a single-core single run as "
+             "Chrome trace-event JSON; SPEC is FILE[:SKIP:COUNT] "
+             "(default: the first 50000 instructions)",
+             [&o](const std::string &v) {
+                 obs::PipeTraceConfig config;
+                 std::string error;
+                 if (!obs::parsePipeTraceSpec(v, config, error))
+                     throw UsageError(error);
+                 o.tracePipe = std::move(config);
+             },
+             Run},
+            cli::heading("validation mode:"),
+            {"--validate", Arg::Required, "FILE",
+             "strict-parse FILE and check it against the "
+             "nosq-sweep-v2 schema",
+             validate(Validate), Validate},
+            {"--validate-trace", Arg::Required, "FILE",
+             "strict-check FILE as a --trace-pipe export (event "
+             "shape, nondecreasing timestamps) and print per-event "
+             "counts",
+             validate(ValidateTrace), ValidateTrace},
+            cli::heading("perf mode:"),
+            {"--perf", Arg::None, nullptr,
+             "time the simulator over the reference workload and emit "
+             "nosq-bench-core-v1 JSON; honours --insts/--warmup and "
+             "writes --out",
+             select(Perf), Perf},
+            {"--help", Arg::Help, nullptr, nullptr, {}},
+        },
+        {
+            {Run, "single-run"},
+            {KernelRun, "multicore-kernel single-run"},
+            {Sweep, "--sweep"},
+            {SweepCapacity, "--sweep=capacity"},
+            {SweepHistory, "--sweep=history"},
+            {SweepCacheReads, "--sweep=cache-reads"},
+            {SweepMemsys, "--sweep=memsys"},
+            {SweepMulticore, "--sweep=multicore"},
+            {Perf, "--perf"},
+            {Validate, "--validate"},
+            {ValidateTrace, "--validate-trace"},
+            {List, "--list"},
+            {ServerStatus, "--server-status"},
+            {ServerMetrics, "--server-metrics"},
+        },
+    };
+}
+
+/**
+ * The checks that depend on flag values, not just on the mode (the
+ * mode checks come from the option table).
+ */
+void
+checkCombinations(const Options &o, cli::ModeMask mode)
+{
+    if (o.machine.history.size() > 1 && mode != SweepHistory)
+        throw UsageError("--history takes a comma list only with "
+                         "--sweep=history");
+    if (o.sampling.enabled && o.cores.value_or(1) > 1)
+        throw UsageError("--sample is single-core only");
+    if (o.tracePipe && o.cores.value_or(1) > 1)
+        throw UsageError("--trace-pipe applies only to single-core "
+                         "runs");
+    if ((mode & (ServerStatus | ServerMetrics)) && o.server.empty())
+        throw UsageError("--server-status and --server-metrics "
+                         "require --server SOCK");
+    const bool journaled =
+        !o.checkpointPath.empty() || !o.resumePath.empty();
+    if (!o.server.empty() && journaled)
+        throw UsageError("--server and --checkpoint/--resume are "
+                         "mutually exclusive (journaling is "
+                         "server-side: the daemon owns a persistent "
+                         "result store)");
+    if (!o.checkpointPath.empty() && !o.resumePath.empty())
+        throw UsageError("--checkpoint and --resume are mutually "
+                         "exclusive (--resume keeps journaling to its "
+                         "own file)");
+    if ((mode & sweeps) && mode != Sweep && o.windows.size() > 1)
+        throw UsageError("dimension sweeps take a single --window "
+                         "(128 or 256)");
+    if (mode & single_runs) {
+        if (o.bench.empty())
+            throw UsageError("--bench is required in single-run mode "
+                             "(try --list)");
+        if (mode == KernelRun && o.cores.value_or(2) < 2)
+            throw UsageError("multicore kernel '" + o.bench +
+                             "' needs --cores >= 2");
+    }
 }
 
 void
@@ -240,362 +562,169 @@ listProfiles()
     std::fputs(table.render().c_str(), stdout);
 }
 
-bool
-parseMode(const std::string &name, LsuMode &mode)
+/**
+ * Apply the machine flags to @p config: the one mapping from flags
+ * to UarchParams, shared by single runs and every sweep family. The
+ * config's own tweak (a swept dimension) runs last, so it wins on
+ * its own knob.
+ */
+void
+applyMachineFlags(const Options &o, SweepConfig &config)
 {
-    if (name == "perfect")
-        mode = LsuMode::SqPerfect;
-    else if (name == "storesets")
-        mode = LsuMode::SqStoreSets;
-    else if (name == "nosq")
-        mode = LsuMode::Nosq;
-    else if (name == "nosq-perfect")
-        mode = LsuMode::NosqPerfect;
+    if (!o.delay)
+        config.nosqDelay = false;
+    // The multicore dimension already baked --cores/--queue-depth
+    // into its grid, so re-applying them is a no-op there.
+    if (o.cores)
+        config.cores = *o.cores;
+    if (o.queueDepth)
+        config.queueDepth = *o.queueDepth;
+    config.tweak = [m = o.machine, dimension = std::move(config.tweak)](
+                       UarchParams &p) {
+        p.svwFilter = m.svw;
+        p.eventSkip = m.eventSkip;
+        if (m.history.size() == 1)
+            p.bypass.historyBits = m.history.front();
+        if (m.entries)
+            p.bypass.entriesPerTable = *m.entries;
+        if (m.mshrs)
+            p.memsys.mshrs = *m.mshrs;
+        if (m.prefetch)
+            p.memsys.prefetchDegree = *m.prefetch;
+        if (m.busOccupancy)
+            p.memsys.busContention = true;
+        if (dimension)
+            dimension(p);
+    };
+}
+
+/**
+ * The jobs of @p configs, with the machine flags applied, over the
+ * workloads --bench names: multicore kernels in a multicore mode,
+ * profiles otherwise. A sweep takes a comma-separated list and
+ * defaults to every kernel or to the --suite profiles.
+ * @return false, with the reason on stderr, on an unknown name
+ */
+bool
+buildRunJobs(const Options &o, cli::ModeMask mode,
+             std::vector<SweepConfig> configs,
+             std::vector<SweepJob> &jobs)
+{
+    const bool multicore = mode == KernelRun || mode == SweepMulticore;
+    std::vector<const BenchmarkProfile *> profiles;
+    std::vector<std::string> kernels;
+    std::vector<std::string> names;
+    if (mode & single_runs)
+        names = {o.bench};
+    else if (!o.bench.empty())
+        names = cli::splitList(o.bench);
+    else if (multicore)
+        kernels = multicoreWorkloads();
     else
-        return false;
-    return true;
-}
-
-std::vector<std::string>
-splitList(const std::string &list)
-{
-    std::vector<std::string> items;
-    std::size_t start = 0;
-    while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        if (comma == std::string::npos) {
-            items.push_back(list.substr(start));
-            break;
+        profiles = o.suite;
+    for (const std::string &name : names) {
+        const BenchmarkProfile *profile = findProfile(name);
+        if (multicore ? !isMulticoreWorkload(name) : profile == nullptr) {
+            std::fprintf(stderr,
+                         multicore ? "unknown multicore kernel '%s' "
+                                     "(spsc-ring | mpsc-queue)\n"
+                                   : "unknown benchmark '%s' "
+                                     "(try --list)\n",
+                         name.c_str());
+            return false;
         }
-        items.push_back(list.substr(start, comma - start));
-        start = comma + 1;
+        if (multicore)
+            kernels.push_back(name);
+        else
+            profiles.push_back(profile);
     }
-    return items;
-}
 
-/** Which family of configurations a sweep invocation runs. */
-enum class SweepKind {
-    Cross, Capacity, History, CacheReads, Memsys, Multicore
-};
-
-struct SweepOptions
-{
-    SweepKind kind = SweepKind::Cross;
-    std::string suite = "selected";
-    std::string bench;
-    std::string modes;
-    std::string windows = "128,256";
-    bool windows_explicit = false;
-    std::string capacities = "64,128,256,512,1K,2K,4K,Inf";
-    bool capacities_explicit = false;
-    std::string history_list;
-    std::uint64_t insts = 0;
-    std::uint64_t warmup = ~std::uint64_t(0);
-    std::uint64_t seed = 1;
-    unsigned jobs = 0;
-    bool json = false;
-    std::string out_path;
-    std::string checkpoint_path;
-    std::string resume_path;
-    /** nosq_sweepd socket; non-empty runs the sweep as a client. */
-    std::string server;
-    /** Total --server connection attempts (see RetryPolicy). */
-    unsigned retries = 5;
-    // Single-run knobs forwarded into every sweep configuration.
-    bool delay = true;
-    bool svw = true;
-    bool history_set = false;
-    unsigned history_bits = 8;
-    bool entries_set = false;
-    unsigned entries = 1024;
-    bool mshrs_set = false;
-    unsigned mshrs = 0;
-    bool prefetch_set = false;
-    unsigned prefetch = 0;
-    bool bus_occupancy = false;
-    bool event_skip = true;
-    bool cores_set = false;
-    unsigned cores = 1;
-    bool queue_depth_set = false;
-    unsigned queue_depth = 0;
-    SamplingParams sampling;
-};
-
-/**
- * Strictly parse an unsigned decimal value: no sign, no trailing
- * garbage (strtoul alone would coerce "abc" to 0).
- * @return false on a malformed value
- */
-bool
-parseUnsigned(const std::string &value, unsigned long &out)
-{
-    char *end = nullptr;
-    out = std::strtoul(value.c_str(), &end, 10);
-    return end != value.c_str() && *end == '\0';
-}
-
-/**
- * Parse a window size: only the paper's two machines exist, so
- * anything but 128 or 256 is rejected, never silently coerced.
- * @return false on a malformed or unsupported size
- */
-bool
-parseWindow(const std::string &value, bool &big_window)
-{
-    char *end = nullptr;
-    const unsigned long size =
-        std::strtoul(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0' ||
-        (size != 128 && size != 256))
-        return false;
-    big_window = size == 256;
-    return true;
-}
-
-/**
- * Parse one --capacities point: total entries with an optional K
- * suffix, or Inf (0) for unbounded. Totals must be a multiple of 8
- * (two equally split 4-way tables) so the labeled capacity is
- * exactly the simulated one, never a rounded approximation.
- * @return false on a malformed point
- */
-bool
-parseCapacity(const std::string &label, unsigned &total)
-{
-    if (label == "Inf" || label == "inf") {
-        total = 0;
+    for (SweepConfig &config : configs)
+        applyMachineFlags(o, config);
+    if (multicore) {
+        jobs = buildMulticoreJobs(kernels, configs, o.insts,
+                                  o.warmup.value_or(o.insts / 3),
+                                  o.seed);
         return true;
     }
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(label.c_str(), &end, 10);
-    unsigned long scale = 1;
-    if (*end == 'K' || *end == 'k') {
-        scale = 1024;
-        ++end;
-    }
-    // 2^30 caps any sane geometry and keeps v * scale far from
-    // wrapping the 32-bit total.
-    if (end == label.c_str() || *end != '\0' || v == 0 ||
-        v > (1ul << 30) / scale || (v * scale) % 8 != 0)
-        return false;
-    total = static_cast<unsigned>(v * scale);
+    SweepSpec spec;
+    spec.benchmarks = std::move(profiles);
+    spec.configs = std::move(configs);
+    spec.insts = o.insts;
+    spec.warmup = o.warmup.value_or(~std::uint64_t(0));
+    spec.seed = o.seed;
+    spec.sampling = o.sampling;
+    jobs = buildJobs(spec);
     return true;
+}
+
+/** The configurations of a sweep in @p mode. */
+std::vector<SweepConfig>
+sweepConfigs(const Options &o, cli::ModeMask mode)
+{
+    std::vector<unsigned> windows = o.windows;
+    if (windows.empty() && o.window)
+        windows = {*o.window};
+    if (windows.empty())
+        windows = mode == Sweep ? std::vector<unsigned>{128, 256}
+                                : std::vector<unsigned>{128};
+    if (mode == Sweep) {
+        std::vector<LsuMode> modes = o.modes;
+        if (modes.empty() && o.mode)
+            modes = {*o.mode};
+        if (modes.empty()) {
+            modes = {LsuMode::SqPerfect, LsuMode::SqStoreSets,
+                     LsuMode::Nosq, LsuMode::NosqPerfect};
+        }
+        return crossConfigs(modes, windows);
+    }
+
+    // Fixed-baseline dimension sweep (Figures 4 and 5);
+    // checkCombinations() allows it a single window only.
+    std::vector<SweepConfig> configs;
+    if (mode == SweepCacheReads) {
+        configs = cacheReadsConfigs();
+    } else if (mode == SweepMemsys) {
+        configs = memsysConfigs();
+    } else if (mode == SweepMulticore) {
+        configs = multicoreConfigs(
+            o.cores ? std::vector<unsigned>{*o.cores}
+                    : std::vector<unsigned>{2, 4},
+            o.queueDepth ? std::vector<unsigned>{*o.queueDepth}
+                         : std::vector<unsigned>{8, 64});
+    } else {
+        configs.push_back(sqPerfectBaseline());
+    }
+    if (mode == SweepCapacity) {
+        for (SweepConfig &config : predictorCapacityConfigs(
+                 o.capacities.empty()
+                     ? parseCapacities(default_capacities)
+                     : o.capacities))
+            configs.push_back(std::move(config));
+    } else if (mode == SweepHistory) {
+        for (SweepConfig &config : predictorHistoryConfigs(
+                 o.machine.history.empty()
+                     ? std::vector<unsigned>{4, 6, 8, 10, 12}
+                     : o.machine.history,
+                 /*with_unbounded=*/true))
+            configs.push_back(std::move(config));
+    }
+    for (SweepConfig &config : configs)
+        config.bigWindow = windows.front() == 256;
+    return configs;
 }
 
 int
-runSweepMode(const SweepOptions &opt)
+runSweepMode(const Options &opt, cli::ModeMask mode)
 {
-    SweepSpec spec;
-    spec.insts = opt.insts;
-    spec.warmup = opt.warmup;
-    spec.seed = opt.seed;
-    spec.sampling = opt.sampling;
-
-    // Benchmark set: an explicit comma-separated list narrows the
-    // suite selection. The multicore dimension sweeps kernel names
-    // (workload/multicore.hh) instead of benchmark profiles.
-    std::vector<std::string> kernels;
-    if (opt.kind == SweepKind::Multicore) {
-        if (opt.bench.empty()) {
-            kernels = multicoreWorkloads();
-        } else {
-            for (const std::string &name : splitList(opt.bench)) {
-                if (!isMulticoreWorkload(name)) {
-                    std::fprintf(stderr, "unknown multicore kernel "
-                                 "'%s' (spsc-ring | mpsc-queue)\n",
-                                 name.c_str());
-                    return 1;
-                }
-                kernels.push_back(name);
-            }
-        }
-    } else if (!opt.bench.empty()) {
-        for (const std::string &name : splitList(opt.bench)) {
-            const BenchmarkProfile *profile = findProfile(name);
-            if (profile == nullptr) {
-                std::fprintf(stderr, "unknown benchmark '%s' "
-                             "(try --list)\n", name.c_str());
-                return 1;
-            }
-            spec.benchmarks.push_back(profile);
-        }
-    } else if (opt.suite == "all") {
-        spec.benchmarks = allProfilePtrs();
-    } else if (opt.suite == "selected") {
-        spec.benchmarks = selectedProfiles();
-    } else if (opt.suite == "media") {
-        spec.benchmarks = profilesOfSuite(Suite::Media);
-    } else if (opt.suite == "int") {
-        spec.benchmarks = profilesOfSuite(Suite::Int);
-    } else if (opt.suite == "fp") {
-        spec.benchmarks = profilesOfSuite(Suite::Fp);
-    } else {
-        std::fprintf(stderr, "unknown suite '%s'\n",
-                     opt.suite.c_str());
-        return 1;
-    }
-
-    // Window sizes (dimension sweeps run on one machine size).
-    const std::string windows_list =
-        (opt.kind != SweepKind::Cross && !opt.windows_explicit)
-            ? "128" : opt.windows;
-    std::vector<unsigned> windows;
-    for (const std::string &w : splitList(windows_list)) {
-        bool big = false;
-        if (!parseWindow(w, big)) {
-            std::fprintf(stderr, "invalid window size '%s' "
-                         "(must be 128 or 256)\n", w.c_str());
-            return 1;
-        }
-        windows.push_back(big ? 256u : 128u);
-    }
-
-    if (opt.kind == SweepKind::Cross) {
-        // Configuration cross-product: modes x window sizes.
-        std::vector<LsuMode> modes;
-        if (opt.modes.empty()) {
-            modes = {LsuMode::SqPerfect, LsuMode::SqStoreSets,
-                     LsuMode::Nosq, LsuMode::NosqPerfect};
-        } else {
-            for (const std::string &name : splitList(opt.modes)) {
-                LsuMode mode;
-                if (!parseMode(name, mode)) {
-                    std::fprintf(stderr, "unknown mode '%s'\n",
-                                 name.c_str());
-                    return 1;
-                }
-                modes.push_back(mode);
-            }
-        }
-        if (windows.empty() || modes.empty()) {
-            std::fprintf(stderr, "empty sweep\n");
-            return 1;
-        }
-        spec.configs = crossConfigs(modes, windows);
-    } else {
-        // Fixed-baseline dimension sweep (Figures 4 and 5). Flags
-        // the dimension cannot honour are rejected, not silently
-        // ignored.
-        if (!opt.modes.empty()) {
-            std::fprintf(stderr, "--mode/--modes apply only to "
-                         "--sweep (dimension sweeps fix their own "
-                         "configurations)\n");
-            return 1;
-        }
-        if (windows.size() != 1) {
-            std::fprintf(stderr, "dimension sweeps take a single "
-                         "--window (128 or 256)\n");
-            return 1;
-        }
-        if (opt.kind == SweepKind::CacheReads)
-            spec.configs = cacheReadsConfigs();
-        else if (opt.kind == SweepKind::Memsys)
-            spec.configs = memsysConfigs();
-        else if (opt.kind == SweepKind::Multicore)
-            spec.configs = multicoreConfigs(
-                opt.cores_set ? std::vector<unsigned>{opt.cores}
-                              : std::vector<unsigned>{2, 4},
-                opt.queue_depth_set
-                    ? std::vector<unsigned>{opt.queue_depth}
-                    : std::vector<unsigned>{8, 64});
-        else
-            spec.configs.push_back(sqPerfectBaseline());
-        if (opt.kind == SweepKind::Capacity) {
-            std::vector<std::pair<std::string, unsigned>> capacities;
-            for (const std::string &label :
-                 splitList(opt.capacities)) {
-                unsigned total = 0;
-                if (!parseCapacity(label, total)) {
-                    std::fprintf(stderr, "invalid capacity '%s' "
-                                 "(total entries, multiple of 8, "
-                                 "K suffix allowed, or Inf)\n",
-                                 label.c_str());
-                    return 1;
-                }
-                capacities.emplace_back(label, total);
-            }
-            for (SweepConfig &config :
-                 predictorCapacityConfigs(capacities))
-                spec.configs.push_back(std::move(config));
-        } else if (opt.kind == SweepKind::History) {
-            std::vector<unsigned> bits;
-            if (opt.history_list.empty()) {
-                bits = {4, 6, 8, 10, 12};
-            } else {
-                for (const std::string &b :
-                     splitList(opt.history_list)) {
-                    unsigned long v = 0;
-                    if (!parseUnsigned(b, v)) {
-                        std::fprintf(stderr, "invalid history "
-                                     "length '%s'\n", b.c_str());
-                        return 1;
-                    }
-                    bits.push_back(static_cast<unsigned>(v));
-                }
-            }
-            for (SweepConfig &config : predictorHistoryConfigs(
-                     bits, /*with_unbounded=*/true))
-                spec.configs.push_back(std::move(config));
-        }
-        for (SweepConfig &config : spec.configs)
-            config.bigWindow = windows.front() == 256;
-    }
-    const bool have_workloads = opt.kind == SweepKind::Multicore
-        ? !kernels.empty() : !spec.benchmarks.empty();
-    if (spec.configs.empty() || !have_workloads) {
-        std::fprintf(stderr, "empty sweep\n");
-        return 1;
-    }
+    std::vector<SweepConfig> configs = sweepConfigs(opt, mode);
     // Reductions normalize against the first configuration (the
     // SQ baseline of the dimension sweeps).
-    const std::string baseline = spec.configs.front().name;
-
-    // Forward the single-run knobs into every configuration; the
-    // swept dimension is applied last so it wins on its own knob.
-    for (SweepConfig &config : spec.configs) {
-        if (!opt.delay)
-            config.nosqDelay = false;
-        // Homogeneous multicore sweep of profile benchmarks; the
-        // multicore dimension already baked --cores into its grid,
-        // so re-applying the same value is a no-op there.
-        if (opt.cores_set)
-            config.cores = opt.cores;
-        if (opt.queue_depth_set)
-            config.queueDepth = opt.queue_depth;
-        const std::function<void(UarchParams &)> dimension =
-            config.tweak;
-        config.tweak = [&opt, dimension](UarchParams &p) {
-            p.svwFilter = opt.svw;
-            p.eventSkip = opt.event_skip;
-            if (opt.history_set)
-                p.bypass.historyBits = opt.history_bits;
-            if (opt.entries_set)
-                p.bypass.entriesPerTable = opt.entries;
-            if (opt.mshrs_set)
-                p.memsys.mshrs = opt.mshrs;
-            if (opt.prefetch_set)
-                p.memsys.prefetchDegree = opt.prefetch;
-            if (opt.bus_occupancy)
-                p.memsys.busContention = true;
-            if (dimension)
-                dimension(p);
-        };
-    }
-
+    const std::string baseline = configs.front().name;
     std::vector<SweepJob> jobs;
-    if (opt.kind == SweepKind::Multicore) {
-        // Mirror buildJobs()'s insts/warmup defaulting so every
-        // sweep family reports the same header numbers.
-        const std::uint64_t mc_insts =
-            spec.insts ? spec.insts : defaultSimInsts();
-        const std::uint64_t mc_warmup =
-            spec.warmup == ~std::uint64_t(0) ? mc_insts / 3
-                                             : spec.warmup;
-        jobs = buildMulticoreJobs(kernels, spec.configs, mc_insts,
-                                  mc_warmup, spec.seed);
-    } else {
-        jobs = buildJobs(spec);
-    }
+    if (!buildRunJobs(opt, mode, std::move(configs), jobs))
+        return 1;
+
     // Live progress line: throttled, per-suite breakdown, and
     // TTY-aware -- redirected stderr (CI logs) stays clean.
     std::vector<std::string> job_suites;
@@ -618,12 +747,12 @@ runSweepMode(const SweepOptions &opt)
     // --checkpoint starts empty. A journal is not movable, so it is
     // built in place from the factory's result.
     std::unique_ptr<SweepJournal> journal;
-    if (!opt.resume_path.empty())
+    if (!opt.resumePath.empty())
         journal.reset(
-            new SweepJournal(SweepJournal::resume(opt.resume_path)));
-    else if (!opt.checkpoint_path.empty())
+            new SweepJournal(SweepJournal::resume(opt.resumePath)));
+    else if (!opt.checkpointPath.empty())
         journal.reset(new SweepJournal(
-            SweepJournal::create(opt.checkpoint_path)));
+            SweepJournal::create(opt.checkpointPath)));
 
     // Bind up front (the engine then skips its lazy bind) so the
     // salvage warnings and the resume summary print BEFORE the
@@ -648,17 +777,17 @@ runSweepMode(const SweepOptions &opt)
         // journal exists on disk, so comparing inodes sees through
         // "./x" vs "x" and symlinks, before any job runs.
         struct stat out_stat, journal_stat;
-        if (!opt.out_path.empty() &&
-            ::stat(opt.out_path.c_str(), &out_stat) == 0 &&
+        if (!opt.outPath.empty() &&
+            ::stat(opt.outPath.c_str(), &out_stat) == 0 &&
             ::stat(journal->path().c_str(), &journal_stat) == 0 &&
             out_stat.st_dev == journal_stat.st_dev &&
             out_stat.st_ino == journal_stat.st_ino) {
             std::fprintf(stderr, "--out '%s' is the journal file; "
                          "refusing to overwrite it\n",
-                         opt.out_path.c_str());
+                         opt.outPath.c_str());
             return 1;
         }
-        if (!opt.resume_path.empty()) {
+        if (!opt.resumePath.empty()) {
             std::fprintf(stderr, "journal: resuming: %zu/%zu "
                          "journaled job(s) from '%s'\n",
                          journal->doneCount(), jobs.size(),
@@ -675,7 +804,7 @@ runSweepMode(const SweepOptions &opt)
         serve::ClientOutcome outcome;
         std::string error;
         serve::RetryPolicy retry;
-        retry.attempts = opt.retries > 0 ? opt.retries : 1;
+        retry.attempts = opt.retries;
         const bool served = serve::runSweepOnServer(
             opt.server, jobs, outcome, error, progress, retry);
         meter.finish();
@@ -726,12 +855,11 @@ runSweepMode(const SweepOptions &opt)
         exit_code = 1;
     }
 
-    const std::uint64_t insts = jobs.empty() ? 0 : jobs.front().insts;
-    if (opt.json || !opt.out_path.empty()) {
+    if (opt.json || !opt.outPath.empty()) {
         const std::string report =
-            sweepReportJson(results, insts, baseline);
-        if (!opt.out_path.empty()) {
-            if (!writeTextFile(opt.out_path, report))
+            sweepReportJson(results, jobs.front().insts, baseline);
+        if (!opt.outPath.empty()) {
+            if (!writeTextFile(opt.outPath, report))
                 return 1;
         }
         if (opt.json) {
@@ -754,14 +882,17 @@ runSweepMode(const SweepOptions &opt)
     return exit_code;
 }
 
-/** Strict-parse @p path and check the nosq-sweep-v2 schema. */
-int
-runValidateMode(const std::string &path)
+/**
+ * Read and strict-parse the JSON file @p path.
+ * @return false, with the reason on stderr, if it cannot be
+ */
+bool
+readJsonFile(const std::string &path, JsonValue &doc)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (f == nullptr) {
         std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-        return 1;
+        return false;
     }
     std::string text;
     char buf[4096];
@@ -769,14 +900,22 @@ runValidateMode(const std::string &path)
     while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
         text.append(buf, n);
     std::fclose(f);
-
-    JsonValue doc;
     std::string error;
     if (!parseJson(text, doc, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
-        return 1;
+        std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+        return false;
     }
+    return true;
+}
+
+/** Strict-parse @p path and check the nosq-sweep-v2 schema. */
+int
+runValidateMode(const std::string &path)
+{
+    JsonValue doc;
+    if (!readJsonFile(path, doc))
+        return 1;
+    std::string error;
     if (!validateSweepReport(doc, &error)) {
         std::fprintf(stderr, "%s: %s\n", path.c_str(),
                      error.c_str());
@@ -797,25 +936,9 @@ runValidateMode(const std::string &path)
 int
 runValidateTraceMode(const std::string &path)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-        return 1;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-
     JsonValue doc;
-    std::string error;
-    if (!parseJson(text, doc, &error)) {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                     error.c_str());
+    if (!readJsonFile(path, doc))
         return 1;
-    }
     if (doc.kind != JsonValue::Kind::Object) {
         std::fprintf(stderr, "%s: not a JSON object\n",
                      path.c_str());
@@ -872,572 +995,9 @@ runValidateTraceMode(const std::string &path)
     return 0;
 }
 
-} // anonymous namespace
-
-int
-main(int argc, char **argv)
+void
+printStats(const SimResult &r)
 {
-    // Honour NOSQ_FAULT_PLAN before anything touches a syscall
-    // seam, so chaos harnesses can exercise the client too.
-    {
-        std::string fault_error;
-        if (!serve::FaultInjector::global().configureFromEnv(
-                fault_error)) {
-            std::fprintf(stderr, "nosq_sim: %s\n",
-                         fault_error.c_str());
-            return 2;
-        }
-    }
-
-    std::string bench;
-    std::string mode = "nosq";
-    std::uint64_t insts = 300000;
-    std::uint64_t warmup = 0;
-    bool warmup_set = false;
-    bool big_window = false;
-    bool delay = true;
-    bool svw = true;
-    std::string history_arg;
-    unsigned history_bits = 8;
-    unsigned entries = 1024;
-    unsigned mshrs = 0;
-    unsigned prefetch = 0;
-    bool bus_occupancy = false;
-    bool event_skip = true;
-    unsigned cores = 1;
-    bool cores_set = false;
-    unsigned queue_depth = 0;
-    bool queue_depth_set = false;
-    SamplingParams sampling;
-    std::uint64_t seed = 1;
-    bool sweep = false;
-    bool perf = false;
-    bool mode_set = false;
-    bool window_set = false;
-    bool windows_set = false;
-    bool history_set = false;
-    bool entries_set = false;
-    bool mshrs_set = false;
-    bool prefetch_set = false;
-    std::string validate_path;
-    std::string validate_trace_path;
-    std::string trace_pipe_spec;
-    bool server_status = false;
-    bool server_metrics = false;
-    SweepOptions sweep_opt;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto next = [&]() -> const char * {
-            if (i + 1 >= argc) {
-                usage();
-                std::exit(1);
-            }
-            return argv[++i];
-        };
-        if (arg == "--list") {
-            listProfiles();
-            return 0;
-        } else if (arg == "--bench") {
-            bench = next();
-        } else if (arg == "--mode") {
-            mode = next();
-            mode_set = true;
-        } else if (arg == "--insts") {
-            insts = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--warmup") {
-            warmup = std::strtoull(next(), nullptr, 10);
-            warmup_set = true;
-        } else if (arg == "--window") {
-            const char *value = next();
-            if (!parseWindow(value, big_window)) {
-                std::fprintf(stderr, "invalid --window '%s' "
-                             "(must be 128 or 256)\n", value);
-                return 1;
-            }
-            window_set = true;
-        } else if (arg == "--no-delay") {
-            delay = false;
-        } else if (arg == "--no-svw") {
-            svw = false;
-        } else if (arg == "--history") {
-            history_arg = next();
-        } else if (arg == "--entries") {
-            // A zero or garbage entry count would crash the
-            // predictor's set indexing, and the set size must hold
-            // whole 4-way sets.
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v == 0 || v % 4 != 0) {
-                std::fprintf(stderr, "invalid --entries '%s' "
-                             "(nonzero multiple of 4)\n", value);
-                return 1;
-            }
-            entries = static_cast<unsigned>(v);
-            entries_set = true;
-        } else if (arg == "--mshrs") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v > 256) {
-                std::fprintf(stderr, "invalid --mshrs '%s' "
-                             "(0..256; 0 disables the non-blocking "
-                             "model)\n", value);
-                return 1;
-            }
-            mshrs = static_cast<unsigned>(v);
-            mshrs_set = true;
-        } else if (arg == "--prefetch") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v > 64) {
-                std::fprintf(stderr, "invalid --prefetch '%s' "
-                             "(degree 0..64; 0 disables the "
-                             "prefetcher)\n", value);
-                return 1;
-            }
-            prefetch = static_cast<unsigned>(v);
-            prefetch_set = true;
-        } else if (arg == "--bus-occupancy") {
-            bus_occupancy = true;
-        } else if (arg == "--cores") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v == 0 ||
-                v > max_cores) {
-                std::fprintf(stderr, "invalid --cores '%s' "
-                             "(1..%u)\n", value,
-                             unsigned(max_cores));
-                return 1;
-            }
-            cores = static_cast<unsigned>(v);
-            cores_set = true;
-        } else if (arg == "--queue-depth") {
-            const char *value = next();
-            unsigned long v = 0;
-            if (!parseUnsigned(value, v) || v < 8 || v > 4096 ||
-                (v & (v - 1)) != 0) {
-                std::fprintf(stderr, "invalid --queue-depth '%s' "
-                             "(power of two in 8..4096)\n", value);
-                return 1;
-            }
-            queue_depth = static_cast<unsigned>(v);
-            queue_depth_set = true;
-        } else if (arg == "--no-skip") {
-            event_skip = false;
-        } else if (arg == "--sample" ||
-                   arg.rfind("--sample=", 0) == 0) {
-            const std::string spec =
-                arg == "--sample" ? next() : arg.substr(9);
-            std::string error;
-            if (!parseSamplingSpec(spec, sampling, error)) {
-                std::fprintf(stderr, "invalid --sample '%s': %s\n",
-                             spec.c_str(), error.c_str());
-                return 1;
-            }
-        } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
-        } else if (arg == "--perf") {
-            perf = true;
-        } else if (arg == "--sweep") {
-            sweep = true;
-        } else if (arg.rfind("--sweep=", 0) == 0) {
-            sweep = true;
-            const std::string dimension = arg.substr(8);
-            if (dimension == "capacity") {
-                sweep_opt.kind = SweepKind::Capacity;
-            } else if (dimension == "history") {
-                sweep_opt.kind = SweepKind::History;
-            } else if (dimension == "cache-reads") {
-                sweep_opt.kind = SweepKind::CacheReads;
-            } else if (dimension == "memsys") {
-                sweep_opt.kind = SweepKind::Memsys;
-            } else if (dimension == "multicore") {
-                sweep_opt.kind = SweepKind::Multicore;
-            } else {
-                std::fprintf(stderr, "unknown sweep dimension '%s' "
-                             "(capacity | history | cache-reads | "
-                             "memsys | multicore)\n",
-                             dimension.c_str());
-                return 1;
-            }
-        } else if (arg == "--capacities") {
-            sweep_opt.capacities = next();
-            sweep_opt.capacities_explicit = true;
-        } else if (arg == "--validate") {
-            validate_path = next();
-        } else if (arg == "--validate-trace") {
-            validate_trace_path = next();
-        } else if (arg == "--trace-pipe" ||
-                   arg.rfind("--trace-pipe=", 0) == 0) {
-            trace_pipe_spec =
-                arg == "--trace-pipe" ? next() : arg.substr(13);
-            if (trace_pipe_spec.empty()) {
-                std::fprintf(stderr, "--trace-pipe needs a "
-                             "FILE[:SKIP:COUNT] spec\n");
-                return 1;
-            }
-        } else if (arg == "--jobs") {
-            sweep_opt.jobs = static_cast<unsigned>(
-                std::strtoul(next(), nullptr, 10));
-        } else if (arg == "--suite") {
-            sweep_opt.suite = next();
-        } else if (arg == "--modes") {
-            sweep_opt.modes = next();
-        } else if (arg == "--windows") {
-            sweep_opt.windows = next();
-            windows_set = true;
-        } else if (arg == "--json") {
-            sweep_opt.json = true;
-        } else if (arg == "--out") {
-            sweep_opt.out_path = next();
-        } else if (arg == "--checkpoint" ||
-                   arg.rfind("--checkpoint=", 0) == 0) {
-            sweep_opt.checkpoint_path =
-                arg == "--checkpoint" ? next() : arg.substr(13);
-            // An empty path (e.g. --checkpoint=$UNSET) must never
-            // silently run without crash protection.
-            if (sweep_opt.checkpoint_path.empty()) {
-                std::fprintf(stderr, "--checkpoint needs a "
-                             "non-empty path\n");
-                return 1;
-            }
-        } else if (arg == "--resume" ||
-                   arg.rfind("--resume=", 0) == 0) {
-            sweep_opt.resume_path =
-                arg == "--resume" ? next() : arg.substr(9);
-            if (sweep_opt.resume_path.empty()) {
-                std::fprintf(stderr, "--resume needs a non-empty "
-                             "path\n");
-                return 1;
-            }
-        } else if (arg == "--server" ||
-                   arg.rfind("--server=", 0) == 0) {
-            sweep_opt.server =
-                arg == "--server" ? next() : arg.substr(9);
-            if (sweep_opt.server.empty()) {
-                std::fprintf(stderr, "--server needs a non-empty "
-                             "socket path\n");
-                return 1;
-            }
-        } else if (arg == "--server-status") {
-            server_status = true;
-        } else if (arg == "--server-metrics") {
-            server_metrics = true;
-        } else if (arg == "--retries") {
-            char *end = nullptr;
-            const unsigned long v =
-                std::strtoul(next(), &end, 10);
-            if (end == nullptr || *end != '\0' || v == 0 ||
-                v > 1000) {
-                std::fprintf(stderr, "--retries needs an integer "
-                             "in 1..1000\n");
-                return 1;
-            }
-            sweep_opt.retries = static_cast<unsigned>(v);
-        } else {
-            usage();
-            return arg == "--help" ? 0 : 1;
-        }
-    }
-
-    if (!validate_path.empty())
-        return runValidateMode(validate_path);
-    if (!validate_trace_path.empty())
-        return runValidateTraceMode(validate_trace_path);
-
-    if (perf) {
-        if (sweep) {
-            std::fprintf(stderr, "--perf and --sweep are mutually "
-                         "exclusive\n");
-            return 1;
-        }
-        const PerfReport report = runPerfHarness(
-            insts, warmup_set ? warmup : ~std::uint64_t(0));
-        const std::string json = perfReportJson(report);
-        if (!sweep_opt.out_path.empty() &&
-            !writeTextFile(sweep_opt.out_path, json)) {
-            return 1;
-        }
-        std::fputs(json.c_str(), stdout);
-        return 0;
-    }
-
-    // --history: a single length everywhere; a comma list only as
-    // the --sweep=history points.
-    const bool history_is_list =
-        history_arg.find(',') != std::string::npos;
-    if (!history_arg.empty() && !history_is_list) {
-        unsigned long v = 0;
-        if (!parseUnsigned(history_arg, v)) {
-            std::fprintf(stderr, "invalid --history '%s'\n",
-                         history_arg.c_str());
-            return 1;
-        }
-        history_bits = static_cast<unsigned>(v);
-        history_set = true;
-    }
-    if (history_is_list &&
-        !(sweep && sweep_opt.kind == SweepKind::History)) {
-        std::fprintf(stderr, "--history takes a comma list only "
-                     "with --sweep=history\n");
-        return 1;
-    }
-    if (sweep_opt.capacities_explicit &&
-        !(sweep && sweep_opt.kind == SweepKind::Capacity)) {
-        std::fprintf(stderr, "--capacities applies only to "
-                     "--sweep=capacity\n");
-        return 1;
-    }
-    // Multi-core runs: sampled simulation is single-core only, and
-    // --queue-depth only shapes the producer/consumer kernels.
-    const bool multicore_run =
-        (cores_set && cores > 1) ||
-        (sweep && sweep_opt.kind == SweepKind::Multicore) ||
-        (!sweep && isMulticoreWorkload(bench));
-    if (sampling.enabled && multicore_run) {
-        std::fprintf(stderr, "--sample is single-core only\n");
-        return 1;
-    }
-    if (queue_depth_set &&
-        !((sweep && sweep_opt.kind == SweepKind::Multicore) ||
-          (!sweep && isMulticoreWorkload(bench)))) {
-        std::fprintf(stderr, "--queue-depth applies only to "
-                     "multicore kernel runs\n");
-        return 1;
-    }
-    if (server_status) {
-        if (sweep_opt.server.empty()) {
-            std::fprintf(stderr, "--server-status requires "
-                         "--server SOCK\n");
-            return 1;
-        }
-        std::string reply, error;
-        if (!serve::fetchServerStatus(sweep_opt.server, reply,
-                                      error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 1;
-        }
-        std::printf("%s\n", reply.c_str());
-        return 0;
-    }
-    if (server_metrics) {
-        if (sweep_opt.server.empty()) {
-            std::fprintf(stderr, "--server-metrics requires "
-                         "--server SOCK\n");
-            return 1;
-        }
-        std::string exposition, error;
-        if (!serve::fetchServerMetrics(sweep_opt.server, exposition,
-                                       error)) {
-            std::fprintf(stderr, "%s\n", error.c_str());
-            return 1;
-        }
-        std::fputs(exposition.c_str(), stdout);
-        return 0;
-    }
-    if (!sweep_opt.server.empty() && !sweep) {
-        std::fprintf(stderr, "--server applies only to sweep "
-                     "mode\n");
-        return 1;
-    }
-    if (!sweep_opt.server.empty() &&
-        (!sweep_opt.checkpoint_path.empty() ||
-         !sweep_opt.resume_path.empty())) {
-        std::fprintf(stderr, "--server and --checkpoint/--resume "
-                     "are mutually exclusive (journaling is "
-                     "server-side: the daemon owns a persistent "
-                     "result store)\n");
-        return 1;
-    }
-    if ((!sweep_opt.checkpoint_path.empty() ||
-         !sweep_opt.resume_path.empty()) && !sweep) {
-        std::fprintf(stderr, "--checkpoint/--resume apply only to "
-                     "sweep mode\n");
-        return 1;
-    }
-    if (!sweep_opt.checkpoint_path.empty() &&
-        !sweep_opt.resume_path.empty()) {
-        std::fprintf(stderr, "--checkpoint and --resume are "
-                     "mutually exclusive (--resume keeps "
-                     "journaling to its own file)\n");
-        return 1;
-    }
-
-    if (sweep) {
-        sweep_opt.bench = bench;
-        sweep_opt.insts = insts;
-        if (warmup_set)
-            sweep_opt.warmup = warmup;
-        sweep_opt.seed = seed;
-        // Single-run flags narrow the sweep instead of being
-        // silently ignored (--modes/--windows take precedence).
-        if (mode_set && sweep_opt.modes.empty())
-            sweep_opt.modes = mode;
-        if (window_set && !windows_set)
-            sweep_opt.windows = big_window ? "256" : "128";
-        sweep_opt.windows_explicit = window_set || windows_set;
-        sweep_opt.delay = delay;
-        sweep_opt.svw = svw;
-        // In history-dimension mode, --history (single or list)
-        // names the sweep points rather than a fixed knob.
-        if (sweep_opt.kind == SweepKind::History)
-            sweep_opt.history_list = history_arg;
-        if (history_set) {
-            sweep_opt.history_set = true;
-            sweep_opt.history_bits = history_bits;
-        }
-        if (entries_set) {
-            sweep_opt.entries_set = true;
-            sweep_opt.entries = entries;
-        }
-        if (mshrs_set) {
-            sweep_opt.mshrs_set = true;
-            sweep_opt.mshrs = mshrs;
-        }
-        if (prefetch_set) {
-            sweep_opt.prefetch_set = true;
-            sweep_opt.prefetch = prefetch;
-        }
-        if (cores_set) {
-            sweep_opt.cores_set = true;
-            sweep_opt.cores = cores;
-        }
-        if (queue_depth_set) {
-            sweep_opt.queue_depth_set = true;
-            sweep_opt.queue_depth = queue_depth;
-        }
-        sweep_opt.bus_occupancy = bus_occupancy;
-        sweep_opt.event_skip = event_skip;
-        sweep_opt.sampling = sampling;
-        return runSweepMode(sweep_opt);
-    }
-
-    if (!trace_pipe_spec.empty() && sweep) {
-        std::fprintf(stderr, "--trace-pipe applies only to "
-                     "single-run mode\n");
-        return 1;
-    }
-
-    if (bench.empty()) {
-        usage();
-        return 1;
-    }
-    // A multicore kernel name runs an N-core System (default 2
-    // cores); a profile name runs single-core unless --cores > 1
-    // asks for a homogeneous System.
-    const bool mc_kernel = isMulticoreWorkload(bench);
-    const BenchmarkProfile *profile =
-        mc_kernel ? nullptr : findProfile(bench);
-    if (!mc_kernel && profile == nullptr) {
-        std::fprintf(stderr, "unknown benchmark '%s' "
-                     "(try --list)\n", bench.c_str());
-        return 1;
-    }
-    const unsigned num_cores =
-        cores_set ? cores : (mc_kernel ? 2u : 1u);
-    if (mc_kernel && num_cores < 2) {
-        std::fprintf(stderr, "multicore kernel '%s' needs "
-                     "--cores >= 2\n", bench.c_str());
-        return 1;
-    }
-
-    LsuMode lsu;
-    if (!parseMode(mode, lsu)) {
-        std::fprintf(stderr, "unknown mode '%s'\n", mode.c_str());
-        return 1;
-    }
-
-    UarchParams params = makeParams(lsu, big_window);
-    params.nosqDelay = delay;
-    params.svwFilter = svw;
-    params.bypass.historyBits = history_bits;
-    params.bypass.entriesPerTable = entries;
-    params.memsys.mshrs = mshrs;
-    params.memsys.prefetchDegree = prefetch;
-    params.memsys.busContention = bus_occupancy;
-    params.eventSkip = event_skip;
-    if (!warmup_set)
-        warmup = insts / 3;
-
-    std::printf("benchmark %s | %s | window %u | cores %u | "
-                "delay %s | SVW %s | mshrs %u | prefetch %u | "
-                "bus %s\n\n",
-                bench.c_str(), lsuModeName(lsu),
-                big_window ? 256u : 128u, num_cores,
-                delay ? "on" : "off", svw ? "on" : "off", mshrs,
-                prefetch, bus_occupancy ? "occupancy" : "flat");
-
-    // Pipeline trace export: parse and open the sink before the run
-    // so a bad spec or unwritable path fails before cycles are
-    // spent. Null tracer = byte-identical default behaviour.
-    std::optional<obs::PipeTracer> tracer;
-    if (!trace_pipe_spec.empty()) {
-        if (num_cores > 1) {
-            std::fprintf(stderr, "--trace-pipe applies only to "
-                         "single-core runs\n");
-            return 1;
-        }
-        obs::PipeTraceConfig trace_cfg;
-        std::string trace_error;
-        if (!obs::parsePipeTraceSpec(trace_pipe_spec, trace_cfg,
-                                     trace_error)) {
-            std::fprintf(stderr, "--trace-pipe: %s\n",
-                         trace_error.c_str());
-            return 1;
-        }
-        tracer.emplace(std::move(trace_cfg));
-        if (!tracer->open(trace_error)) {
-            std::fprintf(stderr, "--trace-pipe: %s\n",
-                         trace_error.c_str());
-            return 1;
-        }
-    }
-
-    SimResult r;
-    if (num_cores > 1) {
-        std::vector<std::shared_ptr<const Program>> programs;
-        try {
-            if (mc_kernel) {
-                programs = buildMulticorePrograms(
-                    bench, num_cores,
-                    queue_depth_set ? queue_depth
-                                    : default_queue_depth,
-                    seed);
-            } else {
-                programs.reserve(num_cores);
-                for (unsigned i = 0; i < num_cores; ++i) {
-                    programs.push_back(ProgramCache::global().get(
-                        *profile, seed + i));
-                }
-            }
-            System system(params, std::move(programs));
-            r = system.run(insts, warmup);
-        } catch (const std::invalid_argument &e) {
-            std::fprintf(stderr, "%s\n", e.what());
-            return 1;
-        }
-    } else {
-        OooCore core(params,
-                     ProgramCache::global().get(*profile, seed));
-        if (tracer)
-            core.setTracer(&*tracer);
-        r = sampling.enabled ? core.runSampled(sampling)
-                             : core.run(insts, warmup);
-    }
-
-    if (tracer) {
-        std::string trace_error;
-        if (!tracer->finish(trace_error)) {
-            std::fprintf(stderr, "--trace-pipe: %s\n",
-                         trace_error.c_str());
-            return 1;
-        }
-        std::fprintf(stderr, "trace: %llu event(s) -> '%s'\n",
-                     static_cast<unsigned long long>(
-                         tracer->events()),
-                     tracer->config().path.c_str());
-    }
-
     TextTable table;
     table.header({"statistic", "value"});
     auto row = [&](const char *name, const std::string &value) {
@@ -1514,5 +1074,151 @@ main(int argc, char **argv)
             fmtDouble(r.sampleIpcCi95, 3));
     }
     std::fputs(table.render().c_str(), stdout);
+}
+
+/**
+ * A single run: a one-job sweep of --bench under the --mode/--window
+ * configuration, its statistics printed as a table.
+ */
+int
+runSingleMode(const Options &opt, cli::ModeMask mode)
+{
+    SweepConfig config;
+    config.mode = opt.mode.value_or(LsuMode::Nosq);
+    config.bigWindow = opt.window == 256u;
+    // A multicore kernel needs a producer and a consumer.
+    config.cores = mode == KernelRun ? 2 : 1;
+    std::vector<SweepJob> jobs;
+    if (!buildRunJobs(opt, mode, {config}, jobs))
+        return 1;
+    const SweepJob &job = jobs.front();
+
+    const UarchParams &p = job.params;
+    std::printf("benchmark %s | %s | window %u | cores %u | "
+                "delay %s | SVW %s | mshrs %u | prefetch %u | "
+                "bus %s\n\n",
+                opt.bench.c_str(), lsuModeName(p.mode),
+                config.bigWindow ? 256u : 128u, job.cores,
+                p.nosqDelay ? "on" : "off", p.svwFilter ? "on" : "off",
+                p.memsys.mshrs, p.memsys.prefetchDegree,
+                p.memsys.busContention ? "occupancy" : "flat");
+
+    // Pipeline trace export: open the sink before the run so an
+    // unwritable path fails before cycles are spent. Null tracer =
+    // byte-identical default behaviour.
+    std::optional<obs::PipeTracer> tracer;
+    std::string trace_error;
+    if (opt.tracePipe) {
+        tracer.emplace(*opt.tracePipe);
+        if (!tracer->open(trace_error)) {
+            std::fprintf(stderr, "--trace-pipe: %s\n",
+                         trace_error.c_str());
+            return 1;
+        }
+    }
+
+    RunResult run;
+    try {
+        run = runSweepJob(job, tracer ? &*tracer : nullptr);
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 1;
+    }
+
+    if (tracer) {
+        if (!tracer->finish(trace_error)) {
+            std::fprintf(stderr, "--trace-pipe: %s\n",
+                         trace_error.c_str());
+            return 1;
+        }
+        std::fprintf(stderr, "trace: %llu event(s) -> '%s'\n",
+                     static_cast<unsigned long long>(
+                         tracer->events()),
+                     tracer->config().path.c_str());
+    }
+    printStats(run.sim);
     return 0;
+}
+
+/** --server-status / --server-metrics: print the daemon's reply. */
+int
+runServerQuery(const Options &opt, cli::ModeMask mode)
+{
+    std::string reply, error;
+    const bool ok = mode == ServerStatus
+        ? serve::fetchServerStatus(opt.server, reply, error)
+        : serve::fetchServerMetrics(opt.server, reply, error);
+    if (!ok) {
+        std::fprintf(stderr, "%s\n", error.c_str());
+        return 1;
+    }
+    // The status is one JSON line without its newline; the metrics
+    // exposition ends in one.
+    std::fputs(reply.c_str(), stdout);
+    if (mode == ServerStatus)
+        std::fputc('\n', stdout);
+    return 0;
+}
+
+} // anonymous namespace
+
+int
+main(int argc, char **argv)
+{
+    // Honour NOSQ_FAULT_PLAN before anything touches a syscall
+    // seam, so chaos harnesses can exercise the client too.
+    {
+        std::string fault_error;
+        if (!serve::FaultInjector::global().configureFromEnv(
+                fault_error)) {
+            std::fprintf(stderr, "nosq_sim: %s\n",
+                         fault_error.c_str());
+            return 2;
+        }
+    }
+
+    Options opt;
+    const cli::Table table = optionTable(opt);
+    cli::ModeMask mode = 0;
+    try {
+        const cli::Parsed parsed = cli::parse(table, argc, argv);
+        if (parsed.help) {
+            std::fputs(cli::renderHelp(table).c_str(), stdout);
+            return 0;
+        }
+        mode = opt.selected != 0 ? opt.selected
+            : isMulticoreWorkload(opt.bench) ? KernelRun : Run;
+        cli::checkModes(table, parsed, mode);
+        checkCombinations(opt, mode);
+    } catch (const UsageError &e) {
+        std::fprintf(stderr, "nosq_sim: %s\n", e.what());
+        return 1;
+    }
+
+    switch (mode) {
+      case List:
+        listProfiles();
+        return 0;
+      case Validate:
+        return runValidateMode(opt.validatePath);
+      case ValidateTrace:
+        return runValidateTraceMode(opt.validatePath);
+      case Perf: {
+        const PerfReport report = runPerfHarness(
+            opt.insts, opt.warmup.value_or(~std::uint64_t(0)));
+        const std::string json = perfReportJson(report);
+        if (!opt.outPath.empty() && !writeTextFile(opt.outPath, json))
+            return 1;
+        std::fputs(json.c_str(), stdout);
+        return 0;
+      }
+      case ServerStatus:
+      case ServerMetrics:
+        return runServerQuery(opt, mode);
+      case Run:
+      case KernelRun:
+        return runSingleMode(opt, mode);
+      default:
+        return runSweepMode(opt, mode);
+    }
 }

@@ -13,17 +13,20 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <unistd.h>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "serve/dispatcher.hh"
 #include "serve/fault.hh"
 
 namespace {
+
+namespace cli = nosq::cli;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -36,71 +39,72 @@ onSignal(int)
         g_stop = g_stop + 1;
 }
 
-void
-usage(std::FILE *out)
+/** Every nosq_sweepd flag, declared once. */
+cli::Table
+optionTable(nosq::serve::DispatcherOptions &opts, std::string &log_path,
+            std::optional<std::string> &fault_plan)
 {
-    std::fputs(
-        "nosq_sweepd: sweep-serving daemon (nosq-serve-v1)\n"
-        "\n"
-        "Serves sweep jobs to nosq_sim --server clients from a\n"
-        "persistent result store, sharding fresh jobs across forked\n"
-        "worker processes and deduplicating identical submissions.\n"
-        "Runs in the foreground. The first SIGTERM/SIGINT drains:\n"
-        "in-flight jobs finish, new submits get 'draining', the\n"
-        "store is compacted, and the daemon exits 0; a second\n"
-        "signal stops immediately. See docs/SERVING.md for the\n"
-        "protocol and an operator guide.\n"
-        "\n"
-        "Usage: nosq_sweepd --socket PATH [options]\n"
-        "\n"
-        "Options:\n"
-        "  --socket PATH            Unix-domain socket to listen on\n"
-        "                           (required; keep it short, the\n"
-        "                           AF_UNIX limit is ~107 bytes)\n"
-        "  --store FILE             persistent result store\n"
-        "                           (default: nosq_store.jsonl)\n"
-        "  --workers N              worker processes (default:\n"
-        "                           NOSQ_JOBS, else hardware\n"
-        "                           concurrency)\n"
-        "  --heartbeat-timeout SEC  seconds without worker\n"
-        "                           heartbeat progress before the\n"
-        "                           worker is presumed wedged and\n"
-        "                           killed; must exceed the longest\n"
-        "                           single job (default: 300)\n"
-        "  --max-job-attempts N     quarantine a job after its\n"
-        "                           worker dies or wedges N times,\n"
-        "                           instead of crash-looping the\n"
-        "                           pool; 0 disables (default: 3)\n"
-        "  --max-pending N          reject submits needing fresh\n"
-        "                           executions while N jobs are\n"
-        "                           already pending ('overloaded',\n"
-        "                           clients back off and retry);\n"
-        "                           0 = unbounded (default: 0)\n"
-        "  --drain-timeout SEC      on SIGTERM, wait this long for\n"
-        "                           in-flight jobs before forcing\n"
-        "                           shutdown (default: 60)\n"
-        "  --fault-plan PLAN        deterministic fault injection\n"
-        "                           for tests, e.g.\n"
-        "                           'store.write:fail@3,\n"
-        "                           sock.*:eintr%5' (overrides the\n"
-        "                           NOSQ_FAULT_PLAN env var; see\n"
-        "                           docs/SERVING.md for the\n"
-        "                           grammar)\n"
-        "  --log FILE               append diagnostics to FILE\n"
-        "                           instead of stderr\n"
-        "  --help                   this text\n",
-        out);
-}
-
-bool
-parseUnsigned(const char *text, unsigned &out)
-{
-    char *end = nullptr;
-    const unsigned long v = std::strtoul(text, &end, 10);
-    if (end == text || *end != '\0' || v > 1u << 20)
-        return false;
-    out = static_cast<unsigned>(v);
-    return true;
+    using cli::Arg;
+    using cli::number;
+    using cli::store;
+    // Counts and timeouts share one sanity cap.
+    constexpr unsigned max_count = 1u << 20;
+    return cli::Table{
+        "usage: nosq_sweepd --socket PATH [options]",
+        "nosq_sweepd: sweep-serving daemon (nosq-serve-v1). Serves "
+        "sweep jobs to nosq_sim --server clients from a persistent "
+        "result store, sharding fresh jobs across forked worker "
+        "processes and deduplicating identical submissions. Runs in "
+        "the foreground. The first SIGTERM/SIGINT drains: in-flight "
+        "jobs finish, new submits get 'draining', the store is "
+        "compacted, and the daemon exits 0; a second signal stops "
+        "immediately. See docs/SERVING.md for the protocol and an "
+        "operator guide.",
+        {
+            {"--socket", Arg::Required, "PATH",
+             "Unix-domain socket to listen on (required; keep it "
+             "short, the AF_UNIX limit is ~107 bytes)",
+             store(opts.socketPath)},
+            {"--store", Arg::Required, "FILE",
+             "persistent result store (default: nosq_store.jsonl)",
+             store(opts.storePath)},
+            {"--workers", Arg::Required, "N",
+             "worker processes; more than 64 are clamped to 64 "
+             "(default: NOSQ_JOBS, else hardware concurrency)",
+             number(opts.workers, 1, max_count)},
+            {"--heartbeat-timeout", Arg::Required, "SEC",
+             "seconds without worker heartbeat progress before the "
+             "worker is presumed wedged and killed; must exceed the "
+             "longest single job (default: 300)",
+             number(opts.heartbeatTimeoutSec, 1, max_count)},
+            {"--max-job-attempts", Arg::Required, "N",
+             "quarantine a job after its worker dies or wedges N "
+             "times, instead of crash-looping the pool; 0 disables "
+             "(default: 3)",
+             number(opts.maxJobAttempts, 0, max_count)},
+            {"--max-pending", Arg::Required, "N",
+             "reject submits needing fresh executions while N jobs "
+             "are already pending ('overloaded', clients back off "
+             "and retry); 0 = unbounded (default: 0)",
+             number(opts.maxPending, 0, max_count)},
+            {"--drain-timeout", Arg::Required, "SEC",
+             "on SIGTERM, wait this long for in-flight jobs before "
+             "forcing shutdown (default: 60)",
+             number(opts.drainTimeoutSec, 1, max_count)},
+            {"--fault-plan", Arg::Required, "PLAN",
+             "deterministic fault injection for tests, e.g. "
+             "'store.write:fail@3,sock.*:eintr%5' (overrides the "
+             "NOSQ_FAULT_PLAN env var; see docs/SERVING.md for the "
+             "grammar)",
+             [&fault_plan](const std::string &v) { fault_plan = v; }},
+            {"--log", Arg::Required, "FILE",
+             "append diagnostics to FILE instead of stderr",
+             store(log_path)},
+            {"--help", Arg::Help, nullptr, "this text", {}},
+            {"-h", Arg::Help, nullptr, nullptr, {}},
+        },
+        {},
+    };
 }
 
 } // anonymous namespace
@@ -115,88 +119,17 @@ main(int argc, char **argv)
     opts.storePath = "nosq_store.jsonl";
     opts.stopFlag = &g_stop;
     std::string log_path;
-    std::string fault_plan;
-    bool fault_plan_set = false;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "nosq_sweepd: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(stdout);
+    std::optional<std::string> fault_plan;
+    const cli::Table table = optionTable(opts, log_path, fault_plan);
+    try {
+        if (cli::parse(table, argc, argv).help) {
+            std::fputs(cli::renderHelp(table).c_str(), stdout);
             return 0;
-        } else if (arg == "--socket") {
-            opts.socketPath = value("--socket");
-        } else if (arg == "--store") {
-            opts.storePath = value("--store");
-        } else if (arg == "--workers") {
-            if (!parseUnsigned(value("--workers"),
-                               opts.workers) ||
-                opts.workers == 0) {
-                std::fputs("nosq_sweepd: --workers needs a "
-                           "positive integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--heartbeat-timeout") {
-            if (!parseUnsigned(value("--heartbeat-timeout"),
-                               opts.heartbeatTimeoutSec) ||
-                opts.heartbeatTimeoutSec == 0) {
-                std::fputs("nosq_sweepd: --heartbeat-timeout "
-                           "needs a positive integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--max-job-attempts") {
-            if (!parseUnsigned(value("--max-job-attempts"),
-                               opts.maxJobAttempts)) {
-                std::fputs("nosq_sweepd: --max-job-attempts needs "
-                           "a non-negative integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--max-pending") {
-            unsigned max_pending = 0;
-            if (!parseUnsigned(value("--max-pending"),
-                               max_pending)) {
-                std::fputs("nosq_sweepd: --max-pending needs a "
-                           "non-negative integer\n",
-                           stderr);
-                return 2;
-            }
-            opts.maxPending = max_pending;
-        } else if (arg == "--drain-timeout") {
-            if (!parseUnsigned(value("--drain-timeout"),
-                               opts.drainTimeoutSec) ||
-                opts.drainTimeoutSec == 0) {
-                std::fputs("nosq_sweepd: --drain-timeout needs a "
-                           "positive integer\n",
-                           stderr);
-                return 2;
-            }
-        } else if (arg == "--fault-plan") {
-            fault_plan = value("--fault-plan");
-            fault_plan_set = true;
-        } else if (arg == "--log") {
-            log_path = value("--log");
-        } else {
-            std::fprintf(stderr,
-                         "nosq_sweepd: unknown option '%s'\n",
-                         arg.c_str());
-            usage(stderr);
-            return 2;
         }
-    }
-    if (opts.socketPath.empty()) {
-        std::fputs("nosq_sweepd: --socket is required\n", stderr);
-        usage(stderr);
+        if (opts.socketPath.empty())
+            throw cli::UsageError("--socket is required");
+    } catch (const cli::UsageError &e) {
+        std::fprintf(stderr, "nosq_sweepd: %s\n", e.what());
         return 2;
     }
 
@@ -213,9 +146,9 @@ main(int argc, char **argv)
 
     std::string fault_error;
     const bool fault_ok =
-        fault_plan_set
+        fault_plan
             ? nosq::serve::FaultInjector::global().configure(
-                  fault_plan, fault_error)
+                  *fault_plan, fault_error)
             : nosq::serve::FaultInjector::global().configureFromEnv(
                   fault_error);
     if (!fault_ok) {
