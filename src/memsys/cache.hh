@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace nosq {

@@ -23,7 +23,6 @@
 
 #include "common/logging.hh"
 #include "ooo/core.hh"
-#include "sim/report.hh"
 
 namespace nosq {
 
@@ -37,21 +36,6 @@ xorshift64(std::uint64_t x)
     x ^= x >> 7;
     x ^= x << 17;
     return x ? x : 0x9e3779b97f4a7c15ull;
-}
-
-/** Sum every enumerated counter of @p x into @p acc. */
-void
-addCounters(SimResult &acc, const SimResult &x)
-{
-    std::vector<std::uint64_t *> dst;
-    forEachSimCounter(acc, [&](const char *, std::uint64_t &v) {
-        dst.push_back(&v);
-    });
-    std::size_t i = 0;
-    SimResult &mut = const_cast<SimResult &>(x);
-    forEachSimCounter(mut, [&](const char *, std::uint64_t &v) {
-        *dst[i++] += v;
-    });
 }
 
 void
@@ -177,7 +161,7 @@ OooCore::runSampled(const SamplingParams &sp)
         res.cycles = cycle - cycle_base;
         res.insts = measured;
         exportMemStats(mem.stats() - mem_base, res);
-        addCounters(total, res);
+        addSimCounters(total, res);
         total.skippedCycles += res.skippedCycles;
         // Accumulate CPI, not IPC: intervals are fixed instruction
         // counts, so the arithmetic mean of per-interval CPI equals

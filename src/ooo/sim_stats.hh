@@ -70,16 +70,16 @@ struct SimResult
     std::uint64_t prefUseful = 0;    // demand hits on prefetched lines
     std::uint64_t missCycles = 0;    // total L1D demand-miss latency
 
-    // --- simulator diagnostics (deliberately NOT in the
-    // --- forEachSimCounter enumeration: event skipping is a pure
-    // --- wall-clock optimization and must not perturb report bytes) --
+    // --- simulator diagnostics (a stats-table-only row of
+    // --- sim_stat_rows: event skipping is a pure wall-clock
+    // --- optimization and must not perturb report bytes) ------------
     /** Quiescent cycles fast-forwarded by event-driven skipping;
      * always included in `cycles`, so IPC is unaffected. */
     std::uint64_t skippedCycles = 0;
 
-    // --- sampled-simulation estimate (OooCore::runSampled; also not
-    // --- in forEachSimCounter -- the report emits these as additive
-    // --- optional keys only when `sampled` is set) -------------------
+    // --- sampled-simulation estimate (OooCore::runSampled; the
+    // --- Sampled section of sim_stat_rows, reported only when
+    // --- `sampled` is set) ------------------------------------------
     /** True when the counters are sums over measured intervals of a
      * sampled run rather than one contiguous detailed region. */
     bool sampled = false;
@@ -96,10 +96,9 @@ struct SimResult
      * reciprocal). */
     double sampleIpcCi95 = 0.0;
 
-    // --- multi-core run (sim/system.hh; also not in
-    // --- forEachSimCounter -- the report emits these as additive
-    // --- optional keys only when `multicore` is set, so single-core
-    // --- reports stay byte-identical) --------------------------------
+    // --- multi-core run (sim/system.hh; the Multicore section of
+    // --- sim_stat_rows, reported only when `multicore` is set, so
+    // --- single-core reports stay byte-identical) --------------------
     /** True when the counters are lockstep-aggregated over an N-core
      * System rather than one private core. */
     bool multicore = false;
@@ -198,6 +197,258 @@ struct SimResult
             ? static_cast<double>(reexecLoads) / loads : 0.0;
     }
 };
+
+// --- the statistics table ----------------------------------------------------
+
+/**
+ * The report section a statistic belongs to. Base rows describe every
+ * result; the other sections appear only on results that set their
+ * flag (statSectionFlag), so exact single-core reports never carry
+ * them.
+ */
+enum class StatSection
+{
+    Base,
+    Sampled,
+    Multicore,
+};
+
+/** Every section, in report order. */
+inline constexpr StatSection stat_sections[] = {
+    StatSection::Base, StatSection::Sampled, StatSection::Multicore,
+};
+
+/** The flag marking section @p s present; nullptr for Base. */
+constexpr bool SimResult::*
+statSectionFlag(StatSection s)
+{
+    return s == StatSection::Sampled     ? &SimResult::sampled
+           : s == StatSection::Multicore ? &SimResult::multicore
+                                         : nullptr;
+}
+
+/**
+ * One reported statistic of an @p Owner (a SimResult, or one of its
+ * per-core entries). Exactly one of counter, real and derived is set:
+ * counters and reals are restored from stored records, derived
+ * values are recomputed from the counters.
+ */
+template <typename Owner>
+struct StatRow
+{
+    /** Key in the nosq-sweep-v2 "stats" object; nullptr for a row
+     * only the single-run stats table shows. */
+    const char *key;
+    /** Single-run stats-table label; nullptr for a JSON-only row. */
+    const char *label;
+    StatSection section;
+    std::uint64_t Owner::*counter;
+    double Owner::*real;
+    double (Owner::*derived)() const;
+    /** Stats-table decimals and multiplier of a non-counter row. */
+    int precision;
+    double scale;
+    /** v2 has required the key since the schema was introduced;
+     * every later key is additive-optional. */
+    bool required;
+
+    /** The value in @p o as a double (counters included). */
+    double
+    valueOf(const Owner &o) const
+    {
+        if (counter != nullptr)
+            return static_cast<double>(o.*counter);
+        return real != nullptr ? o.*real : (o.*derived)();
+    }
+};
+
+template <typename Owner>
+constexpr StatRow<Owner>
+statCounter(const char *key, const char *label,
+            std::uint64_t Owner::*counter,
+            StatSection section = StatSection::Base)
+{
+    return {key, label, section, counter, nullptr, nullptr, 0, 1.0,
+            false};
+}
+
+constexpr StatRow<SimResult>
+statReal(const char *key, const char *label, double SimResult::*real,
+         int precision, StatSection section)
+{
+    return {key, label, section, nullptr, real, nullptr, precision,
+            1.0, false};
+}
+
+constexpr StatRow<SimResult>
+statDerived(const char *key, const char *label,
+            double (SimResult::*derived)() const, int precision,
+            double scale = 1.0)
+{
+    return {key, label, StatSection::Base, nullptr, nullptr, derived,
+            precision, scale, false};
+}
+
+/** @p row, marked required since v2 was introduced. */
+constexpr StatRow<SimResult>
+v2Required(StatRow<SimResult> row)
+{
+    row.required = true;
+    return row;
+}
+
+/**
+ * Every statistic a SimResult reports, declared once. The JSON
+ * emitter writes each present section's counter and real rows and
+ * then its derived rows; the schema validator, the record loader,
+ * the single-run stats table (the rows with a label, in this order)
+ * and the docs/counters.md check all iterate this table. Keys are
+ * persisted in stores: never rename one, only append.
+ */
+inline constexpr StatRow<SimResult> sim_stat_rows[] = {
+    v2Required(statCounter("cycles", "cycles", &SimResult::cycles)),
+    v2Required(statCounter("insts", "instructions", &SimResult::insts)),
+    v2Required(statDerived("ipc", "IPC", &SimResult::ipc, 3)),
+    v2Required(statCounter("loads", "loads", &SimResult::loads)),
+    v2Required(statCounter("stores", "stores", &SimResult::stores)),
+    v2Required(
+        statCounter("branches", "branches", &SimResult::branches)),
+    v2Required(
+        statCounter("comm_loads", nullptr, &SimResult::commLoads)),
+    v2Required(statCounter("partial_comm_loads", nullptr,
+                           &SimResult::partialCommLoads)),
+    statDerived(nullptr, "comm loads %", &SimResult::pctCommLoads, 1),
+    statDerived(nullptr, "partial-word comm %",
+                &SimResult::pctPartialCommLoads, 1),
+    v2Required(statCounter("bypassed_loads", "bypassed loads",
+                           &SimResult::bypassedLoads)),
+    v2Required(statCounter("shift_uops", "shift&mask uops",
+                           &SimResult::shiftUops)),
+    v2Required(statCounter("delayed_loads", "delayed loads",
+                           &SimResult::delayedLoads)),
+    v2Required(statCounter("bypass_mispredicts", "bypass mispredicts",
+                           &SimResult::bypassMispredicts)),
+    statDerived(nullptr, "mispredicts /10k loads",
+                &SimResult::mispredictsPer10kLoads, 2),
+    v2Required(statCounter("reexec_loads", "load re-executions",
+                           &SimResult::reexecLoads)),
+    statDerived(nullptr, "re-execution rate %", &SimResult::reexecRate,
+                3, 100.0),
+    v2Required(statCounter("load_flushes", "load value flushes",
+                           &SimResult::loadFlushes)),
+    v2Required(statCounter("dcache_reads_core", "dcache reads (core)",
+                           &SimResult::dcacheReadsCore)),
+    v2Required(statCounter("dcache_reads_backend",
+                           "dcache reads (backend)",
+                           &SimResult::dcacheReadsBackend)),
+    v2Required(statCounter("dcache_writes", "dcache writes",
+                           &SimResult::dcacheWrites)),
+    v2Required(statCounter("branch_mispredicts", "branch mispredicts",
+                           &SimResult::branchMispredicts)),
+    v2Required(statCounter("sq_forwards", "SQ forwards",
+                           &SimResult::sqForwards)),
+    v2Required(statCounter("sq_stalls", "SQ partial-overlap stalls",
+                           &SimResult::sqStalls)),
+    v2Required(statCounter("ssn_wrap_drains", "SSN wrap drains",
+                           &SimResult::ssnWrapDrains)),
+    statCounter("l1i_hits", "L1I hits", &SimResult::l1iHits),
+    statCounter("l1i_misses", "L1I misses", &SimResult::l1iMisses),
+    statCounter("l1d_hits", "L1D hits", &SimResult::l1dHits),
+    statCounter("l1d_misses", "L1D misses", &SimResult::l1dMisses),
+    statCounter("l1d_writebacks", "L1D writebacks",
+                &SimResult::l1dWritebacks),
+    statDerived("l1d_mpki", "L1D MPKI", &SimResult::l1dMpki, 2),
+    statCounter("l2_hits", "L2 hits", &SimResult::l2Hits),
+    statCounter("l2_misses", "L2 misses", &SimResult::l2Misses),
+    statCounter("l2_writebacks", "L2 writebacks",
+                &SimResult::l2Writebacks),
+    statDerived("l2_mpki", "L2 MPKI", &SimResult::l2Mpki, 2),
+    statCounter("itlb_hits", nullptr, &SimResult::itlbHits),
+    statCounter("itlb_misses", "ITLB misses", &SimResult::itlbMisses),
+    statCounter("dtlb_hits", nullptr, &SimResult::dtlbHits),
+    statCounter("dtlb_misses", "DTLB misses", &SimResult::dtlbMisses),
+    statDerived("avg_miss_latency", "avg L1D miss latency",
+                &SimResult::avgMissLatency, 1),
+    statCounter("mshr_merges", "MSHR secondary merges",
+                &SimResult::mshrMerges),
+    statCounter("mshr_stalls", "MSHR occupancy stalls",
+                &SimResult::mshrStalls),
+    statCounter("pref_issued", "prefetch fills", &SimResult::prefIssued),
+    statCounter("pref_useful", "prefetch useful",
+                &SimResult::prefUseful),
+    statDerived("pref_accuracy", "prefetch accuracy %",
+                &SimResult::prefetchAccuracy, 1, 100.0),
+    statCounter("miss_cycles", nullptr, &SimResult::missCycles),
+    statCounter(nullptr, "cycles skipped (events)",
+                &SimResult::skippedCycles),
+
+    statCounter("sample_intervals", "sample intervals",
+                &SimResult::sampleIntervals, StatSection::Sampled),
+    statCounter("sample_ff_insts", "fast-forwarded insts",
+                &SimResult::sampleFfInsts, StatSection::Sampled),
+    statReal("sample_ipc_mean", "sampled IPC mean",
+             &SimResult::sampleIpcMean, 3, StatSection::Sampled),
+    statReal("sample_ipc_ci95", "sampled IPC 95% CI +/-",
+             &SimResult::sampleIpcCi95, 3, StatSection::Sampled),
+
+    statCounter("cores", "cores", &SimResult::numCores,
+                StatSection::Multicore),
+    statCounter("coh_invalidations", "coherence invalidations",
+                &SimResult::cohInvalidations, StatSection::Multicore),
+    statCounter("coh_c2c_transfers", "cache-to-cache transfers",
+                &SimResult::cohC2cTransfers, StatSection::Multicore),
+    statCounter("coh_upgrade_misses", "coherence upgrade misses",
+                &SimResult::cohUpgradeMisses, StatSection::Multicore),
+};
+
+/**
+ * The rows of each per-core entry of a multicore result, reported
+ * as "core<i>_<key>" after the Multicore section's rows.
+ */
+inline constexpr StatRow<SimResult::PerCore> per_core_stat_rows[] = {
+    statCounter("cycles", nullptr, &SimResult::PerCore::cycles,
+                StatSection::Multicore),
+    statCounter("insts", nullptr, &SimResult::PerCore::insts,
+                StatSection::Multicore),
+    statCounter("loads", nullptr, &SimResult::PerCore::loads,
+                StatSection::Multicore),
+    statCounter("stores", nullptr, &SimResult::PerCore::stores,
+                StatSection::Multicore),
+    statCounter("bypassed_loads", nullptr,
+                &SimResult::PerCore::bypassedLoads,
+                StatSection::Multicore),
+};
+
+/** The rows forEachSimCounter visits and addSimCounters sums: the
+ * reported counters every result carries. */
+constexpr bool
+isSimCounter(const StatRow<SimResult> &row)
+{
+    return row.section == StatSection::Base && row.key != nullptr &&
+           row.counter != nullptr;
+}
+
+/**
+ * Visit every reported base counter of a SimResult, in emission
+ * order: fn(key, member).
+ */
+template <typename SimResultT, typename Fn>
+void
+forEachSimCounter(SimResultT &r, Fn &&fn)
+{
+    for (const StatRow<SimResult> &row : sim_stat_rows)
+        if (isSimCounter(row))
+            fn(row.key, r.*row.counter);
+}
+
+/** Add every reported base counter of @p from into @p into. */
+inline void
+addSimCounters(SimResult &into, const SimResult &from)
+{
+    for (const StatRow<SimResult> &row : sim_stat_rows)
+        if (isSimCounter(row))
+            into.*row.counter += from.*row.counter;
+}
 
 /**
  * Deterministic counts of the host work a run did. They reproduce

@@ -11,6 +11,7 @@
 #include <type_traits>
 #include <unordered_map>
 
+#include "memsys/coherence.hh"
 #include "ooo/uarch_params.hh"
 #include "sim/journal.hh"
 #include "sim/sampling.hh"
@@ -261,8 +262,9 @@ jobFromWire(const JsonValue &v, SweepJob &out, std::string &error)
         return false;
     // An absurd core count is a malformed request, not a sweep: the
     // daemon must refuse it before a worker tries to allocate it.
-    if (cores < 1 || cores > 64) {
-        error = "field 'cores' must be in [1, 64]";
+    if (cores < 1 || cores > max_cores) {
+        error = "field 'cores' must be in [1, " +
+                std::to_string(max_cores) + "]";
         return false;
     }
     if (qdepth > 4096) {

@@ -5,9 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
+#include "memsys/coherence.hh"
 #include "serve/job_store.hh"
 #include "sim/report.hh"
 
@@ -99,11 +101,46 @@ jsonExactCounter(const JsonValue &v, std::uint64_t &out)
     return true;
 }
 
+namespace {
+
+/**
+ * Restore the stored rows of @p section from @p stats (keys prefixed
+ * by @p prefix) into @p out. Derived rows are skipped: the accessors
+ * recompute them. jsonNumber() emits shortest-round-trip doubles, so
+ * a real row restores the exact bit pattern.
+ */
+template <typename Owner, std::size_t N>
+bool
+loadStatRows(const JsonValue &stats, const StatRow<Owner> (&rows)[N],
+             StatSection section, const std::string &prefix,
+             Owner &out)
+{
+    for (const StatRow<Owner> &row : rows) {
+        if (row.section != section || row.key == nullptr ||
+            row.derived != nullptr)
+            continue;
+        const JsonValue *field = stats.find(prefix + row.key);
+        if (field == nullptr)
+            return false;
+        if (row.counter != nullptr) {
+            if (!jsonExactCounter(*field, out.*row.counter))
+                return false;
+        } else if (field->kind == JsonValue::Kind::Number) {
+            out.*row.real = field->number;
+        } else {
+            return false;
+        }
+    }
+    return true;
+}
+
+} // anonymous namespace
+
 /**
  * The counters are exact: they were emitted via std::to_string and
  * stay integral through the parser's double (all simulator counters
- * are far below 2^53). The derived "ipc" member is ignored --
- * SimResult recomputes it.
+ * are far below 2^53). The derived statistics are ignored --
+ * SimResult recomputes them.
  */
 bool
 runResultFromJson(const JsonValue &v, RunResult &out)
@@ -136,75 +173,40 @@ runResultFromJson(const JsonValue &v, RunResult &out)
     }
     out.valid = valid->boolean;
 
-    // The same counter table the emitter and validator iterate, so
-    // a new SimResult counter cannot be silently dropped here.
-    bool ok = true;
-    forEachSimCounter(out.sim, [&](const char *key,
-                                   std::uint64_t &slot) {
-        const JsonValue *field = stats->find(key);
-        if (field == nullptr || !jsonExactCounter(*field, slot))
-            ok = false;
-    });
-    if (!ok)
-        return false;
-
-    // Sampled-run summary: optional (exact-mode records omit it),
-    // but a sampled record must restore every field or a resumed
-    // report would no longer be byte-identical. jsonNumber() emits
-    // shortest-round-trip doubles, so the parse restores the exact
-    // bit pattern.
-    const JsonValue *intervals = stats->find("sample_intervals");
-    if (intervals != nullptr) {
-        const JsonValue *ff = stats->find("sample_ff_insts");
-        const JsonValue *mean = stats->find("sample_ipc_mean");
-        const JsonValue *ci = stats->find("sample_ipc_ci95");
-        if (ff == nullptr || mean == nullptr || ci == nullptr ||
-            !jsonExactCounter(*intervals, out.sim.sampleIntervals) ||
-            !jsonExactCounter(*ff, out.sim.sampleFfInsts) ||
-            mean->kind != JsonValue::Kind::Number ||
-            ci->kind != JsonValue::Kind::Number)
-            return false;
-        out.sim.sampled = true;
-        out.sim.sampleIpcMean = mean->number;
-        out.sim.sampleIpcCi95 = ci->number;
-    }
-
-    // Multicore summary: optional (single-core records omit it),
-    // but a multicore record must restore the core count, every
-    // coherence counter, and every per-core row, or a resumed
-    // report would no longer be byte-identical.
-    const JsonValue *cores = stats->find("cores");
-    if (cores != nullptr) {
-        std::uint64_t n = 0;
-        if (!jsonExactCounter(*cores, n) || n == 0)
-            return false;
-        out.sim.multicore = true;
-        out.sim.numCores = n;
-        bool coh_ok = true;
-        forEachCoherenceCounter(
-            out.sim, [&](const char *key, std::uint64_t &slot) {
-                const JsonValue *field = stats->find(key);
-                if (field == nullptr ||
-                    !jsonExactCounter(*field, slot))
-                    coh_ok = false;
-            });
-        if (!coh_ok)
-            return false;
-        out.sim.perCore.assign(static_cast<std::size_t>(n), {});
-        for (std::size_t i = 0; i < out.sim.perCore.size(); ++i) {
-            const std::string prefix =
-                "core" + std::to_string(i) + "_";
-            forEachPerCoreCounter(
-                out.sim.perCore[i],
-                [&](const char *key, std::uint64_t &slot) {
-                    const JsonValue *field =
-                        stats->find(prefix + key);
-                    if (field == nullptr ||
-                        !jsonExactCounter(*field, slot))
-                        coh_ok = false;
+    // The same table the emitter and validator iterate, so a new
+    // statistic cannot be silently dropped here. An optional section
+    // is present when its first key is: records of runs without it
+    // omit it whole, and a present section must restore every row
+    // or a resumed report would no longer be byte-identical.
+    for (const StatSection section : stat_sections) {
+        const auto flag = statSectionFlag(section);
+        if (flag != nullptr) {
+            const auto first = std::find_if(
+                std::begin(sim_stat_rows), std::end(sim_stat_rows),
+                [&](const StatRow<SimResult> &row) {
+                    return row.section == section &&
+                           row.key != nullptr;
                 });
+            if (stats->find(first->key) == nullptr)
+                continue;
+            out.sim.*flag = true;
         }
-        if (!coh_ok)
+        if (!loadStatRows(*stats, sim_stat_rows, section, "",
+                          out.sim))
+            return false;
+    }
+    if (!out.sim.multicore)
+        return true;
+    // A corrupt core count must skip the record, not size the
+    // per-core breakdown.
+    if (out.sim.numCores < 1 || out.sim.numCores > max_cores)
+        return false;
+    out.sim.perCore.assign(out.sim.numCores, {});
+    for (std::size_t i = 0; i < out.sim.perCore.size(); ++i) {
+        if (!loadStatRows(*stats, per_core_stat_rows,
+                          StatSection::Multicore,
+                          "core" + std::to_string(i) + "_",
+                          out.sim.perCore[i]))
             return false;
     }
     return true;

@@ -241,6 +241,15 @@ pad(int indent)
     return std::string(static_cast<std::size_t>(indent), ' ');
 }
 
+/** @p row's value in @p o as a JSON literal. */
+template <typename Owner>
+std::string
+statJson(const StatRow<Owner> &row, const Owner &o)
+{
+    return row.counter != nullptr ? std::to_string(o.*row.counter)
+                                  : jsonNumber(row.valueOf(o));
+}
+
 } // anonymous namespace
 
 std::string
@@ -248,48 +257,36 @@ toJson(const SimResult &r, int indent)
 {
     const std::string inner = pad(indent + 2);
     std::string out = "{\n";
-    forEachSimCounter(r, [&](const char *key,
-                             std::uint64_t value) {
-        out += inner + '"' + key +
-            "\": " + std::to_string(value) + ",\n";
-    });
     const char *separator = "";
-    forEachDerivedStat(r, [&](const char *key, double value) {
-        out += separator + inner + '"' + key + "\": " +
-            jsonNumber(value);
+    auto member = [&](const std::string &prefix, const char *key,
+                      const std::string &value) {
+        out += separator;
+        out += inner;
+        out += '"';
+        out += prefix;
+        out += key;
+        out += "\": ";
+        out += value;
         separator = ",\n";
-    });
-    // Sampled-simulation summary: additive, emitted only for sampled
-    // runs so exact-mode reports stay byte-identical.
-    if (r.sampled) {
-        out += ",\n" + inner + "\"sample_intervals\": " +
-            std::to_string(r.sampleIntervals);
-        out += ",\n" + inner + "\"sample_ff_insts\": " +
-            std::to_string(r.sampleFfInsts);
-        out += ",\n" + inner + "\"sample_ipc_mean\": " +
-            jsonNumber(r.sampleIpcMean);
-        out += ",\n" + inner + "\"sample_ipc_ci95\": " +
-            jsonNumber(r.sampleIpcCi95);
-    }
-    // Multicore summary: additive, emitted only for System runs so
-    // --cores=1 reports stay byte-identical.
-    if (r.multicore) {
-        out += ",\n" + inner + "\"cores\": " +
-            std::to_string(r.numCores);
-        forEachCoherenceCounter(
-            r, [&](const char *key, const std::uint64_t &value) {
-                out += ",\n" + inner + '"' + key +
-                    "\": " + std::to_string(value);
-            });
+    };
+    const std::string no_prefix;
+    for (const StatSection section : stat_sections) {
+        const auto flag = statSectionFlag(section);
+        if (flag != nullptr && !(r.*flag))
+            continue;
+        // Stored values first, then the values derived from them.
+        for (const bool derived : {false, true})
+            for (const StatRow<SimResult> &row : sim_stat_rows)
+                if (row.section == section && row.key != nullptr &&
+                    (row.derived != nullptr) == derived)
+                    member(no_prefix, row.key, statJson(row, r));
+        if (section != StatSection::Multicore)
+            continue;
         for (std::size_t i = 0; i < r.perCore.size(); ++i) {
             const std::string prefix =
                 "core" + std::to_string(i) + "_";
-            forEachPerCoreCounter(
-                r.perCore[i],
-                [&](const char *key, const std::uint64_t &value) {
-                    out += ",\n" + inner + '"' + prefix + key +
-                        "\": " + std::to_string(value);
-                });
+            for (const auto &row : per_core_stat_rows)
+                member(prefix, row.key, statJson(row, r.perCore[i]));
         }
     }
     out += "\n" + pad(indent) + "}";
@@ -663,75 +660,6 @@ parseJson(const std::string &text, JsonValue &out, std::string *error)
 
 namespace {
 
-/**
- * The stats keys every nosq-sweep-v2 report has carried since the
- * schema was introduced. These are REQUIRED: a report missing one
- * is rejected.
- */
-const std::vector<const char *> &
-requiredStatKeys()
-{
-    static const std::vector<const char *> keys = {
-        "cycles", "insts", "loads", "stores", "branches",
-        "comm_loads", "partial_comm_loads", "bypassed_loads",
-        "shift_uops", "delayed_loads", "bypass_mispredicts",
-        "reexec_loads", "load_flushes", "dcache_reads_core",
-        "dcache_reads_backend", "dcache_writes",
-        "branch_mispredicts", "sq_forwards", "sq_stalls",
-        "ssn_wrap_drains", "ipc",
-    };
-    return keys;
-}
-
-/**
- * Keys added to v2 later (the PR 5 memory-hierarchy counters and
- * their derived statistics). Additive, hence OPTIONAL: reports
- * emitted before they existed still validate (the schema string is
- * only bumped on breaking changes), but when present they must be
- * well-typed. Derived from the shared counter and derived-stat
- * tables so a new SimResult statistic can never be forgotten here.
- */
-const std::vector<const char *> &
-optionalStatKeys()
-{
-    static const std::vector<const char *> keys = [] {
-        std::vector<const char *> k;
-        auto add_optional = [&](const char *key) {
-            bool required = false;
-            for (const char *req : requiredStatKeys())
-                required |= std::string(req) == key;
-            if (!required)
-                k.push_back(key);
-        };
-        SimResult dummy;
-        forEachSimCounter(dummy, [&](const char *key,
-                                     std::uint64_t &) {
-            add_optional(key);
-        });
-        forEachDerivedStat(dummy, [&](const char *key, double) {
-            add_optional(key);
-        });
-        // Sampled-simulation summary (PR 6): present only on
-        // sampled runs.
-        k.push_back("sample_intervals");
-        k.push_back("sample_ff_insts");
-        k.push_back("sample_ipc_mean");
-        k.push_back("sample_ipc_ci95");
-        // Multicore summary (PR 7): present only on System runs.
-        // The dynamic per-core "core<i>_*" keys are accepted as
-        // unlisted extras (unknown stats keys are never rejected).
-        k.push_back("cores");
-        SimResult coh_dummy;
-        forEachCoherenceCounter(coh_dummy,
-                                [&](const char *key,
-                                    std::uint64_t &) {
-                                    k.push_back(key);
-                                });
-        return k;
-    }();
-    return keys;
-}
-
 bool
 schemaFail(std::string *error, const std::string &message)
 {
@@ -790,17 +718,21 @@ validRun(const JsonValue &run, std::size_t index, std::string *error)
     if (stats == nullptr || stats->kind != JsonValue::Kind::Object)
         return schemaFail(error, where +
                           ".stats missing or not an object");
-    for (const char *key : requiredStatKeys()) {
-        const JsonValue *v = stats->find(key);
+    // Keys added to v2 after its introduction are optional, so older
+    // reports still validate, but typed when present. The per-core
+    // "core<i>_*" keys are accepted as unlisted extras (unknown
+    // stats keys are never rejected).
+    for (const StatRow<SimResult> &row : sim_stat_rows) {
+        if (row.key == nullptr)
+            continue;
+        const JsonValue *v = stats->find(row.key);
+        if (v == nullptr && !row.required)
+            continue;
         if (v == nullptr || !isNumberOrNull(*v))
-            return schemaFail(error, where + ".stats." + key +
-                              " missing or not a number/null");
-    }
-    for (const char *key : optionalStatKeys()) {
-        const JsonValue *v = stats->find(key);
-        if (v != nullptr && !isNumberOrNull(*v))
-            return schemaFail(error, where + ".stats." + key +
-                              " is not a number/null");
+            return schemaFail(error, where + ".stats." + row.key +
+                              (row.required
+                                   ? " missing or not a number/null"
+                                   : " is not a number/null"));
     }
     return true;
 }

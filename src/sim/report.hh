@@ -21,28 +21,9 @@
  *       "memsys": "l2-1M-lat10-mshr8",   // hierarchy label;
  *                                        // omitted when unset
  *       "valid": true,
- *       "stats": {
- *         "cycles": ..., "insts": ..., "ipc": ...,
- *         "loads": ..., "stores": ..., "branches": ...,
- *         "comm_loads": ..., "partial_comm_loads": ...,
- *         "bypassed_loads": ..., "shift_uops": ...,
- *         "delayed_loads": ..., "bypass_mispredicts": ...,
- *         "reexec_loads": ..., "load_flushes": ...,
- *         "dcache_reads_core": ..., "dcache_reads_backend": ...,
- *         "dcache_writes": ..., "branch_mispredicts": ...,
- *         "sq_forwards": ..., "sq_stalls": ..., "ssn_wrap_drains": ...,
- *         "l1i_hits": ..., "l1i_misses": ...,
- *         "l1d_hits": ..., "l1d_misses": ..., "l1d_writebacks": ...,
- *         "l2_hits": ..., "l2_misses": ..., "l2_writebacks": ...,
- *         "itlb_hits": ..., "itlb_misses": ...,
- *         "dtlb_hits": ..., "dtlb_misses": ...,
- *         "mshr_merges": ..., "mshr_stalls": ...,
- *         "pref_issued": ..., "pref_useful": ..., "miss_cycles": ...,
- *         "l1d_mpki": ..., "l2_mpki": ...,
- *         "avg_miss_latency": ..., "pref_accuracy": ...,
- *         "sample_intervals": ..., "sample_ff_insts": ...,  // sampled
- *         "sample_ipc_mean": ..., "sample_ipc_ci95": ...    // runs only
- *       }
+ *       "stats": {   // one member per keyed row of sim_stat_rows
+ *         ...        // (ooo/sim_stats.hh) in a present section,
+ *       }            // then "core<i>_*" per-core rows
  *     }, ...
  *   ],
  *   "reductions": {
@@ -136,111 +117,6 @@ computeReductions(const std::vector<RunResult> &results,
 // --- emission --------------------------------------------------------------
 
 /**
- * Visit every integer counter of a SimResult, in the emission order
- * of toJson(SimResult): fn(key, member). This is the single source
- * of truth for the counter set -- the JSON emitter, the schema
- * validator's key list, and the journal's record loader all iterate
- * it, so adding a SimResult counter means extending only this list
- * (derived statistics are listed by forEachDerivedStat()).
- */
-template <typename SimResultT, typename Fn>
-void
-forEachSimCounter(SimResultT &r, Fn &&fn)
-{
-    fn("cycles", r.cycles);
-    fn("insts", r.insts);
-    fn("loads", r.loads);
-    fn("stores", r.stores);
-    fn("branches", r.branches);
-    fn("comm_loads", r.commLoads);
-    fn("partial_comm_loads", r.partialCommLoads);
-    fn("bypassed_loads", r.bypassedLoads);
-    fn("shift_uops", r.shiftUops);
-    fn("delayed_loads", r.delayedLoads);
-    fn("bypass_mispredicts", r.bypassMispredicts);
-    fn("reexec_loads", r.reexecLoads);
-    fn("load_flushes", r.loadFlushes);
-    fn("dcache_reads_core", r.dcacheReadsCore);
-    fn("dcache_reads_backend", r.dcacheReadsBackend);
-    fn("dcache_writes", r.dcacheWrites);
-    fn("branch_mispredicts", r.branchMispredicts);
-    fn("sq_forwards", r.sqForwards);
-    fn("sq_stalls", r.sqStalls);
-    fn("ssn_wrap_drains", r.ssnWrapDrains);
-    fn("l1i_hits", r.l1iHits);
-    fn("l1i_misses", r.l1iMisses);
-    fn("l1d_hits", r.l1dHits);
-    fn("l1d_misses", r.l1dMisses);
-    fn("l1d_writebacks", r.l1dWritebacks);
-    fn("l2_hits", r.l2Hits);
-    fn("l2_misses", r.l2Misses);
-    fn("l2_writebacks", r.l2Writebacks);
-    fn("itlb_hits", r.itlbHits);
-    fn("itlb_misses", r.itlbMisses);
-    fn("dtlb_hits", r.dtlbHits);
-    fn("dtlb_misses", r.dtlbMisses);
-    fn("mshr_merges", r.mshrMerges);
-    fn("mshr_stalls", r.mshrStalls);
-    fn("pref_issued", r.prefIssued);
-    fn("pref_useful", r.prefUseful);
-    fn("miss_cycles", r.missCycles);
-}
-
-/**
- * Visit every derived statistic of a SimResult, in the emission
- * order of toJson(SimResult): fn(key, value). The single source of
- * truth for the derived keys, as forEachSimCounter is for the
- * counters: the emitter, the validator's key lists and the docs
- * drift gate all iterate it. "ipc" is a required key, the rest are
- * additive-optional.
- */
-template <typename Fn>
-void
-forEachDerivedStat(const SimResult &r, Fn &&fn)
-{
-    fn("ipc", r.ipc());
-    fn("l1d_mpki", r.l1dMpki());
-    fn("l2_mpki", r.l2Mpki());
-    fn("avg_miss_latency", r.avgMissLatency());
-    fn("pref_accuracy", r.prefetchAccuracy());
-}
-
-/**
- * Visit the coherence counters of a multicore SimResult, in emission
- * order: fn(key, member). Same single-source-of-truth contract as
- * forEachSimCounter, but for the additive-optional keys emitted only
- * when r.multicore is set -- the emitter, the validator's optional
- * list, the journal loader, and the docs drift gate all iterate it.
- * (Deliberately NOT folded into forEachSimCounter: that would emit
- * the keys on every single-core run and break the --cores=1
- * byte-identity guarantee.)
- */
-template <typename SimResultT, typename Fn>
-void
-forEachCoherenceCounter(SimResultT &r, Fn &&fn)
-{
-    fn("coh_invalidations", r.cohInvalidations);
-    fn("coh_c2c_transfers", r.cohC2cTransfers);
-    fn("coh_upgrade_misses", r.cohUpgradeMisses);
-}
-
-/**
- * Visit the counters of one per-core breakdown entry, in emission
- * order: fn(key, member). Emitted (and journaled, and documented) as
- * "core<i>_<key>".
- */
-template <typename PerCoreT, typename Fn>
-void
-forEachPerCoreCounter(PerCoreT &c, Fn &&fn)
-{
-    fn("cycles", c.cycles);
-    fn("insts", c.insts);
-    fn("loads", c.loads);
-    fn("stores", c.stores);
-    fn("bypassed_loads", c.bypassedLoads);
-}
-
-/**
  * Write @p contents to @p path, failing loudly on any short write
  * (full disk, quota): a truncated report would poison trajectory
  * tooling. On failure, prints a message to stderr naming @p path.
@@ -259,7 +135,11 @@ std::string jsonEscape(const std::string &s);
  */
 std::string jsonNumber(double v);
 
-/** Serialize one SimResult as a JSON object. */
+/**
+ * Serialize one SimResult as a JSON object: the rows of
+ * sim_stat_rows (ooo/sim_stats.hh) that have a key, section by
+ * section, then the per-core rows of a multicore result.
+ */
 std::string toJson(const SimResult &r, int indent = 0);
 
 /** Serialize one RunResult (benchmark/suite/config + stats). */

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "sim/report.hh"
 
 namespace nosq {
 
@@ -120,16 +119,8 @@ System::run(std::uint64_t max_insts, std::uint64_t warmup_insts)
 
     // Aggregate every SimResult counter across cores...
     SimResult agg;
-    std::vector<std::uint64_t *> dst;
-    forEachSimCounter(agg, [&](const char *, std::uint64_t &v) {
-        dst.push_back(&v);
-    });
-    for (const SimResult &r : per) {
-        std::size_t i = 0;
-        forEachSimCounter(
-            const_cast<SimResult &>(r),
-            [&](const char *, std::uint64_t &v) { *dst[i++] += v; });
-    }
+    for (const SimResult &r : per)
+        addSimCounters(agg, r);
 
     // ...then fix up the rows summing is wrong for: cycles are
     // lockstep-identical (wall time, not core-seconds), and the L2

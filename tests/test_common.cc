@@ -10,7 +10,6 @@
 #include "common/circular_buffer.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 
 namespace nosq {
@@ -233,36 +232,6 @@ TEST(CircularBuffer, TruncateKeepsOldestAcrossWraparound)
     EXPECT_EQ(q.at(3), 8);
     q.truncate(0);
     EXPECT_TRUE(q.empty());
-}
-
-TEST(Stats, CounterRegistryRoundTrip)
-{
-    StatGroup g("core");
-    g.counter("loads") += 5;
-    ++g.counter("stores");
-    g.counter("loads") += 2;
-    EXPECT_EQ(g.get("loads"), 7u);
-    EXPECT_EQ(g.get("stores"), 1u);
-    EXPECT_EQ(g.get("missing"), 0u);
-}
-
-TEST(Stats, DumpPreservesOrder)
-{
-    StatGroup g("x");
-    g.counter("b");
-    g.counter("a");
-    const auto d = g.dump();
-    ASSERT_EQ(d.size(), 2u);
-    EXPECT_EQ(d[0].first, "b");
-    EXPECT_EQ(d[1].first, "a");
-}
-
-TEST(Stats, ResetAll)
-{
-    StatGroup g("x");
-    g.counter("n") += 3;
-    g.resetAll();
-    EXPECT_EQ(g.get("n"), 0u);
 }
 
 TEST(Table, RendersAlignedColumns)

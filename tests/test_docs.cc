@@ -72,51 +72,21 @@ extractFlags(const std::string &text)
 
 TEST(Docs, CounterGlossaryCoversEveryCounter)
 {
+    // Every JSON key of the stats table, and the label of every row
+    // only the single-run stats table shows.
     const std::string doc = readFile(sourcePath("docs/counters.md"));
-    SimResult dummy;
-    forEachSimCounter(dummy, [&](const char *name, std::uint64_t &) {
-        EXPECT_NE(doc.find("`" + std::string(name) + "`"),
+    for (const StatRow<SimResult> &row : sim_stat_rows) {
+        const std::string name = row.key ? row.key : row.label;
+        EXPECT_NE(doc.find("`" + name + "`"), std::string::npos)
+            << "statistic '" << name
+            << "' (sim_stat_rows) missing from docs/counters.md";
+    }
+    for (const StatRow<SimResult::PerCore> &row : per_core_stat_rows) {
+        EXPECT_NE(doc.find("`core<i>_" + std::string(row.key) + "`"),
                   std::string::npos)
-            << "counter '" << name
-            << "' (forEachSimCounter) missing from docs/counters.md";
-    });
-    // Derived statistics (their own table) and the sampled-run
-    // summary keys emitted by the report layer.
-    auto expect_key = [&](const char *key) {
-        EXPECT_NE(doc.find("`" + std::string(key) + "`"),
-                  std::string::npos)
-            << "derived key '" << key
+            << "per-core counter 'core<i>_" << row.key
             << "' missing from docs/counters.md";
-    };
-    forEachDerivedStat(dummy, [&](const char *key, double) {
-        expect_key(key);
-    });
-    for (const char *key : {"sample_intervals", "sample_ff_insts",
-                            "sample_ipc_mean", "sample_ipc_ci95"})
-        expect_key(key);
-    // The event-skip diagnostic is table-only by design; the doc
-    // must say so under its table name.
-    EXPECT_NE(doc.find("cycles skipped (events)"), std::string::npos);
-    // Multicore additive-optional keys: the coherence counters come
-    // from their own single-source-of-truth list, plus the per-run
-    // core count and the per-core breakdown key pattern.
-    forEachCoherenceCounter(dummy, [&](const char *name,
-                                       std::uint64_t &) {
-        EXPECT_NE(doc.find("`" + std::string(name) + "`"),
-                  std::string::npos)
-            << "counter '" << name << "' (forEachCoherenceCounter) "
-            << "missing from docs/counters.md";
-    });
-    SimResult::PerCore pc_dummy;
-    forEachPerCoreCounter(pc_dummy, [&](const char *name,
-                                        std::uint64_t &) {
-        EXPECT_NE(doc.find("`core<i>_" + std::string(name) + "`"),
-                  std::string::npos)
-            << "per-core counter 'core<i>_" << name
-            << "' missing from docs/counters.md";
-    });
-    EXPECT_NE(doc.find("`cores`"), std::string::npos)
-        << "multicore 'cores' key missing from docs/counters.md";
+    }
 }
 
 /** The flag set a binary advertises via `--help`. */

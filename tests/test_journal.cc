@@ -92,6 +92,24 @@ countedJobs(std::atomic<unsigned> &runs, std::size_t n,
     return jobs;
 }
 
+/** countedJobs() whose results are 2-core multicore runs. */
+std::vector<SweepJob>
+multicoreCountedJobs(std::atomic<unsigned> &runs, std::size_t n)
+{
+    std::vector<SweepJob> jobs = countedJobs(runs, n);
+    for (SweepJob &job : jobs) {
+        job.runner = [single = job.runner](const SweepJob &j) {
+            SimResult sim = single(j);
+            sim.multicore = true;
+            sim.numCores = 2;
+            sim.perCore.assign(2, {sim.cycles, sim.insts / 2,
+                                   sim.loads / 2, 0, 0});
+            return sim;
+        };
+    }
+    return jobs;
+}
+
 /** A real two-benchmark, two-config sweep (exercises the full
  * synthesize + timing-core pipeline through the journal). */
 std::vector<SweepJob>
@@ -559,6 +577,49 @@ TEST(JournalSalvage, NonIntegralCounterRejectsOnlyThatRecord)
     EXPECT_NE(warnings[0].find("invalid record"), std::string::npos);
 }
 
+TEST(JournalSalvage, OutOfRangeCoreCountRejectsOnlyThatRecord)
+{
+    // A core count above the directory's limit, or one large enough
+    // to exhaust memory if it sized the per-core breakdown, must
+    // skip its record (and re-run its job), not abort the process.
+    const std::string path = tempPath("cores");
+    std::remove(path.c_str()); // left behind by an aborted run
+    std::atomic<unsigned> runs{0};
+    const std::vector<SweepJob> jobs = multicoreCountedJobs(runs, 4);
+    const std::vector<RunResult> reference = runSweep(jobs, 1);
+    {
+        SweepJournal journal = SweepJournal::create(path);
+        runSweep(jobs, journal, 1);
+    }
+    std::vector<std::string> lines = fileLines(path);
+    ASSERT_EQ(lines.size(), 5u);
+    const std::string key = "\"cores\":2,";
+    for (const auto &[line, cores] :
+         {std::pair<std::size_t, const char *>{1, "65"},
+          {2, "4503599627370496" /* 2^52 */}}) {
+        const std::size_t at = lines[line].find(key);
+        ASSERT_NE(at, std::string::npos) << lines[line];
+        lines[line].replace(at, key.size(),
+                            "\"cores\":" + std::string(cores) + ",");
+    }
+    std::string text;
+    for (const std::string &line : lines)
+        text += line + '\n';
+    writeFile(path, text);
+
+    runs = 0;
+    SweepJournal journal = SweepJournal::resume(path);
+    const std::vector<RunResult> resumed = runSweep(jobs, journal, 1);
+    EXPECT_EQ(runs.load(), 2u); // only the two damaged records' jobs
+    ASSERT_EQ(journal.warnings().size(), 2u);
+    for (const std::string &warning : journal.warnings())
+        EXPECT_NE(warning.find("invalid record"), std::string::npos);
+    EXPECT_EQ(sweepReportJson(resumed, test_insts),
+              sweepReportJson(reference, test_insts));
+    std::remove(path.c_str());
+    std::remove((path + ".corrupt").c_str());
+}
+
 TEST(JournalSalvage, DuplicateFingerprintKeepsFirstRecord)
 {
     std::vector<std::string> warnings;
@@ -759,6 +820,86 @@ TEST(Journal, RecordIgnoresInvalidResults)
     journal.record(0, failed);
     EXPECT_EQ(fileLines(path).size(), 1u); // header only
     std::remove(path.c_str());
+}
+
+// --- record round trip -----------------------------------------------------
+
+/** A run whose every stored row of @p sections holds a distinct
+ * nonzero value (non-integral for the real rows). */
+RunResult
+everyStatRun(std::initializer_list<StatSection> sections)
+{
+    RunResult run;
+    run.benchmark = "gcc";
+    run.suite = Suite::Int;
+    run.config = "nosq/w128";
+    std::uint64_t salt = 100;
+    for (const StatSection section : sections) {
+        if (const auto flag = statSectionFlag(section))
+            run.sim.*flag = true;
+        for (const StatRow<SimResult> &row : sim_stat_rows) {
+            if (row.section != section || row.key == nullptr)
+                continue;
+            if (row.counter != nullptr)
+                run.sim.*row.counter = salt++;
+            else if (row.real != nullptr)
+                run.sim.*row.real = 1.0 / 3.0 + salt++;
+        }
+    }
+    if (run.sim.multicore) {
+        run.sim.numCores = 3;
+        run.sim.perCore.resize(3);
+        for (SimResult::PerCore &core : run.sim.perCore)
+            for (const auto &row : per_core_stat_rows)
+                core.*row.counter = salt++;
+    }
+    return run;
+}
+
+TEST(JournalRecord, RoundTripCoversEveryStat)
+{
+    // The result-side twin of the job wire round trip: a row the
+    // record dropped, misnamed or mistyped breaks one of the checks.
+    const std::pair<const char *, RunResult> runs[] = {
+        {"base", everyStatRun({StatSection::Base})},
+        {"sampled",
+         everyStatRun({StatSection::Base, StatSection::Sampled})},
+        {"multicore",
+         everyStatRun({StatSection::Base, StatSection::Multicore})},
+    };
+    for (const auto &[what, run] : runs) {
+        SCOPED_TRACE(what);
+        const std::string record = runResultRecord(run);
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(record, doc, nullptr));
+        RunResult loaded;
+        ASSERT_TRUE(runResultFromJson(doc, loaded));
+        EXPECT_EQ(loaded.benchmark, run.benchmark);
+        EXPECT_EQ(loaded.suite, run.suite);
+        EXPECT_EQ(loaded.config, run.config);
+        EXPECT_EQ(loaded.sim.sampled, run.sim.sampled);
+        EXPECT_EQ(loaded.sim.multicore, run.sim.multicore);
+        for (const StatRow<SimResult> &row : sim_stat_rows) {
+            if (row.key == nullptr)
+                continue;
+            EXPECT_EQ(row.valueOf(loaded.sim), row.valueOf(run.sim))
+                << row.key;
+        }
+        ASSERT_EQ(loaded.sim.perCore.size(), run.sim.perCore.size());
+        for (std::size_t i = 0; i < run.sim.perCore.size(); ++i)
+            for (const auto &row : per_core_stat_rows)
+                EXPECT_EQ(loaded.sim.perCore[i].*row.counter,
+                          run.sim.perCore[i].*row.counter)
+                    << "core" << i << "_" << row.key;
+
+        EXPECT_EQ(runResultRecord(loaded), record);
+
+        JsonValue report;
+        ASSERT_TRUE(parseJson(sweepReportJson({run}, test_insts),
+                              report, nullptr));
+        std::string error;
+        EXPECT_TRUE(validateSweepReport(report, &error)) << error;
+    }
 }
 
 } // anonymous namespace

@@ -1000,61 +1000,21 @@ printStats(const SimResult &r)
 {
     TextTable table;
     table.header({"statistic", "value"});
-    auto row = [&](const char *name, const std::string &value) {
-        table.row({name, value});
-    };
-    auto count = [&](const char *name, std::uint64_t v) {
-        row(name, std::to_string(v));
-    };
-    count("instructions", r.insts);
-    count("cycles", r.cycles);
-    row("IPC", fmtDouble(r.ipc(), 3));
-    count("loads", r.loads);
-    count("stores", r.stores);
-    count("branches", r.branches);
-    row("comm loads %", fmtPct(r.pctCommLoads()));
-    row("partial-word comm %", fmtPct(r.pctPartialCommLoads()));
-    count("bypassed loads", r.bypassedLoads);
-    count("shift&mask uops", r.shiftUops);
-    count("delayed loads", r.delayedLoads);
-    count("bypass mispredicts", r.bypassMispredicts);
-    row("mispredicts /10k loads",
-        fmtDouble(r.mispredictsPer10kLoads(), 2));
-    count("load re-executions", r.reexecLoads);
-    row("re-execution rate %", fmtDouble(100 * r.reexecRate(), 3));
-    count("load value flushes", r.loadFlushes);
-    count("dcache reads (core)", r.dcacheReadsCore);
-    count("dcache reads (backend)", r.dcacheReadsBackend);
-    count("dcache writes", r.dcacheWrites);
-    count("branch mispredicts", r.branchMispredicts);
-    count("SQ forwards", r.sqForwards);
-    count("SQ partial-overlap stalls", r.sqStalls);
-    count("SSN wrap drains", r.ssnWrapDrains);
-    count("L1I hits", r.l1iHits);
-    count("L1I misses", r.l1iMisses);
-    count("L1D hits", r.l1dHits);
-    count("L1D misses", r.l1dMisses);
-    count("L1D writebacks", r.l1dWritebacks);
-    row("L1D MPKI", fmtDouble(r.l1dMpki(), 2));
-    count("L2 hits", r.l2Hits);
-    count("L2 misses", r.l2Misses);
-    count("L2 writebacks", r.l2Writebacks);
-    row("L2 MPKI", fmtDouble(r.l2Mpki(), 2));
-    count("DTLB misses", r.dtlbMisses);
-    count("ITLB misses", r.itlbMisses);
-    row("avg L1D miss latency", fmtDouble(r.avgMissLatency(), 1));
-    count("MSHR secondary merges", r.mshrMerges);
-    count("MSHR occupancy stalls", r.mshrStalls);
-    count("prefetch fills", r.prefIssued);
-    count("prefetch useful", r.prefUseful);
-    row("prefetch accuracy %",
-        fmtDouble(100 * r.prefetchAccuracy(), 1));
-    count("cycles skipped (events)", r.skippedCycles);
-    if (r.multicore) {
-        count("cores", r.numCores);
-        count("coherence invalidations", r.cohInvalidations);
-        count("cache-to-cache transfers", r.cohC2cTransfers);
-        count("coherence upgrade misses", r.cohUpgradeMisses);
+    for (const StatSection section : stat_sections) {
+        const auto flag = statSectionFlag(section);
+        if (flag != nullptr && !(r.*flag))
+            continue;
+        for (const StatRow<SimResult> &row : sim_stat_rows) {
+            if (row.section != section || row.label == nullptr)
+                continue;
+            table.row({row.label,
+                       row.counter != nullptr
+                           ? std::to_string(r.*row.counter)
+                           : fmtDouble(row.scale * row.valueOf(r),
+                                       row.precision)});
+        }
+        if (section != StatSection::Multicore)
+            continue;
         for (std::size_t i = 0; i < r.perCore.size(); ++i) {
             const SimResult::PerCore &pc = r.perCore[i];
             const double ipc = pc.cycles
@@ -1065,13 +1025,6 @@ printStats(const SimResult &r)
                            fmtDouble(ipc, 3) + " / " +
                            std::to_string(pc.bypassedLoads)});
         }
-    }
-    if (r.sampled) {
-        count("sample intervals", r.sampleIntervals);
-        count("fast-forwarded insts", r.sampleFfInsts);
-        row("sampled IPC mean", fmtDouble(r.sampleIpcMean, 3));
-        row("sampled IPC 95% CI +/-",
-            fmtDouble(r.sampleIpcCi95, 3));
     }
     std::fputs(table.render().c_str(), stdout);
 }
