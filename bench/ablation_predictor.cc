@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "nosq/bypass_predictor.hh"
 #include "nosq/path_history.hh"
@@ -166,7 +167,7 @@ accuracyRunner(const SweepJob &job)
 
 int
 main()
-{
+try {
     const std::uint64_t insts = defaultSimInsts();
 
     std::printf("Ablation: distance-based vs store-PC bypassing "
@@ -208,4 +209,8 @@ main()
                 "communication (the loop-carried kernel), while\n"
                 "the distance scheme represents it exactly.\n");
     return 0;
+} catch (const cli::UsageError &e) {
+    // A malformed NOSQ_SIM_INSTS or NOSQ_JOBS.
+    std::fprintf(stderr, "bench_ablation_predictor: %s\n", e.what());
+    return 1;
 }

@@ -28,6 +28,7 @@
 #include <deque>
 #include <vector>
 
+#include "common/cli.hh"
 #include "common/table.hh"
 #include "nosq/ssbf.hh"
 #include "nosq/tssbf.hh"
@@ -126,7 +127,7 @@ filterRunner(const SweepJob &job)
 
 int
 main()
-{
+try {
     const std::uint64_t insts = defaultSimInsts();
 
     std::printf("Ablation: tagged (1KB T-SSBF) vs untagged (8KB "
@@ -171,4 +172,8 @@ main()
                 fmtDouble(amean(tagged_rates), 3).c_str(),
                 fmtDouble(amean(untagged_rates), 3).c_str());
     return 0;
+} catch (const cli::UsageError &e) {
+    // A malformed NOSQ_SIM_INSTS or NOSQ_JOBS.
+    std::fprintf(stderr, "bench_ablation_ssbf: %s\n", e.what());
+    return 1;
 }

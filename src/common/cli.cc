@@ -1,6 +1,7 @@
 #include "common/cli.hh"
 
 #include <algorithm>
+#include <cstdlib>
 #include <sstream>
 
 namespace nosq::cli {
@@ -170,6 +171,19 @@ parseNumber(const std::string &text, std::uint64_t lo, std::uint64_t hi)
                          std::to_string(hi) + ")");
     }
     return value;
+}
+
+std::optional<std::uint64_t>
+parseEnvNumber(const char *name, std::uint64_t lo, std::uint64_t hi)
+{
+    const char *value = std::getenv(name);
+    if (value == nullptr)
+        return std::nullopt;
+    try {
+        return parseNumber(value, lo, hi);
+    } catch (const UsageError &e) {
+        throw UsageError(std::string(name) + ": " + e.what());
+    }
 }
 
 std::vector<std::string>

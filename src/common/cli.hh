@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -116,6 +117,15 @@ std::string renderHelp(const Table &table);
  */
 std::uint64_t parseNumber(const std::string &text, std::uint64_t lo,
                           std::uint64_t hi);
+
+/**
+ * The environment variable @p name as parseNumber() reads it, or
+ * nullopt when it is unset.
+ * @throws UsageError naming the variable on a malformed value
+ */
+std::optional<std::uint64_t> parseEnvNumber(const char *name,
+                                            std::uint64_t lo,
+                                            std::uint64_t hi);
 
 /** parseNumber() into an unsigned, by default over its full range. */
 inline unsigned

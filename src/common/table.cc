@@ -80,12 +80,6 @@ fmtDouble(double v, int precision)
 }
 
 std::string
-fmtRatio(double v)
-{
-    return fmtDouble(v, 3);
-}
-
-std::string
 fmtPct(double v)
 {
     return fmtDouble(v, 1);

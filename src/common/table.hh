@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table formatter used by the benchmark harnesses to print
- * paper-style tables and figure series.
+ * ASCII table formatter behind the CLI's stats, sweep and figure
+ * tables.
  */
 
 #ifndef NOSQ_COMMON_TABLE_HH
@@ -36,9 +36,6 @@ class TextTable
 
 /** printf-style helper: format a double with the given precision. */
 std::string fmtDouble(double v, int precision);
-
-/** Format a ratio as e.g. "0.97" (two decimal places). */
-std::string fmtRatio(double v);
 
 /** Format a percentage as e.g. "12.7". */
 std::string fmtPct(double v);

@@ -129,6 +129,13 @@ struct SimResult
         return cycles ? static_cast<double>(insts) / cycles : 0.0;
     }
 
+    /** Data-cache reads of the core and the back end together. */
+    double
+    dcacheReads() const
+    {
+        return static_cast<double>(dcacheReadsCore + dcacheReadsBackend);
+    }
+
     double
     l1dMpki() const
     {

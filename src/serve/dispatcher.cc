@@ -82,8 +82,6 @@ nowMsF()
 Dispatcher::Dispatcher(DispatcherOptions options)
     : opts(std::move(options))
 {
-    if (opts.workers == 0)
-        opts.workers = defaultSweepWorkers();
     opts.workers = std::max(1u, std::min(opts.workers, 64u));
 }
 

@@ -54,7 +54,8 @@ struct DispatcherOptions
 {
     std::string socketPath;
     std::string storePath;
-    /** Worker processes; 0 uses defaultSweepWorkers(). */
+    /** Worker processes, clamped to 1..64 (nosq_sweepd defaults it
+     * to defaultSweepWorkers()). */
     unsigned workers = 0;
     /** Seconds without heartbeat progress before a worker is
      * presumed wedged and SIGKILLed. Must exceed the longest single

@@ -1,9 +1,9 @@
 #include "sim/experiment.hh"
 
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 
+#include "common/cli.hh"
 #include "workload/program_cache.hh"
 
 namespace nosq {
@@ -11,12 +11,8 @@ namespace nosq {
 std::uint64_t
 defaultSimInsts()
 {
-    if (const char *env = std::getenv("NOSQ_SIM_INSTS")) {
-        const auto v = std::strtoull(env, nullptr, 10);
-        if (v > 0)
-            return v;
-    }
-    return 300000;
+    return cli::parseEnvNumber("NOSQ_SIM_INSTS", 1, ~std::uint64_t(0))
+        .value_or(300000);
 }
 
 SimResult

@@ -1,7 +1,8 @@
 /**
  * @file
- * Experiment harness: benchmark runners and paper-figure helpers
- * shared by the bench binaries and examples.
+ * Experiment harness: the run result, the benchmark runner and the
+ * mean helpers shared by the sweep engine, the figures and the
+ * examples.
  */
 
 #ifndef NOSQ_SIM_EXPERIMENT_HH
@@ -40,7 +41,8 @@ struct RunResult
     bool valid = true;
 };
 
-/** Simulation length control (overridable via NOSQ_SIM_INSTS). */
+/** Instructions per run of the ablation binaries: NOSQ_SIM_INSTS,
+ * else 300000. @throws cli::UsageError unless it is a number >= 1 */
 std::uint64_t defaultSimInsts();
 
 /** Synthesize @p profile and run it on @p params. */

@@ -83,7 +83,8 @@ runPerfHarness(std::uint64_t insts, std::uint64_t warmup)
     using clock = std::chrono::steady_clock;
 
     PerfReport report;
-    report.insts = insts ? insts : defaultSimInsts();
+    nosq_assert(insts > 0, "the perf harness measures at least 1 inst");
+    report.insts = insts;
     report.warmup = warmup == ~std::uint64_t(0) ? report.insts / 3
                                                 : warmup;
 

@@ -11,10 +11,10 @@
  * number is a single-core figure, comparable across machines with
  * different core counts.
  *
- * The harness backs `nosq_sim --perf` and the bench_perf_core
- * binary, and its JSON ("nosq-bench-core-v1") is the per-commit
- * BENCH_core.json CI artifact: every future PR lands on a visible
- * performance trajectory next to BENCH_sweep.json. Wall-clock and
+ * The harness backs `nosq_sim --perf`, and its JSON
+ * ("nosq-bench-core-v1") is the per-commit BENCH_core.json CI
+ * artifact: every future PR lands on a visible performance
+ * trajectory next to BENCH_sweep.json. Wall-clock and
  * MIPS are measurement outputs, not simulated statistics -- the
  * simulated counters inside each run stay bit-identical across
  * simulator optimizations, and the golden-stats test enforces that
@@ -79,11 +79,10 @@ struct PerfReport
 /**
  * Run the reference workload serially and time it.
  *
- * @param insts measured instructions per run (0: defaultSimInsts())
+ * @param insts measured instructions per run, at least 1
  * @param warmup warm-up instructions per run (~0: insts / 3)
  */
-PerfReport runPerfHarness(std::uint64_t insts = 0,
-                          std::uint64_t warmup = ~std::uint64_t(0));
+PerfReport runPerfHarness(std::uint64_t insts, std::uint64_t warmup);
 
 /** Serialize @p report to the nosq-bench-core-v1 JSON schema. */
 std::string perfReportJson(const PerfReport &report);

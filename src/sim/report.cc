@@ -40,13 +40,6 @@ reduceSeries(const std::vector<double> &values)
     return m;
 }
 
-double
-totalCacheReads(const SimResult &r)
-{
-    return static_cast<double>(r.dcacheReadsCore +
-                               r.dcacheReadsBackend);
-}
-
 /**
  * The "/wNNN" machine-size tail of a cross-product config name
  * (crossConfigs() naming), or "" for single-machine configs.
@@ -128,9 +121,9 @@ computeReductions(const std::vector<RunResult> &results,
             series.relTime.push_back(
                 static_cast<double>(r.sim.cycles) / b.cycles);
         }
-        if (totalCacheReads(b) > 0) {
-            series.cacheReads.push_back(totalCacheReads(r.sim) /
-                                        totalCacheReads(b));
+        if (b.dcacheReads() > 0) {
+            series.cacheReads.push_back(r.sim.dcacheReads() /
+                                        b.dcacheReads());
         }
     };
 

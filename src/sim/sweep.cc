@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
+#include <limits>
 #include <thread>
 
+#include "common/cli.hh"
 #include "common/logging.hh"
 #include "ooo/core.hh"
 #include "sim/journal.hh"
@@ -27,8 +28,8 @@ SweepConfig::materialize() const
 std::vector<SweepJob>
 buildJobs(const SweepSpec &spec)
 {
-    const std::uint64_t insts =
-        spec.insts ? spec.insts : defaultSimInsts();
+    nosq_assert(spec.insts > 0, "a sweep measures at least 1 inst");
+    const std::uint64_t insts = spec.insts;
     const std::uint64_t warmup =
         spec.warmup == ~std::uint64_t(0) ? insts / 3 : spec.warmup;
 
@@ -92,26 +93,6 @@ crossConfigs(const std::vector<LsuMode> &modes,
             configs.push_back(std::move(config));
         }
     }
-    return configs;
-}
-
-SweepConfig
-sqPerfectBaseline()
-{
-    SweepConfig config;
-    config.name = "sq-perfect";
-    config.mode = LsuMode::SqPerfect;
-    return config;
-}
-
-std::vector<SweepConfig>
-cacheReadsConfigs()
-{
-    std::vector<SweepConfig> configs(2);
-    configs[0].name = "sq-storesets";
-    configs[0].mode = LsuMode::SqStoreSets;
-    configs[1].name = "nosq-delay";
-    configs[1].mode = LsuMode::Nosq;
     return configs;
 }
 
@@ -205,12 +186,6 @@ multicoreConfigs(const std::vector<unsigned> &core_counts,
         }
     }
     return configs;
-}
-
-std::vector<SweepConfig>
-multicoreConfigs()
-{
-    return multicoreConfigs({2, 4}, {8, 64});
 }
 
 std::vector<SweepJob>
@@ -351,11 +326,9 @@ JobQueue::pop(std::size_t &index)
 unsigned
 defaultSweepWorkers()
 {
-    if (const char *env = std::getenv("NOSQ_JOBS")) {
-        const auto v = std::strtoul(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
+    if (const auto jobs = cli::parseEnvNumber(
+            "NOSQ_JOBS", 1, std::numeric_limits<unsigned>::max()))
+        return static_cast<unsigned>(*jobs);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;
 }
@@ -613,13 +586,6 @@ runSweep(const std::vector<SweepJob> &jobs, SweepJournal &journal,
          unsigned num_workers, const SweepProgress &progress)
 {
     return runSweepImpl(jobs, &journal, num_workers, progress);
-}
-
-std::vector<RunResult>
-runSweep(const SweepSpec &spec, unsigned num_workers,
-         const SweepProgress &progress)
-{
-    return runSweep(buildJobs(spec), num_workers, progress);
 }
 
 } // namespace nosq

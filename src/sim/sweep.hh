@@ -178,7 +178,7 @@ struct SweepSpec
 {
     std::vector<const BenchmarkProfile *> benchmarks;
     std::vector<SweepConfig> configs;
-    /** Measured instructions per run (0: defaultSimInsts()). */
+    /** Measured instructions per run, at least 1. */
     std::uint64_t insts = 0;
     /** Warm-up instructions (~0: insts / 3). */
     std::uint64_t warmup = ~std::uint64_t(0);
@@ -220,19 +220,6 @@ std::vector<SweepConfig> crossConfigs(
 std::vector<SweepConfig> paperFigureConfigs(bool big_window);
 
 /**
- * The SQ + perfect-scheduling normalization baseline
- * ("sq-perfect"): first bar of Figures 2/3 and the baseline of both
- * Figure 5 dimensions.
- */
-SweepConfig sqPerfectBaseline();
-
-/**
- * Figure 4's configuration pair: the associative-SQ baseline
- * ("sq-storesets") followed by NoSQ with delay ("nosq-delay").
- */
-std::vector<SweepConfig> cacheReadsConfigs();
-
-/**
  * Memory-hierarchy scaling dimension (`--sweep=memsys`): the cross
  * product of L2 size x L2 hit latency x MSHR count x prefetcher
  * on/off, each hierarchy point run under BOTH the associative-SQ
@@ -270,12 +257,6 @@ std::vector<SweepConfig> memsysConfigs();
 std::vector<SweepConfig> multicoreConfigs(
     const std::vector<unsigned> &core_counts,
     const std::vector<unsigned> &queue_depths);
-
-/**
- * The default `--sweep=multicore` grid: cores {2, 4} x queue depth
- * {8, 64} = 4 points, 8 configurations.
- */
-std::vector<SweepConfig> multicoreConfigs();
 
 /**
  * Expand multicore kernel names x configs into a job list,
@@ -353,7 +334,8 @@ inline constexpr std::size_t sweep_progress_bulk = ~std::size_t(0);
 using SweepProgress = std::function<void(
     std::size_t done, std::size_t total, std::size_t index)>;
 
-/** Worker count from NOSQ_JOBS, else hardware concurrency. */
+/** Worker count from NOSQ_JOBS, else hardware concurrency.
+ * @throws cli::UsageError unless NOSQ_JOBS is a number >= 1 */
 unsigned defaultSweepWorkers();
 
 /**
@@ -420,22 +402,6 @@ std::vector<RunResult> runSweep(const std::vector<SweepJob> &jobs,
                                 SweepJournal &journal,
                                 unsigned num_workers = 0,
                                 const SweepProgress &progress = {});
-
-/** buildJobs() + runSweep() in one call. */
-std::vector<RunResult> runSweep(const SweepSpec &spec,
-                                unsigned num_workers = 0,
-                                const SweepProgress &progress = {});
-
-/**
- * Result accessor for the benchmark-major layout of buildJobs():
- * the run of benchmark @p b under configuration @p c.
- */
-inline const RunResult &
-sweepAt(const std::vector<RunResult> &results, std::size_t num_configs,
-        std::size_t b, std::size_t c)
-{
-    return results[b * num_configs + c];
-}
 
 } // namespace nosq
 

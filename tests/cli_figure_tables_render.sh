@@ -1,0 +1,65 @@
+#!/bin/sh
+# Every figure dimension of --sweep=DIM prints its paper table: exit
+# 0, the figure's title line, one row per benchmark (one per
+# hierarchy point for memsys), and the same sweep's --json report
+# passes --validate.
+#
+# usage: cli_figure_tables_render.sh NOSQ_SIM
+# Runs in the current directory and writes only cli_fig_* files there.
+
+sim=$1
+failures=0
+
+# check DIM TITLE ROWS [FLAGS...]: the DIM table holds TITLE and ROWS
+# is the number of its lines that start with a benchmark or point.
+check() {
+    dim=$1
+    title=$2
+    rows=$3
+    shift 3
+    run="$sim --sweep=$dim --bench gcc,g721.e --insts 20000 --jobs 2 $*"
+    if ! $run > cli_fig_table.txt 2> cli_fig_err.txt; then
+        echo "FAIL: exit $?: $run"
+        sed 's/^/    /' cli_fig_err.txt
+        failures=$((failures + 1))
+        return
+    fi
+    if ! grep -q -F -e "$title" cli_fig_table.txt; then
+        echo "FAIL: no title '$title': $run"
+        failures=$((failures + 1))
+    fi
+    got=$(grep -c -E '^\| (gcc|g721\.e|l2-[^ ]*) ' cli_fig_table.txt)
+    if [ "$got" -ne "$rows" ]; then
+        echo "FAIL: $got rows, want $rows: $run"
+        sed 's/^/    /' cli_fig_table.txt
+        failures=$((failures + 1))
+    fi
+    for bench in gcc g721.e; do
+        if [ "$rows" -eq 2 ] &&
+           [ "$(grep -c -F "| $bench " cli_fig_table.txt)" -ne 1 ]; then
+            echo "FAIL: not one row for $bench: $run"
+            failures=$((failures + 1))
+        fi
+    done
+    if ! $run --json > cli_fig_report.json ||
+       ! "$sim" --validate cli_fig_report.json > /dev/null; then
+        echo "FAIL: --json report does not validate: $run"
+        failures=$((failures + 1))
+    fi
+}
+
+rm -f cli_fig_*
+
+check lsu "Figure 2: relative execution time, 128-entry window" 2
+check lsu "Figure 3: relative execution time, 256-entry window" 2 \
+    --window 256
+check cache-reads "Figure 4: data cache reads" 2
+check capacity "Figure 5 (top): predictor capacity sweep" 2
+check history "Figure 5 (bottom): path history length sweep" 2 \
+    --history 0,2,4,8,12
+check delay "Table 5: communication behaviour" 2
+check svw "Ablation: SVW-filtered re-execution" 2
+check memsys "Memory-hierarchy scaling" 16
+
+echo "$failures failure(s)"
+[ "$failures" -eq 0 ]

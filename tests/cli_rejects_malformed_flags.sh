@@ -2,13 +2,15 @@
 # CLI rejection contract: every malformed, misplaced or unknown flag
 # makes nosq_sim exit 1 and nosq_sweepd exit 2 (never an abort), with
 # exactly one stderr line that names the flag; --help prints to
-# stdout and exits 0.
+# stdout and exits 0. A malformed NOSQ_JOBS or NOSQ_SIM_INSTS fails
+# the same way, also in an ablation binary (exit 1).
 #
-# usage: cli_rejects_malformed_flags.sh NOSQ_SIM NOSQ_SWEEPD
+# usage: cli_rejects_malformed_flags.sh NOSQ_SIM NOSQ_SWEEPD ABLATION
 # Runs in the current directory and writes only cli_rej_* files there.
 
 sim=$1
 sweepd=$2
+ablation=$3
 failures=0
 
 # expect STATUS FLAG COMMAND...: COMMAND exits with STATUS within
@@ -90,6 +92,22 @@ expect 2 --max-pending "$sweepd" --socket cli_rej.sock --max-pending x
 expect 2 --bogus "$sweepd" --socket cli_rej.sock --bogus
 expect 2 --socket "$sweepd" --workers 1
 expect 2 --socket "$sweepd" --socket
+
+# Environment variables: digits only and at least 1, wherever they
+# are read. None of these values may start a worker per job.
+for value in abc 4x -1 0 ''; do
+    expect 1 NOSQ_JOBS env NOSQ_JOBS="$value" "$sim" --sweep --bench gcc \
+        --modes nosq --windows 128 --insts 1000
+done
+for value in abc 5k 0; do
+    expect 1 NOSQ_SIM_INSTS env NOSQ_SIM_INSTS="$value" NOSQ_JOBS=1 \
+        "$ablation"
+done
+expect 1 NOSQ_JOBS env NOSQ_JOBS=4x NOSQ_SIM_INSTS=1000 "$ablation"
+for value in abc 0; do
+    expect 2 NOSQ_JOBS env NOSQ_JOBS="$value" "$sweepd" \
+        --socket cli_rej.sock
+done
 
 # --help prints to stdout and exits 0.
 for binary in "$sim" "$sweepd"; do

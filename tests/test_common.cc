@@ -250,7 +250,6 @@ TEST(Table, RendersAlignedColumns)
 TEST(Table, Formatters)
 {
     EXPECT_EQ(fmtDouble(1.23456, 2), "1.23");
-    EXPECT_EQ(fmtRatio(0.97), "0.970");
     EXPECT_EQ(fmtPct(12.34), "12.3");
 }
 

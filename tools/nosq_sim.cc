@@ -18,6 +18,7 @@
  *            --capacities 512,2K,Inf --json
  *   nosq_sim --sweep=history --suite int --json
  *   nosq_sim --sweep=cache-reads --json --out fig4.json
+ *   nosq_sim --sweep=lsu --suite all           # Figure 2's table
  *   nosq_sim --validate sweep.json
  *
  * Every flag is declared once, in optionTable(): the table drives
@@ -46,6 +47,7 @@
 #include "obs/progress.hh"
 #include "serve/client.hh"
 #include "serve/fault.hh"
+#include "sim/figures.hh"
 #include "sim/journal.hh"
 #include "sim/perf.hh"
 #include "sim/report.hh"
@@ -64,33 +66,24 @@ enum Mode : cli::ModeMask {
     Run = 1u << 0,       ///< one benchmark profile
     KernelRun = 1u << 1, ///< one multicore producer/consumer kernel
     Sweep = 1u << 2,     ///< --sweep: modes x windows x benchmarks
-    SweepCapacity = 1u << 3,
-    SweepHistory = 1u << 4,
-    SweepCacheReads = 1u << 5,
-    SweepMemsys = 1u << 6,
-    SweepMulticore = 1u << 7,
-    Perf = 1u << 8,
-    Validate = 1u << 9,
-    ValidateTrace = 1u << 10,
-    List = 1u << 11,
-    ServerStatus = 1u << 12,
-    ServerMetrics = 1u << 13,
+    /** --sweep=DIM, a row of sweep_dimensions (sim/figures.hh) over
+     * benchmark profiles. */
+    DimensionSweep = 1u << 3,
+    KernelSweep = 1u << 4, ///< --sweep=DIM over the multicore kernels
+    Perf = 1u << 5,
+    Validate = 1u << 6,
+    ValidateTrace = 1u << 7,
+    List = 1u << 8,
+    ServerStatus = 1u << 9,
+    ServerMetrics = 1u << 10,
 };
 
 constexpr cli::ModeMask single_runs = Run | KernelRun;
-constexpr cli::ModeMask sweeps = Sweep | SweepCapacity | SweepHistory |
-    SweepCacheReads | SweepMemsys | SweepMulticore;
+constexpr cli::ModeMask sweeps = Sweep | DimensionSweep | KernelSweep;
 /** Modes that simulate a machine the machine flags describe. */
 constexpr cli::ModeMask simulations = single_runs | sweeps;
 constexpr cli::ModeMask single_core_sims =
-    simulations & ~(KernelRun | SweepMulticore);
-
-/** The --sweep=DIM dimensions. */
-const std::vector<std::pair<std::string, Mode>> sweep_dimensions = {
-    {"capacity", SweepCapacity}, {"history", SweepHistory},
-    {"cache-reads", SweepCacheReads}, {"memsys", SweepMemsys},
-    {"multicore", SweepMulticore},
-};
+    simulations & ~(KernelRun | KernelSweep);
 
 const char *default_capacities = "64,128,256,512,1K,2K,4K,Inf";
 
@@ -113,6 +106,8 @@ struct Options
 {
     /** The Mode a mode flag selected; 0: a single run. */
     cli::ModeMask selected = 0;
+    /** --sweep=DIM's dimension; nullptr in every other mode. */
+    const SweepDimension *dimension = nullptr;
     /** --validate or --validate-trace FILE. */
     std::string validatePath;
 
@@ -232,6 +227,16 @@ parseSuite(const std::string &name)
                      "' (media | int | fp | selected | all)");
 }
 
+/** Every --sweep=DIM name: "lsu | cache-reads | ...". */
+std::string
+dimensionNames()
+{
+    std::string names;
+    for (const SweepDimension &dimension : sweep_dimensions)
+        names += std::string(names.empty() ? "" : " | ") + dimension.name;
+    return names;
+}
+
 /** Every nosq_sim flag, declared once. */
 cli::Table
 optionTable(Options &o)
@@ -252,6 +257,13 @@ optionTable(Options &o)
             o.validatePath = v;
         };
     };
+    // The table keeps a pointer into the --sweep help: build it once.
+    static const std::string sweep_help = "run a sweep in parallel: "
+        "bare, the modes x windows x benchmarks cross-product, or DIM = " +
+        dimensionNames() + " (docs/cli.md describes each). Without "
+        "--json, a paper-figure dimension prints the figure's table and "
+        "the others a per-run table. The machine flags apply to every "
+        "configuration; the swept dimension wins on its own knob";
     return cli::Table{
         "usage: nosq_sim [options]",
         nullptr,
@@ -335,7 +347,7 @@ optionTable(Options &o)
                                       "two in 8..4096");
                  o.queueDepth = n;
              },
-             KernelRun | SweepMulticore},
+             KernelRun | KernelSweep},
             {"--seed", Arg::Required, "N",
              "workload seed (default 1)",
              number(o.seed, 0, any),
@@ -357,29 +369,17 @@ optionTable(Options &o)
              },
              single_core_sims},
             cli::heading("sweep mode:"),
-            {"--sweep", Arg::Optional, "DIM",
-             "run a sweep in parallel: bare, the modes x windows x "
-             "benchmarks cross-product; DIM = capacity or history "
-             "(the Fig. 5 predictor dimensions), cache-reads (the "
-             "Fig. 4 pair), memsys (L2 x MSHR x prefetcher grid) or "
-             "multicore (cores x queue depth over the kernels). The "
-             "machine flags apply to every configuration; the swept "
-             "dimension wins on its own knob",
+            {"--sweep", Arg::Optional, "DIM", sweep_help.c_str(),
              [&o](const std::string &v) {
-                 if (v.empty()) {
-                     o.selected = Sweep;
+                 o.selected = Sweep;
+                 if (v.empty())
                      return;
-                 }
-                 for (const auto &[name, mode] : sweep_dimensions) {
-                     if (v == name) {
-                         o.selected = mode;
-                         return;
-                     }
-                 }
-                 throw UsageError("unknown sweep dimension '" + v +
-                                  "' (capacity | history | "
-                                  "cache-reads | memsys | "
-                                  "multicore)");
+                 o.dimension = findSweepDimension(v);
+                 if (o.dimension == nullptr)
+                     throw UsageError("unknown sweep dimension '" + v +
+                                      "' (" + dimensionNames() + ")");
+                 o.selected =
+                     o.dimension->kernels ? KernelSweep : DimensionSweep;
              },
              sweeps},
             {"--jobs", Arg::Required, "N",
@@ -390,7 +390,7 @@ optionTable(Options &o)
             {"--suite", Arg::Required, "NAME",
              "media | int | fp | selected | all (default: selected)",
              [&o](const std::string &v) { o.suite = parseSuite(v); },
-             sweeps & ~SweepMulticore},
+             sweeps & ~KernelSweep},
             {"--modes", Arg::Required, "LIST",
              "comma-separated mode list, --sweep only (default: all "
              "four modes, or --mode when given)",
@@ -417,7 +417,7 @@ optionTable(Options &o)
              [&o](const std::string &v) {
                  o.capacities = parseCapacities(v);
              },
-             SweepCapacity},
+             DimensionSweep},
             {"--checkpoint", Arg::Required, "FILE",
              "store each completed job in FILE, a nosq-store-v1 "
              "result store (starts empty; refuses a FILE holding "
@@ -492,11 +492,8 @@ optionTable(Options &o)
             {Run, "single-run"},
             {KernelRun, "multicore-kernel single-run"},
             {Sweep, "--sweep"},
-            {SweepCapacity, "--sweep=capacity"},
-            {SweepHistory, "--sweep=history"},
-            {SweepCacheReads, "--sweep=cache-reads"},
-            {SweepMemsys, "--sweep=memsys"},
-            {SweepMulticore, "--sweep=multicore"},
+            {DimensionSweep, "--sweep=DIM"},
+            {KernelSweep, "--sweep=multicore"},
             {Perf, "--perf"},
             {Validate, "--validate"},
             {ValidateTrace, "--validate-trace"},
@@ -514,9 +511,13 @@ optionTable(Options &o)
 void
 checkCombinations(const Options &o, cli::ModeMask mode)
 {
-    if (o.machine.history.size() > 1 && mode != SweepHistory)
+    if (o.machine.history.size() > 1 &&
+        o.dimension != findSweepDimension("history"))
         throw UsageError("--history takes a comma list only with "
                          "--sweep=history");
+    if (!o.capacities.empty() &&
+        o.dimension != findSweepDimension("capacity"))
+        throw UsageError("--capacities applies only to --sweep=capacity");
     if (o.sampling.enabled && o.cores.value_or(1) > 1)
         throw UsageError("--sample is single-core only");
     if (o.tracePipe && o.cores.value_or(1) > 1)
@@ -536,7 +537,7 @@ checkCombinations(const Options &o, cli::ModeMask mode)
         throw UsageError("--checkpoint and --resume are mutually "
                          "exclusive (--resume keeps journaling to its "
                          "own file)");
-    if ((mode & sweeps) && mode != Sweep && o.windows.size() > 1)
+    if (o.dimension != nullptr && o.windows.size() > 1)
         throw UsageError("dimension sweeps take a single --window "
                          "(128 or 256)");
     if (mode & single_runs) {
@@ -610,7 +611,7 @@ buildRunJobs(const Options &o, cli::ModeMask mode,
              std::vector<SweepConfig> configs,
              std::vector<SweepJob> &jobs)
 {
-    const bool multicore = mode == KernelRun || mode == SweepMulticore;
+    const bool multicore = mode == KernelRun || mode == KernelSweep;
     std::vector<const BenchmarkProfile *> profiles;
     std::vector<std::string> kernels;
     std::vector<std::string> names;
@@ -658,17 +659,17 @@ buildRunJobs(const Options &o, cli::ModeMask mode,
     return true;
 }
 
-/** The configurations of a sweep in @p mode. */
+/** The configurations of the sweep the options select. */
 std::vector<SweepConfig>
-sweepConfigs(const Options &o, cli::ModeMask mode)
+sweepConfigs(const Options &o)
 {
     std::vector<unsigned> windows = o.windows;
     if (windows.empty() && o.window)
         windows = {*o.window};
     if (windows.empty())
-        windows = mode == Sweep ? std::vector<unsigned>{128, 256}
-                                : std::vector<unsigned>{128};
-    if (mode == Sweep) {
+        windows = o.dimension == nullptr ? std::vector<unsigned>{128, 256}
+                                         : std::vector<unsigned>{128};
+    if (o.dimension == nullptr) {
         std::vector<LsuMode> modes = o.modes;
         if (modes.empty() && o.mode)
             modes = {*o.mode};
@@ -679,36 +680,18 @@ sweepConfigs(const Options &o, cli::ModeMask mode)
         return crossConfigs(modes, windows);
     }
 
-    // Fixed-baseline dimension sweep (Figures 4 and 5);
-    // checkCombinations() allows it a single window only.
-    std::vector<SweepConfig> configs;
-    if (mode == SweepCacheReads) {
-        configs = cacheReadsConfigs();
-    } else if (mode == SweepMemsys) {
-        configs = memsysConfigs();
-    } else if (mode == SweepMulticore) {
-        configs = multicoreConfigs(
-            o.cores ? std::vector<unsigned>{*o.cores}
-                    : std::vector<unsigned>{2, 4},
-            o.queueDepth ? std::vector<unsigned>{*o.queueDepth}
-                         : std::vector<unsigned>{8, 64});
-    } else {
-        configs.push_back(sqPerfectBaseline());
-    }
-    if (mode == SweepCapacity) {
-        for (SweepConfig &config : predictorCapacityConfigs(
-                 o.capacities.empty()
-                     ? parseCapacities(default_capacities)
-                     : o.capacities))
-            configs.push_back(std::move(config));
-    } else if (mode == SweepHistory) {
-        for (SweepConfig &config : predictorHistoryConfigs(
-                 o.machine.history.empty()
-                     ? std::vector<unsigned>{4, 6, 8, 10, 12}
-                     : o.machine.history,
-                 /*with_unbounded=*/true))
-            configs.push_back(std::move(config));
-    }
+    // A dimension sweep; checkCombinations() allows it a single
+    // window only.
+    DimensionArgs args;
+    args.capacities = o.capacities.empty()
+        ? parseCapacities(default_capacities) : o.capacities;
+    args.history = o.machine.history.empty()
+        ? std::vector<unsigned>{4, 6, 8, 10, 12} : o.machine.history;
+    args.cores = o.cores ? std::vector<unsigned>{*o.cores}
+                         : std::vector<unsigned>{2, 4};
+    args.queueDepths = o.queueDepth ? std::vector<unsigned>{*o.queueDepth}
+                                    : std::vector<unsigned>{8, 64};
+    std::vector<SweepConfig> configs = o.dimension->configs(args);
     for (SweepConfig &config : configs)
         config.bigWindow = windows.front() == 256;
     return configs;
@@ -717,10 +700,17 @@ sweepConfigs(const Options &o, cli::ModeMask mode)
 int
 runSweepMode(const Options &opt, cli::ModeMask mode)
 {
-    std::vector<SweepConfig> configs = sweepConfigs(opt, mode);
+    std::vector<SweepConfig> configs = sweepConfigs(opt);
     // Reductions normalize against the first configuration (the
     // SQ baseline of the dimension sweeps).
     const std::string baseline = configs.front().name;
+    const std::size_t num_configs = configs.size();
+    const Figure *figure = nullptr;
+    if (opt.dimension != nullptr && !opt.dimension->figures.empty()) {
+        const std::vector<Figure> &figures = opt.dimension->figures;
+        figure = configs.front().bigWindow ? &figures.back()
+                                           : &figures.front();
+    }
     std::vector<SweepJob> jobs;
     if (!buildRunJobs(opt, mode, std::move(configs), jobs))
         return 1;
@@ -869,6 +859,12 @@ runSweepMode(const Options &opt, cli::ModeMask mode)
         // --out without --json: file written, table still prints.
     }
 
+    if (figure != nullptr) {
+        std::fputs(renderFigure(*figure, jobs, results, num_configs,
+                                opt.jobs).c_str(),
+                   stdout);
+        return exit_code;
+    }
     TextTable table;
     table.header({"bench", "config", "IPC", "cycles", "mw/10k",
                   "dly%"});
@@ -1143,6 +1139,8 @@ main(int argc, char **argv)
             : isMulticoreWorkload(opt.bench) ? KernelRun : Run;
         cli::checkModes(table, parsed, mode);
         checkCombinations(opt, mode);
+        if ((mode & sweeps) && opt.jobs == 0)
+            opt.jobs = defaultSweepWorkers();
     } catch (const UsageError &e) {
         std::fprintf(stderr, "nosq_sim: %s\n", e.what());
         return 1;

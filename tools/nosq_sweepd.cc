@@ -23,6 +23,7 @@
 #include "common/logging.hh"
 #include "serve/dispatcher.hh"
 #include "serve/fault.hh"
+#include "sim/sweep.hh"
 
 namespace {
 
@@ -128,6 +129,8 @@ main(int argc, char **argv)
         }
         if (opts.socketPath.empty())
             throw cli::UsageError("--socket is required");
+        if (opts.workers == 0)
+            opts.workers = nosq::defaultSweepWorkers();
     } catch (const cli::UsageError &e) {
         std::fprintf(stderr, "nosq_sweepd: %s\n", e.what());
         return 2;
