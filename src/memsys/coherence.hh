@@ -58,7 +58,7 @@ enum class CohState : std::uint8_t
 
 const char *cohStateName(CohState state);
 
-/** Directory counters, snapshot-subtractable like MemSysStats. */
+/** Directory counters, snapshot-subtractable. */
 struct CoherenceStats
 {
     /** Remote private-L1 copies dropped by exclusivity requests. */

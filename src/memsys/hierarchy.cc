@@ -44,18 +44,6 @@ validateMemSysParams(const MemSysParams &params)
             "memsys: coherence upgrade latency must be nonzero");
 }
 
-MemSysStats
-MemSysStats::operator-(const MemSysStats &base) const
-{
-    MemSysStats d = *this;
-    forEachMemSysCounterPair(
-        d, base,
-        [](std::uint64_t &dst, const std::uint64_t &src) {
-            dst -= src;
-        });
-    return d;
-}
-
 MemHierarchy::MemHierarchy(const MemSysParams &params_)
     : params((validateMemSysParams(params_), params_)),
       l1iCache(params_.l1i), l1dCache(params_.l1d),

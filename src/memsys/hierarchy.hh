@@ -82,9 +82,10 @@ struct MemSysParams
 void validateMemSysParams(const MemSysParams &params);
 
 /**
- * Aggregate hierarchy counters, snapshot-subtractable so the core
- * can reset measurement at the warmup boundary the way it resets
- * SimResult.
+ * Aggregate hierarchy counters, declared once: SimResult derives
+ * from this struct, so the core exports a (warmup-windowed) snapshot
+ * as one slice assignment, and the reported rows of sim_stat_rows
+ * (ooo/sim_stats.hh) name these fields.
  */
 struct MemSysStats
 {
@@ -93,46 +94,14 @@ struct MemSysStats
     std::uint64_t l2Hits = 0, l2Misses = 0, l2Writebacks = 0;
     std::uint64_t itlbHits = 0, itlbMisses = 0;
     std::uint64_t dtlbHits = 0, dtlbMisses = 0;
-    std::uint64_t mshrMerges = 0, mshrStalls = 0;
-    std::uint64_t prefIssued = 0, prefUseful = 0;
+    std::uint64_t mshrMerges = 0;    // secondary misses merged
+    std::uint64_t mshrStalls = 0;    // file/target-full waits
+    std::uint64_t prefIssued = 0;    // prefetch line fills
+    std::uint64_t prefUseful = 0;    // demand hits on prefetched lines
     /** Total end-to-end latency of L1D demand misses (for the
      * average-miss-latency statistic). */
     std::uint64_t missCycles = 0;
-
-    MemSysStats operator-(const MemSysStats &base) const;
 };
-
-/**
- * Zip the hierarchy counters of two stats-like objects, in a fixed
- * order: fn(dst.<counter>, src.<counter>) for every counter. The
- * single source of truth for the counter field set -- the snapshot
- * subtraction and the core's SimResult export (whose fields share
- * these names) both iterate it, so adding a hierarchy counter means
- * extending only this list (plus MemHierarchy::stats(), which
- * assembles it from the component models).
- */
-template <typename DstT, typename SrcT, typename Fn>
-void
-forEachMemSysCounterPair(DstT &dst, SrcT &src, Fn &&fn)
-{
-    fn(dst.l1iHits, src.l1iHits);
-    fn(dst.l1iMisses, src.l1iMisses);
-    fn(dst.l1dHits, src.l1dHits);
-    fn(dst.l1dMisses, src.l1dMisses);
-    fn(dst.l1dWritebacks, src.l1dWritebacks);
-    fn(dst.l2Hits, src.l2Hits);
-    fn(dst.l2Misses, src.l2Misses);
-    fn(dst.l2Writebacks, src.l2Writebacks);
-    fn(dst.itlbHits, src.itlbHits);
-    fn(dst.itlbMisses, src.itlbMisses);
-    fn(dst.dtlbHits, src.dtlbHits);
-    fn(dst.dtlbMisses, src.dtlbMisses);
-    fn(dst.mshrMerges, src.mshrMerges);
-    fn(dst.mshrStalls, src.mshrStalls);
-    fn(dst.prefIssued, src.prefIssued);
-    fn(dst.prefUseful, src.prefUseful);
-    fn(dst.missCycles, src.missCycles);
-}
 
 /**
  * The L1D/L2/memory path used by the core for loads, stores, and
@@ -182,8 +151,8 @@ class MemHierarchy
      * L2), same contract as warmDataAccess(). */
     void warmInstFetch(Addr addr);
 
-    /** Full counter snapshot (monotonic; subtract two snapshots to
-     * window a measurement). */
+    /** Full counter snapshot (monotonic; windowMemSysStats()
+     * subtracts two to window a measurement). */
     MemSysStats stats() const;
 
     /**

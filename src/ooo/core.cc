@@ -49,19 +49,6 @@ nextPow2(std::size_t n)
     return p;
 }
 
-/**
- * Copy a (warmup-windowed) hierarchy snapshot into the run's
- * statistics block (SimResult shares the counter field names).
- */
-void
-exportMemStats(const MemSysStats &m, SimResult &res)
-{
-    forEachMemSysCounterPair(
-        res, m, [](std::uint64_t &dst, const std::uint64_t &src) {
-            dst = src;
-        });
-}
-
 } // anonymous namespace
 
 OooCore::OooCore(const UarchParams &params_,
@@ -152,7 +139,7 @@ OooCore::run(std::uint64_t max_insts, std::uint64_t warmup_insts)
     runUntilCommitted(total, cycle_bound);
     res.cycles = cycle - cycle_base;
     res.insts = committed - warmup_insts;
-    exportMemStats(mem.stats() - mem_base, res);
+    windowMemSysStats(res, mem.stats(), mem_base);
     return res;
 }
 
@@ -170,7 +157,7 @@ OooCore::harvestInterval()
 {
     res.cycles = cycle - intervalCycleBase;
     res.insts = committed - intervalCommitBase;
-    exportMemStats(mem.stats() - intervalMemBase, res);
+    windowMemSysStats(res, mem.stats(), intervalMemBase);
     return res;
 }
 

@@ -38,15 +38,6 @@ xorshift64(std::uint64_t x)
     return x ? x : 0x9e3779b97f4a7c15ull;
 }
 
-void
-exportMemStats(const MemSysStats &m, SimResult &res)
-{
-    forEachMemSysCounterPair(
-        res, m, [](std::uint64_t &dst, const std::uint64_t &src) {
-            dst = src;
-        });
-}
-
 } // anonymous namespace
 
 void
@@ -160,7 +151,7 @@ OooCore::runSampled(const SamplingParams &sp)
             break; // trace ended inside the warmup
         res.cycles = cycle - cycle_base;
         res.insts = measured;
-        exportMemStats(mem.stats() - mem_base, res);
+        windowMemSysStats(res, mem.stats(), mem_base);
         addSimCounters(total, res);
         total.skippedCycles += res.skippedCycles;
         // Accumulate CPI, not IPC: intervals are fixed instruction

@@ -7,14 +7,19 @@
 #define NOSQ_OOO_SIM_STATS_HH
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
+#include "memsys/hierarchy.hh"
 
 namespace nosq {
 
-/** Aggregate counters for one simulation run. */
-struct SimResult
+/**
+ * Aggregate counters for one simulation run. The memory-hierarchy
+ * counters are its MemSysStats base (windowMemSysStats()).
+ */
+struct SimResult : MemSysStats
 {
     Cycle cycles = 0;
     std::uint64_t insts = 0;
@@ -50,25 +55,6 @@ struct SimResult
 
     // --- rare events --------------------------------------------------------
     std::uint64_t ssnWrapDrains = 0;
-
-    // --- memory hierarchy (per-level, memsys/hierarchy.hh) ----------------
-    std::uint64_t l1iHits = 0;
-    std::uint64_t l1iMisses = 0;
-    std::uint64_t l1dHits = 0;
-    std::uint64_t l1dMisses = 0;
-    std::uint64_t l1dWritebacks = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t l2Writebacks = 0;
-    std::uint64_t itlbHits = 0;
-    std::uint64_t itlbMisses = 0;
-    std::uint64_t dtlbHits = 0;
-    std::uint64_t dtlbMisses = 0;
-    std::uint64_t mshrMerges = 0;    // secondary misses merged
-    std::uint64_t mshrStalls = 0;    // file/target-full waits
-    std::uint64_t prefIssued = 0;    // prefetch line fills
-    std::uint64_t prefUseful = 0;    // demand hits on prefetched lines
-    std::uint64_t missCycles = 0;    // total L1D demand-miss latency
 
     // --- simulator diagnostics (a stats-table-only row of
     // --- sim_stat_rows: event skipping is a pure wall-clock
@@ -269,10 +255,16 @@ struct StatRow
     }
 };
 
-template <typename Owner>
-constexpr StatRow<Owner>
+/** The row owner of a counter of @p Member: SimResult for its own
+ * counters and its MemSysStats base's. */
+template <typename Member>
+using StatOwner = std::conditional_t<std::is_base_of_v<Member, SimResult>,
+                                     SimResult, Member>;
+
+template <typename Member>
+constexpr StatRow<StatOwner<Member>>
 statCounter(const char *key, const char *label,
-            std::uint64_t Owner::*counter,
+            std::uint64_t Member::*counter,
             StatSection section = StatSection::Base)
 {
     return {key, label, section, counter, nullptr, nullptr, 0, 1.0,
@@ -455,6 +447,24 @@ addSimCounters(SimResult &into, const SimResult &from)
     for (const StatRow<SimResult> &row : sim_stat_rows)
         if (isSimCounter(row))
             into.*row.counter += from.*row.counter;
+}
+
+/**
+ * Set the hierarchy counters of @p res to those accrued between the
+ * MemHierarchy::stats() snapshots @p base and @p now. The reported
+ * counter rows do the subtraction; the other counters of the
+ * subtrahend are zero.
+ */
+inline void
+windowMemSysStats(SimResult &res, const MemSysStats &now,
+                  const MemSysStats &base)
+{
+    SimResult since;
+    static_cast<MemSysStats &>(since) = base;
+    static_cast<MemSysStats &>(res) = now;
+    for (const StatRow<SimResult> &row : sim_stat_rows)
+        if (isSimCounter(row))
+            res.*row.counter -= since.*row.counter;
 }
 
 /**

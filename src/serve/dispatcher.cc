@@ -24,7 +24,6 @@
 
 #include "common/logging.hh"
 #include "serve/fault.hh"
-#include "serve/serve_metrics.hh"
 #include "serve/worker.hh"
 #include "sim/journal.hh"
 #include "sim/sweep.hh"
@@ -52,19 +51,6 @@ logLine(const char *format, ...)
     std::fputc('\n', stderr);
     std::fflush(stderr);
     va_end(args);
-}
-
-/** Catalog help text for @p name (serve_metrics.hh); "" when the
- * name is not catalogued. */
-const char *
-metricHelp(const char *name)
-{
-    const char *help = "";
-    forEachServeMetric([&](const ServeMetricDef &def) {
-        if (std::strcmp(def.name, name) == 0)
-            help = def.help;
-    });
-    return help;
 }
 
 /** Monotonic clock with sub-ms resolution for latency histograms. */
@@ -124,23 +110,15 @@ Dispatcher::init(std::string &error)
     logLine("store '%s': %zu cached result(s)",
             store.path().c_str(), store.size());
 
-    // Register the whole catalog up front so the very first scrape
-    // already carries every documented series (at zero). Fault
-    // counters are per-site labelled children and register lazily at
-    // scrape time, only while a plan is active.
+    // Register every series up front, in exposition order, so the
+    // very first scrape already carries each documented one (at
+    // zero). Fault counters are per-site labelled children and
+    // register at scrape time, only while a plan is active.
     start_ms = nowMs();
-    forEachServeMetric([&](const ServeMetricDef &def) {
-        const std::string name = def.name;
-        if (name.rfind("nosq_sweepd_fault_", 0) == 0)
-            return;
-        const std::string type = def.type;
-        if (type == "counter")
-            metrics.counter(name, def.help);
-        else if (type == "gauge")
-            metrics.gauge(name, def.help);
-        else
-            metrics.histogram(name, def.help);
-    });
+    setServeMetrics(metrics, ServerStatus{});
+    metrics.histogram(submit_latency_metric.name,
+                      submit_latency_metric.help);
+    metrics.histogram(service_time_metric.name, service_time_metric.help);
 
     struct sockaddr_un addr;
     std::memset(&addr, 0, sizeof(addr));
@@ -459,8 +437,8 @@ Dispatcher::handleLine(int fd, const std::string &line)
         const double t0 = nowMsF();
         handleSubmit(fd, request);
         metrics
-            .histogram("nosq_sweepd_submit_latency_ms",
-                       metricHelp("nosq_sweepd_submit_latency_ms"))
+            .histogram(submit_latency_metric.name,
+                       submit_latency_metric.help)
             .observe(nowMsF() - t0);
         break;
       }
@@ -504,7 +482,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
     }
     if (opts.maxPending > 0 && fresh > 0 &&
         pending.size() >= opts.maxPending) {
-        ++stat_overloaded;
+        ++stats.overloaded;
         logLine("submit shed: %zu pending >= --max-pending %zu",
                 pending.size(), opts.maxPending);
         clients[fd].outbuf += errorReplyLine(
@@ -513,7 +491,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
         return;
     }
 
-    ++stat_submits;
+    ++stats.submits;
     const std::string ticket =
         "t" + std::to_string(++ticket_seq);
     Ticket &t = tickets[ticket];
@@ -529,7 +507,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
             streamed += jobResultLine(i, fp, store.get(fp));
             ++t.delivered;
             ++cached;
-            ++stat_cache_hits;
+            ++stats.cache_hits;
             continue;
         }
         if (auto qit = quarantine.find(fp);
@@ -544,7 +522,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
         if (it != execs.end()) {
             it->second.waiters.push_back(Waiter{fd, ticket, i});
             ++shared;
-            ++stat_dedup_shared;
+            ++stats.dedup_shared;
             continue;
         }
         Exec exec;
@@ -567,26 +545,21 @@ Dispatcher::handleSubmit(int fd, const Request &request)
             request.jobs.size() - cached - shared);
 }
 
-void
-Dispatcher::handleStatus(int fd)
+ServerStatus
+Dispatcher::snapshot() const
 {
-    ServerStatus status;
+    ServerStatus status = stats;
     status.workers = workers.size();
-    for (const Worker &worker : workers)
+    for (const Worker &worker : workers) {
         status.alive += worker.alive ? 1 : 0;
-    status.executed = stat_executed;
-    status.cache_hits = stat_cache_hits;
-    status.dedup_shared = stat_dedup_shared;
-    status.worker_deaths = stat_worker_deaths;
-    status.requeued = stat_requeued;
-    status.failed = stat_failed;
-    status.quarantined = stat_quarantined;
-    status.overloaded = stat_overloaded;
+        status.busy += worker.alive && !worker.inflight.empty() ? 1 : 0;
+    }
     status.store_size = store.size();
     status.store_append_failures = store.appendFailures();
     status.pending = pending.size();
     status.running = execs.size() - pending.size();
     status.max_pending = opts.maxPending;
+    status.uptime_ms = nowMs() - start_ms;
     status.draining = draining;
     // Deterministic dump order (attempts is an unordered_map).
     std::map<std::string, std::uint64_t> ordered(attempts.begin(),
@@ -594,68 +567,23 @@ Dispatcher::handleStatus(int fd)
     status.job_attempts.assign(ordered.begin(), ordered.end());
     status.quarantine.assign(quarantine.begin(), quarantine.end());
     status.faults_json = FaultInjector::global().statusJson();
-    clients[fd].outbuf += statusReplyLine(status);
+    return status;
+}
+
+void
+Dispatcher::handleStatus(int fd)
+{
+    clients[fd].outbuf += statusReplyLine(snapshot());
 }
 
 void
 Dispatcher::handleMetrics(int fd)
 {
-    auto ctr = [&](const char *name) -> obs::Counter & {
-        return metrics.counter(name, metricHelp(name));
-    };
-    auto gge = [&](const char *name) -> obs::Gauge & {
-        return metrics.gauge(name, metricHelp(name));
-    };
+    ++stats.scrapes;
+    setServeMetrics(metrics, snapshot());
 
-    ctr("nosq_sweepd_scrapes_total").inc();
-
-    // Counters mirror the stat_* totals the status verb reports, so
-    // the two surfaces can never disagree.
-    ctr("nosq_sweepd_submits_total").set(stat_submits);
-    ctr("nosq_sweepd_jobs_executed_total").set(stat_executed);
-    ctr("nosq_sweepd_cache_hits_total").set(stat_cache_hits);
-    ctr("nosq_sweepd_dedup_shared_total").set(stat_dedup_shared);
-    ctr("nosq_sweepd_worker_deaths_total").set(stat_worker_deaths);
-    ctr("nosq_sweepd_jobs_requeued_total").set(stat_requeued);
-    ctr("nosq_sweepd_jobs_failed_total").set(stat_failed);
-    ctr("nosq_sweepd_jobs_quarantined_total")
-        .set(stat_quarantined);
-    ctr("nosq_sweepd_submits_shed_total").set(stat_overloaded);
-
-    std::uint64_t alive = 0, busy = 0;
-    for (const Worker &worker : workers) {
-        if (!worker.alive)
-            continue;
-        ++alive;
-        if (!worker.inflight.empty())
-            ++busy;
-    }
-    gge("nosq_sweepd_queue_depth")
-        .set(static_cast<double>(pending.size()));
-    gge("nosq_sweepd_jobs_running")
-        .set(static_cast<double>(execs.size() - pending.size()));
-    gge("nosq_sweepd_workers")
-        .set(static_cast<double>(workers.size()));
-    gge("nosq_sweepd_workers_alive")
-        .set(static_cast<double>(alive));
-    gge("nosq_sweepd_worker_utilization")
-        .set(alive > 0 ? static_cast<double>(busy) /
-                             static_cast<double>(alive)
-                       : 0.0);
-    gge("nosq_sweepd_store_size")
-        .set(static_cast<double>(store.size()));
-    const std::uint64_t seen = stat_cache_hits + stat_executed;
-    gge("nosq_sweepd_store_hit_ratio")
-        .set(seen > 0 ? static_cast<double>(stat_cache_hits) /
-                            static_cast<double>(seen)
-                      : 0.0);
-    gge("nosq_sweepd_draining").set(draining ? 1.0 : 0.0);
-    gge("nosq_sweepd_uptime_seconds")
-        .set(static_cast<double>(nowMs() - start_ms) / 1000.0);
-
-    // Fault-plan counters (PR 9): one labelled child per planned
-    // site, mirroring the shared-memory hit/fired totals the status
-    // verb dumps as JSON.
+    // One labelled child per planned fault site, mirroring the
+    // shared-memory hit/fired totals the status verb dumps as JSON.
     const FaultInjector &faults = FaultInjector::global();
     if (faults.enabled()) {
         for (std::size_t i = 0; i < fault_site_count; ++i) {
@@ -665,15 +593,12 @@ Dispatcher::handleMetrics(int fd)
             const obs::MetricLabels labels = {
                 {"site", faultSiteName(site)}};
             metrics
-                .counter("nosq_sweepd_fault_hits_total",
-                         metricHelp("nosq_sweepd_fault_hits_total"),
+                .counter(fault_hits_metric.name, fault_hits_metric.help,
                          labels)
                 .set(faults.hits(site));
             metrics
-                .counter(
-                    "nosq_sweepd_fault_fired_total",
-                    metricHelp("nosq_sweepd_fault_fired_total"),
-                    labels)
+                .counter(fault_fired_metric.name,
+                         fault_fired_metric.help, labels)
                 .set(faults.fired(site));
         }
     }
@@ -750,21 +675,19 @@ Dispatcher::drainResults()
             if (auto dit = dispatched_ms.find(result.id);
                 dit != dispatched_ms.end()) {
                 metrics
-                    .histogram(
-                        "nosq_sweepd_job_service_time_ms",
-                        metricHelp(
-                            "nosq_sweepd_job_service_time_ms"))
+                    .histogram(service_time_metric.name,
+                               service_time_metric.help)
                     .observe(static_cast<double>(
                         nowMs() - dit->second));
                 dispatched_ms.erase(dit);
             }
-            ++stat_executed;
+            ++stats.executed;
             attempts.erase(fp); // completed; no longer a suspect
             if (result.error.empty()) {
                 store.put(fp, result.run);
                 deliver(fp, &result.run, "");
             } else {
-                ++stat_failed;
+                ++stats.failed;
                 deliver(fp, nullptr, result.error);
             }
         }
@@ -812,7 +735,7 @@ Dispatcher::reapWorkers()
             if (worker.pid != pid || !worker.alive)
                 continue;
             worker.alive = false;
-            ++stat_worker_deaths;
+            ++stats.worker_deaths;
             std::string death_reason;
             if (worker.wedged)
                 death_reason = "worker wedged (no heartbeat for " +
@@ -877,7 +800,7 @@ Dispatcher::requeueWorkerJobs(std::size_t slot,
             continue;
         }
         pending.push_front(fp);
-        ++stat_requeued;
+        ++stats.requeued;
         logLine("requeued job %s (attempt %llu of %u)", fp.c_str(),
                 static_cast<unsigned long long>(tried),
                 opts.maxJobAttempts);
@@ -889,8 +812,8 @@ void
 Dispatcher::quarantineJob(const std::string &fp,
                           const std::string &reason)
 {
-    ++stat_failed;
-    ++stat_quarantined;
+    ++stats.failed;
+    ++stats.quarantined;
     quarantine[fp] = reason;
     logLine("job %s %s", fp.c_str(), reason.c_str());
     // Delivered as a per-job error row, exactly like a job whose

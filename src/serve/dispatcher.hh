@@ -156,6 +156,9 @@ class Dispatcher
     void handleResults(int fd, const Request &request);
     void handleCancel(int fd, const Request &request);
     void handleMetrics(int fd);
+    /** The counters plus every sampled field, as both verbs report
+     * them. */
+    ServerStatus snapshot() const;
     void drainResults();
     void reapWorkers();
     void checkHeartbeats();
@@ -198,20 +201,11 @@ class Dispatcher
     bool draining = false;
     std::uint64_t drain_deadline_ms = 0;
 
-    // --- stats (the status reply) ------------------------------------
-    std::uint64_t stat_executed = 0;
-    std::uint64_t stat_cache_hits = 0;
-    std::uint64_t stat_dedup_shared = 0;
-    std::uint64_t stat_worker_deaths = 0;
-    std::uint64_t stat_requeued = 0;
-    std::uint64_t stat_failed = 0;
-    std::uint64_t stat_quarantined = 0;
-    std::uint64_t stat_overloaded = 0;
-    std::uint64_t stat_submits = 0;
-
-    // --- metrics (the `metrics` verb's scrape surface) ---------------
-    /** Series per serve_metrics.hh; counters mirror stat_* at scrape
-     * time, gauges are sampled then too, histograms observe live. */
+    /** The counters of the status reply and the scrape; snapshot()
+     * fills in the sampled fields. */
+    ServerStatus stats;
+    /** Series per serve_stats.hh: the rows' series are set from a
+     * snapshot at scrape time, the histograms observe live. */
     obs::MetricsRegistry metrics;
     /** Dispatch timestamp (ms) per in-flight wire frame id; feeds
      * the job service-time histogram on delivery. */

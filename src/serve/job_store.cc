@@ -23,9 +23,6 @@ namespace serve {
 namespace {
 
 constexpr const char *store_schema = "nosq-store-v1";
-/** The checkpoint journal's former schema: same record shape, so
- * its files load as stores. */
-constexpr const char *legacy_schema = "nosq-journal-v1";
 
 std::string
 headerLine()
@@ -88,8 +85,7 @@ JobStore::open(const std::string &path, std::string &error)
                 const JsonValue *schema = v.find("schema");
                 if (schema == nullptr ||
                     schema->kind != JsonValue::Kind::String ||
-                    (schema->string != store_schema &&
-                     schema->string != legacy_schema)) {
+                    schema->string != store_schema) {
                     warns.push_back(
                         "store: wrong or missing schema header; "
                         "starting fresh");

@@ -16,10 +16,7 @@
  * Each "fp" is jobFingerprint() -- a hash of the full job tuple --
  * and each "run" is runResultRecord(), which runResultFromJson()
  * restores bit-identically. Records of older stores, spaced the way
- * the report emitter spaces them, load the same way. A legacy
- * "nosq-journal-v1" header is accepted too (its records have the
- * same shape) and rewritten as "nosq-store-v1" by the load-time
- * compaction.
+ * the report emitter spaces them, load the same way.
  *
  * Durability: every put() is flushed to the OS immediately, so a
  * SIGKILL loses at most an in-flight record. open() salvages rather

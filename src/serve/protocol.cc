@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "memsys/coherence.hh"
+#include "obs/metrics.hh"
 #include "ooo/uarch_params.hh"
 #include "sim/journal.hh"
 #include "sim/sampling.hh"
@@ -523,24 +524,15 @@ std::string
 statusReplyLine(const ServerStatus &status)
 {
     std::string reply = "{\"ok\":true";
-    reply += ",\"workers\":" + u64(status.workers);
-    reply += ",\"alive\":" + u64(status.alive);
-    reply += ",\"executed\":" + u64(status.executed);
-    reply += ",\"cache_hits\":" + u64(status.cache_hits);
-    reply += ",\"dedup_shared\":" + u64(status.dedup_shared);
-    reply += ",\"worker_deaths\":" + u64(status.worker_deaths);
-    reply += ",\"requeued\":" + u64(status.requeued);
-    reply += ",\"failed\":" + u64(status.failed);
-    reply += ",\"quarantined\":" + u64(status.quarantined);
-    reply += ",\"overloaded\":" + u64(status.overloaded);
-    reply += ",\"store_size\":" + u64(status.store_size);
-    reply += ",\"store_append_failures\":" +
-             u64(status.store_append_failures);
-    reply += ",\"pending\":" + u64(status.pending);
-    reply += ",\"running\":" + u64(status.running);
-    reply += ",\"max_pending\":" + u64(status.max_pending);
-    reply += ",\"draining\":";
-    reply += status.draining ? "true" : "false";
+    for (const ServeStatRow &row : serve_stat_rows) {
+        if (row.statusKey == nullptr)
+            continue;
+        reply += ",\"" + std::string(row.statusKey) + "\":";
+        if (row.flag != nullptr)
+            reply += status.*row.flag ? "true" : "false";
+        else
+            reply += u64(status.*row.count);
+    }
     reply += ",\"job_attempts\":{";
     bool first = true;
     for (const auto &[fp, attempts] : status.job_attempts) {
@@ -561,6 +553,21 @@ statusReplyLine(const ServerStatus &status)
     reply += status.faults_json.empty() ? "{}" : status.faults_json;
     reply += "}\n";
     return reply;
+}
+
+void
+setServeMetrics(obs::MetricsRegistry &metrics,
+                const ServerStatus &status)
+{
+    for (const ServeStatRow &row : serve_stat_rows) {
+        const ServeMetricDef &def = row.metric;
+        if (def.name == nullptr)
+            continue;
+        if (std::string(def.type) == "counter")
+            metrics.counter(def.name, def.help).set(status.*row.count);
+        else
+            metrics.gauge(def.name, def.help).set(row.valueOf(status));
+    }
 }
 
 std::string

@@ -59,10 +59,15 @@
 #include <utility>
 #include <vector>
 
+#include "serve/serve_stats.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 
 namespace nosq {
+namespace obs {
+class MetricsRegistry;
+} // namespace obs
+
 namespace serve {
 
 constexpr const char *serve_schema = "nosq-serve-v1";
@@ -136,44 +141,14 @@ std::string metricsRequestLine();
 /** {"ok": false, "error": "..."} */
 std::string errorReplyLine(const std::string &message);
 
-/**
- * The daemon's one-line status snapshot. Flat counters first (their
- * key order is part of the observable surface -- scripts grep for
- * `"executed":N`), then the health additions: `draining`,
- * `job_attempts` (per-fingerprint dispatch attempts of live
- * executions), `quarantine` (fingerprint -> reason for poison
- * jobs), and `faults` (per-site injection counters, `{}` when no
- * fault plan is active).
- */
-struct ServerStatus
-{
-    std::uint64_t workers = 0;
-    std::uint64_t alive = 0;
-    std::uint64_t executed = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t dedup_shared = 0;
-    std::uint64_t worker_deaths = 0;
-    std::uint64_t requeued = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t quarantined = 0;
-    std::uint64_t overloaded = 0;
-    std::uint64_t store_size = 0;
-    std::uint64_t store_append_failures = 0;
-    std::uint64_t pending = 0;
-    std::uint64_t running = 0;
-    std::uint64_t max_pending = 0; ///< 0 = unbounded
-    bool draining = false;
-    /** (fingerprint, dispatch attempts), attempts > 0 only. */
-    std::vector<std::pair<std::string, std::uint64_t>> job_attempts;
-    /** (fingerprint, quarantine reason). */
-    std::vector<std::pair<std::string, std::string>> quarantine;
-    /** Pre-rendered JSON object of fault-site counters ("{}" when
-     * injection is off); see FaultInjector::statusJson(). */
-    std::string faults_json = "{}";
-};
-
-/** Render @p status as the one-line status reply. */
+/** Render @p status as the one-line status reply (see
+ * serve_stats.hh). */
 std::string statusReplyLine(const ServerStatus &status);
+
+/** Set the series of every serve_stat_rows row in @p metrics from
+ * @p status, registering any missing one. */
+void setServeMetrics(obs::MetricsRegistry &metrics,
+                     const ServerStatus &status);
 
 /** The submit acknowledgment (see the file comment). */
 std::string submitAckLine(const std::string &ticket,

@@ -97,7 +97,7 @@ const std::vector<SweepDimension> sweep_dimensions = {
     {"lsu", [](const DimensionArgs &) { return paperFigureConfigs(false); },
      {{"Figure 2: relative execution time, 128-entry window\n"
        "(normalized to associative SQ + perfect scheduling; {insts} "
-       "measured insts, {workers} workers)\n",
+       "measured insts)\n",
        FigureLayout::Benchmarks, lsuColumns(true), ".gmean",
        "Paper shape checks:\n"
        "  - StoreSets tracks the ideal scheduler closely\n"
@@ -108,7 +108,7 @@ const std::vector<SweepDimension> sweep_dimensions = {
        "    paper); realistic NoSQ captures about half\n"},
       {"Figure 3: relative execution time, 256-entry window\n"
        "(normalized to associative SQ + perfect scheduling on the "
-       "same machine; {workers} workers)\n",
+       "same machine)\n",
        FigureLayout::Benchmarks, lsuColumns(false), ".gmean",
        "Paper shape check: NoSQ's average improvement shrinks on the "
        "larger window\n(paper: from ~2% to ~1%) while perfect SMB "
@@ -156,7 +156,7 @@ const std::vector<SweepDimension> sweep_dimensions = {
     {"delay", [](const DimensionArgs &) { return bars({2, 3}); },
      {{"Table 5: communication behaviour and prediction accuracy\n"
        "(model: {insts} measured instructions per benchmark, {warmup} "
-       "warm-up, {workers} workers)\n",
+       "warm-up)\n",
        FigureLayout::Benchmarks,
        {{"comm%", 1, stat<&SimResult::pctCommLoads>, 1, FigureMean::Amean},
         {"(paper)", 1, paper<&BenchmarkProfile::pctComm>, 1,
@@ -243,7 +243,7 @@ findSweepDimension(const std::string &name)
 std::string
 renderFigure(const Figure &figure, const std::vector<SweepJob> &jobs,
              const std::vector<RunResult> &results,
-             std::size_t num_configs, unsigned workers)
+             std::size_t num_configs)
 {
     const std::size_t benchmarks = jobs.size() / num_configs;
     nosq_assert(results.size() == jobs.size() &&
@@ -374,7 +374,6 @@ renderFigure(const Figure &figure, const std::vector<SweepJob> &jobs,
     std::map<std::string, std::string> fields{
         {"insts", std::to_string(jobs.front().insts)},
         {"warmup", std::to_string(jobs.front().warmup)},
-        {"workers", std::to_string(workers)},
         {"benchmarks", std::to_string(benchmarks)},
         {"points", std::to_string(num_configs / 2)},
     };

@@ -67,8 +67,8 @@ enum class FigureLayout : std::uint8_t {
 
 struct Figure
 {
-    /** Lines above the table; {insts}, {warmup}, {workers},
-     * {benchmarks} and {points} expand to the sweep's values. */
+    /** Lines above the table; {insts}, {warmup}, {benchmarks} and
+     * {points} expand to the sweep's values. */
     const char *title;
     FigureLayout layout;
     std::vector<FigureColumn> columns;
@@ -110,12 +110,13 @@ const SweepDimension *findSweepDimension(const std::string &name);
 /**
  * Draw @p figure over a finished sweep: @p jobs benchmark-major
  * (buildJobs()) with @p num_configs configurations per benchmark,
- * @p results in job order, and @p workers for the title.
+ * @p results in job order. The table is a function of the results
+ * alone, so a served sweep draws the same bytes as a local one.
  */
 std::string renderFigure(const Figure &figure,
                          const std::vector<SweepJob> &jobs,
                          const std::vector<RunResult> &results,
-                         std::size_t num_configs, unsigned workers);
+                         std::size_t num_configs);
 
 } // namespace nosq
 

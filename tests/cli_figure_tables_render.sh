@@ -2,12 +2,14 @@
 # Every figure dimension of --sweep=DIM prints its paper table: exit
 # 0, the figure's title line, one row per benchmark (one per
 # hierarchy point for memsys), and the same sweep's --json report
-# passes --validate.
+# passes --validate. A table drawn through a nosq_sweepd daemon is
+# byte-identical to the local one.
 #
-# usage: cli_figure_tables_render.sh NOSQ_SIM
+# usage: cli_figure_tables_render.sh NOSQ_SIM NOSQ_SWEEPD
 # Runs in the current directory and writes only cli_fig_* files there.
 
 sim=$1
+sweepd=$2
 failures=0
 
 # check DIM TITLE ROWS [FLAGS...]: the DIM table holds TITLE and ROWS
@@ -60,6 +62,27 @@ check history "Figure 5 (bottom): path history length sweep" 2 \
 check delay "Table 5: communication behaviour" 2
 check svw "Ablation: SVW-filtered re-execution" 2
 check memsys "Memory-hierarchy scaling" 16
+
+# A figure table is a function of the results alone: rendered at
+# --jobs 3 through a one-worker daemon, it matches the local table
+# rendered at --jobs 2.
+run="$sim --sweep=delay --bench gcc,g721.e --insts 20000"
+"$sweepd" --socket cli_fig.sock --store cli_fig_store.jsonl --workers 1 \
+    --log cli_fig_daemon.log &
+daemon=$!
+trap 'kill $daemon 2>/dev/null' EXIT
+for i in $(seq 1 100); do
+    [ -S cli_fig.sock ] && break
+    sleep 0.1
+done
+if ! $run --jobs 2 > cli_fig_local.txt 2> /dev/null ||
+   ! $run --jobs 3 --server=cli_fig.sock > cli_fig_served.txt \
+       2> /dev/null ||
+   ! cmp cli_fig_local.txt cli_fig_served.txt; then
+    echo "FAIL: the served table differs from the local one: $run"
+    diff cli_fig_local.txt cli_fig_served.txt | sed 's/^/    /'
+    failures=$((failures + 1))
+fi
 
 echo "$failures failure(s)"
 [ "$failures" -eq 0 ]

@@ -22,7 +22,7 @@
 #include <vector>
 
 #include "ooo/sim_stats.hh"
-#include "serve/serve_metrics.hh"
+#include "serve/serve_stats.hh"
 #include "sim/report.hh"
 
 namespace nosq {
@@ -157,7 +157,7 @@ TEST(Docs, MetricsCatalogMatchesObservabilityDoc)
         catalog.insert(def.name);
         EXPECT_NE(doc.find("`" + std::string(def.name) + "`"),
                   std::string::npos)
-            << "series '" << def.name << "' (forEachServeMetric) "
+            << "series '" << def.name << "' (serve_stats.hh) "
             << "missing from docs/OBSERVABILITY.md";
     });
 
@@ -176,6 +176,41 @@ TEST(Docs, MetricsCatalogMatchesObservabilityDoc)
             << "' which is not in the serve metrics catalog";
         pos = end;
     }
+}
+
+TEST(Docs, StatusKeyTableMatchesServeStatRows)
+{
+    // The key table under "## Observability" in docs/SERVING.md
+    // lists exactly the status keys: the table's, plus the three
+    // keys statusReplyLine() lays out itself. Both directions.
+    std::set<std::string> keys = {"job_attempts", "quarantine",
+                                  "faults"};
+    for (const serve::ServeStatRow &row : serve::serve_stat_rows)
+        if (row.statusKey != nullptr)
+            keys.insert(row.statusKey);
+
+    const std::string doc = readFile(sourcePath("docs/SERVING.md"));
+    const std::size_t section = doc.find("## Observability");
+    ASSERT_NE(section, std::string::npos);
+    std::size_t pos = doc.find("| Key | Meaning |", section);
+    ASSERT_NE(pos, std::string::npos);
+    std::set<std::string> documented;
+    pos = doc.find('\n', pos) + 1;
+    while (pos < doc.size() && doc[pos] == '|') {
+        const std::size_t end = doc.find('\n', pos);
+        // The backticked names of the row's first cell.
+        const std::string cell =
+            doc.substr(pos, doc.find('|', pos + 1) - pos);
+        std::size_t open = cell.find('`');
+        while (open != std::string::npos) {
+            const std::size_t close = cell.find('`', open + 1);
+            ASSERT_NE(close, std::string::npos) << cell;
+            documented.insert(cell.substr(open + 1, close - open - 1));
+            open = cell.find('`', close + 1);
+        }
+        pos = end + 1;
+    }
+    EXPECT_EQ(documented, keys);
 }
 
 TEST(Docs, MarkdownRelativeLinksResolve)

@@ -106,8 +106,8 @@ TEST(Figures, SuiteRowsMatchReportReductions)
                 results.push_back(syntheticResult(jobs[i], i));
             const std::size_t num_configs = spec.configs.size();
 
-            const std::string text = renderFigure(
-                figure, jobs, results, num_configs, 2);
+            const std::string text =
+                renderFigure(figure, jobs, results, num_configs);
             EXPECT_EQ(text.find('{'), std::string::npos)
                 << "an unexpanded field:\n" << text;
             std::vector<std::string> header;

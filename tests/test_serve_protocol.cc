@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "serve/protocol.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
@@ -461,6 +462,88 @@ TEST(ServeProtocol, ReplyBuildersEmitParsableJson)
     EXPECT_EQ(ack.find("jobs")->asU64(), 4u);
     EXPECT_EQ(ack.find("cached")->asU64(), 2u);
     EXPECT_EQ(ack.find("shared")->asU64(), 1u);
+}
+
+TEST(ServeStats, StatusAndMetricsReadOneSnapshot)
+{
+    // Every field a distinct value.
+    ServerStatus s;
+    s.workers = 1;
+    s.alive = 2;
+    s.executed = 3;
+    s.cache_hits = 4;
+    s.dedup_shared = 5;
+    s.worker_deaths = 6;
+    s.requeued = 7;
+    s.failed = 8;
+    s.quarantined = 9;
+    s.overloaded = 10;
+    s.store_size = 11;
+    s.store_append_failures = 12;
+    s.pending = 13;
+    s.running = 14;
+    s.max_pending = 15;
+    s.draining = true;
+    s.job_attempts = {{"00000000000000aa", 16}, {"00000000000000bb", 17}};
+    s.quarantine = {{"00000000000000cc", "worker died 3 times"}};
+    s.faults_json = "{\"sock.read\":{\"hits\":18,\"fired\":19}}";
+    s.submits = 20;
+    s.scrapes = 21;
+    s.busy = 1;
+    s.uptime_ms = 22500;
+
+    // The reply byte for byte: scripts grep its keys, and both the
+    // key order and the own-layout tail are part of the surface.
+    const std::string line = statusReplyLine(s);
+    EXPECT_EQ(line,
+              "{\"ok\":true,\"workers\":1,\"alive\":2,\"executed\":3,"
+              "\"cache_hits\":4,\"dedup_shared\":5,\"worker_deaths\":6,"
+              "\"requeued\":7,\"failed\":8,\"quarantined\":9,"
+              "\"overloaded\":10,\"store_size\":11,"
+              "\"store_append_failures\":12,\"pending\":13,"
+              "\"running\":14,\"max_pending\":15,\"draining\":true,"
+              "\"job_attempts\":{\"00000000000000aa\":16,"
+              "\"00000000000000bb\":17},\"quarantine\":{"
+              "\"00000000000000cc\":\"worker died 3 times\"},"
+              "\"faults\":{\"sock.read\":{\"hits\":18,\"fired\":19}}}\n");
+
+    obs::MetricsRegistry metrics;
+    setServeMetrics(metrics, s);
+    std::vector<obs::ExpositionSample> samples;
+    std::string error;
+    ASSERT_TRUE(obs::parseExposition(metrics.expose(), samples, &error))
+        << error;
+    auto scraped = [&](const char *name) {
+        for (const obs::ExpositionSample &sample : samples)
+            if (sample.name == name)
+                return sample.value;
+        ADD_FAILURE() << "no sample of " << name;
+        return -1.0;
+    };
+
+    JsonValue reply;
+    ASSERT_TRUE(parseJson(line, reply, nullptr));
+    std::size_t both = 0;
+    for (const ServeStatRow &row : serve_stat_rows) {
+        if (row.metric.name == nullptr)
+            continue;
+        EXPECT_EQ(scraped(row.metric.name), row.valueOf(s))
+            << row.metric.name;
+        if (row.statusKey == nullptr)
+            continue;
+        ++both;
+        const JsonValue *v = reply.find(row.statusKey);
+        ASSERT_NE(v, nullptr) << row.statusKey;
+        const double status_value =
+            v->kind == JsonValue::Kind::Bool ? (v->boolean ? 1.0 : 0.0)
+                                             : v->number;
+        EXPECT_EQ(status_value, scraped(row.metric.name))
+            << row.statusKey << " vs " << row.metric.name;
+    }
+    EXPECT_EQ(both, 11u);
+    EXPECT_EQ(scraped("nosq_sweepd_worker_utilization"), 0.5);
+    EXPECT_EQ(scraped("nosq_sweepd_store_hit_ratio"), 4.0 / 7.0);
+    EXPECT_EQ(scraped("nosq_sweepd_uptime_seconds"), 22.5);
 }
 
 } // namespace

@@ -87,19 +87,8 @@ constexpr cli::ModeMask single_core_sims =
 
 const char *default_capacities = "64,128,256,512,1K,2K,4K,Inf";
 
-/** Knobs forwarded into every configuration's UarchParams. */
-struct MachineFlags
-{
-    bool svw = true;
-    bool eventSkip = true;
-    bool busOccupancy = false;
-    /** --history points; more than one only with --sweep=history,
-     * where they are the swept points instead of a knob. */
-    std::vector<unsigned> history;
-    std::optional<unsigned> entries;
-    std::optional<unsigned> mshrs;
-    std::optional<unsigned> prefetch;
-};
+/** A machine flag's UarchParams edit, given the value it parsed. */
+using MachineEdit = void (*)(UarchParams &p, unsigned value);
 
 /** Everything the flags set; every mode reads this one struct. */
 struct Options
@@ -125,7 +114,12 @@ struct Options
     bool delay = true;
     std::optional<unsigned> cores;
     std::optional<unsigned> queueDepth;
-    MachineFlags machine;
+    /** --history points; more than one only with --sweep=history,
+     * where they are the swept points instead of a knob. */
+    std::vector<unsigned> history;
+    /** The UarchParams edits the machine flags make, in command-line
+     * order, each with the value its flag parsed. */
+    std::vector<std::pair<MachineEdit, unsigned>> machine;
 
     // Sweep.
     std::vector<LsuMode> modes;
@@ -257,6 +251,15 @@ optionTable(Options &o)
             o.validatePath = v;
         };
     };
+    // A machine flag records the UarchParams edit it makes, with its
+    // value parsed in lo..hi (a switch has none: ""), and
+    // applyMachineFlags() replays the edits onto every configuration.
+    auto edit = [&o](MachineEdit apply, unsigned lo = 0, unsigned hi = 0) {
+        return [&o, apply, lo, hi](const std::string &v) {
+            o.machine.emplace_back(
+                apply, v.empty() ? 0 : cli::parseUnsigned(v, lo, hi));
+        };
+    };
     // The table keeps a pointer into the --sweep help: build it once.
     static const std::string sweep_help = "run a sweep in parallel: "
         "bare, the modes x windows x benchmarks cross-product, or DIM = " +
@@ -297,14 +300,21 @@ optionTable(Options &o)
              simulations},
             {"--no-svw", Arg::None, nullptr,
              "disable SVW filtering (re-execute all)",
-             set(o.machine.svw, false), simulations},
+             edit([](UarchParams &p, unsigned) { p.svwFilter = false; }),
+             simulations},
             {"--history", Arg::Required, "BITS",
              "bypassing predictor history bits; with --sweep=history "
              "a comma list of the swept points",
              [&o](const std::string &v) {
-                 o.machine.history.clear();
+                 o.history.clear();
                  for (const std::string &bits : cli::splitList(v))
-                     o.machine.history.push_back(cli::parseUnsigned(bits));
+                     o.history.push_back(cli::parseUnsigned(bits));
+                 // A --sweep=history dimension sets its own points.
+                 o.machine.emplace_back(
+                     [](UarchParams &p, unsigned bits) {
+                         p.bypass.historyBits = bits;
+                     },
+                     o.history.front());
              },
              simulations},
             {"--entries", Arg::Required, "N",
@@ -317,21 +327,32 @@ optionTable(Options &o)
                  if (n % 4 != 0)
                      throw UsageError("'" + v + "' is not a nonzero "
                                       "multiple of 4");
-                 o.machine.entries = n;
+                 o.machine.emplace_back(
+                     [](UarchParams &p, unsigned entries) {
+                         p.bypass.entriesPerTable = entries;
+                     },
+                     n);
              },
              simulations},
             {"--mshrs", Arg::Required, "N",
              "L1D miss-status holding registers, 0..256 (0: legacy "
              "blocking-latency miss model, the default)",
-             number(o.machine.mshrs, 0, 256), simulations},
+             edit([](UarchParams &p, unsigned n) { p.memsys.mshrs = n; },
+                  0, 256),
+             simulations},
             {"--prefetch", Arg::Required, "N",
              "stream-prefetcher degree (lines per trigger), 0..64 "
              "(0: off, the default)",
-             number(o.machine.prefetch, 0, 64), simulations},
+             edit([](UarchParams &p,
+                     unsigned n) { p.memsys.prefetchDegree = n; },
+                  0, 64),
+             simulations},
             {"--bus-occupancy", Arg::None, nullptr,
              "model DRAM-bus occupancy (queueing) instead of the "
              "flat transfer cost",
-             set(o.machine.busOccupancy, true), simulations},
+             edit([](UarchParams &p,
+                     unsigned) { p.memsys.busContention = true; }),
+             simulations},
             {"--cores", Arg::Required, "N",
              "core count, 1..64 (default 1, or 2 for a multicore "
              "kernel --bench); > 1 runs an N-core System over a "
@@ -355,7 +376,8 @@ optionTable(Options &o)
             {"--no-skip", Arg::None, nullptr,
              "disable event-driven cycle skipping (wall-clock only: "
              "statistics are bit-identical)",
-             set(o.machine.eventSkip, false), simulations},
+             edit([](UarchParams &p, unsigned) { p.eventSkip = false; }),
+             simulations},
             {"--sample", Arg::Required, "SPEC",
              "SMARTS-style sampled simulation; SPEC is "
              "ff:warmup:interval:count[:seed] in instructions: each "
@@ -511,7 +533,7 @@ optionTable(Options &o)
 void
 checkCombinations(const Options &o, cli::ModeMask mode)
 {
-    if (o.machine.history.size() > 1 &&
+    if (o.history.size() > 1 &&
         o.dimension != findSweepDimension("history"))
         throw UsageError("--history takes a comma list only with "
                          "--sweep=history");
@@ -564,10 +586,10 @@ listProfiles()
 }
 
 /**
- * Apply the machine flags to @p config: the one mapping from flags
- * to UarchParams, shared by single runs and every sweep family. The
- * config's own tweak (a swept dimension) runs last, so it wins on
- * its own knob.
+ * Apply the machine flags to @p config, shared by single runs and
+ * every sweep family: the UarchParams edits their option rows
+ * recorded, then the config's own tweak (a swept dimension), so the
+ * dimension wins on its own knob.
  */
 void
 applyMachineFlags(const Options &o, SweepConfig &config)
@@ -580,20 +602,10 @@ applyMachineFlags(const Options &o, SweepConfig &config)
         config.cores = *o.cores;
     if (o.queueDepth)
         config.queueDepth = *o.queueDepth;
-    config.tweak = [m = o.machine, dimension = std::move(config.tweak)](
+    config.tweak = [edits = o.machine, dimension = std::move(config.tweak)](
                        UarchParams &p) {
-        p.svwFilter = m.svw;
-        p.eventSkip = m.eventSkip;
-        if (m.history.size() == 1)
-            p.bypass.historyBits = m.history.front();
-        if (m.entries)
-            p.bypass.entriesPerTable = *m.entries;
-        if (m.mshrs)
-            p.memsys.mshrs = *m.mshrs;
-        if (m.prefetch)
-            p.memsys.prefetchDegree = *m.prefetch;
-        if (m.busOccupancy)
-            p.memsys.busContention = true;
+        for (const auto &[apply, value] : edits)
+            apply(p, value);
         if (dimension)
             dimension(p);
     };
@@ -685,8 +697,8 @@ sweepConfigs(const Options &o)
     DimensionArgs args;
     args.capacities = o.capacities.empty()
         ? parseCapacities(default_capacities) : o.capacities;
-    args.history = o.machine.history.empty()
-        ? std::vector<unsigned>{4, 6, 8, 10, 12} : o.machine.history;
+    args.history = o.history.empty()
+        ? std::vector<unsigned>{4, 6, 8, 10, 12} : o.history;
     args.cores = o.cores ? std::vector<unsigned>{*o.cores}
                          : std::vector<unsigned>{2, 4};
     args.queueDepths = o.queueDepth ? std::vector<unsigned>{*o.queueDepth}
@@ -860,9 +872,9 @@ runSweepMode(const Options &opt, cli::ModeMask mode)
     }
 
     if (figure != nullptr) {
-        std::fputs(renderFigure(*figure, jobs, results, num_configs,
-                                opt.jobs).c_str(),
-                   stdout);
+        std::fputs(
+            renderFigure(*figure, jobs, results, num_configs).c_str(),
+            stdout);
         return exit_code;
     }
     TextTable table;
