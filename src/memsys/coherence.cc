@@ -38,9 +38,9 @@ CoherenceStats
 CoherenceStats::operator-(const CoherenceStats &base) const
 {
     CoherenceStats d;
-    d.invalidations = invalidations - base.invalidations;
-    d.c2cTransfers = c2cTransfers - base.c2cTransfers;
-    d.upgradeMisses = upgradeMisses - base.upgradeMisses;
+    d.cohInvalidations = cohInvalidations - base.cohInvalidations;
+    d.cohC2cTransfers = cohC2cTransfers - base.cohC2cTransfers;
+    d.cohUpgradeMisses = cohUpgradeMisses - base.cohUpgradeMisses;
     return d;
 }
 
@@ -69,7 +69,7 @@ Directory::read(unsigned core, Addr line)
         // A remote core holds it E or M; downgrade the owner to S.
         if (ln.dirty) {
             out.c2c = true;
-            ++counters.c2cTransfers;
+            ++counters.cohC2cTransfers;
         }
         ln.owner = -1;
         ln.dirty = false;
@@ -104,23 +104,23 @@ Directory::write(unsigned core, Addr line)
     const std::uint64_t others = ln.sharers & ~self;
     if (others != 0) {
         out.invalidated = countBits(others);
-        counters.invalidations += out.invalidated;
+        counters.cohInvalidations += out.invalidated;
         if (ln.owner >= 0 && ln.dirty) {
             // Remote Modified copy must be transferred before the
             // write can proceed.
             out.c2c = true;
-            ++counters.c2cTransfers;
+            ++counters.cohC2cTransfers;
         }
         if (ln.sharers & self) {
             // We held it Shared: this is an upgrade miss.
             out.upgrade = true;
-            ++counters.upgradeMisses;
+            ++counters.cohUpgradeMisses;
         }
     } else if (ln.sharers & self) {
         // Sole Shared holder upgrading (owner slot was vacated by an
         // earlier downgrade): silent upgrade, no invalidations.
         out.upgrade = true;
-        ++counters.upgradeMisses;
+        ++counters.cohUpgradeMisses;
     }
 
     ln.sharers = self;

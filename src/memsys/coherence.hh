@@ -58,16 +58,21 @@ enum class CohState : std::uint8_t
 
 const char *cohStateName(CohState state);
 
-/** Directory counters, snapshot-subtractable. */
+/**
+ * Directory counters, snapshot-subtractable. SimResult derives from
+ * this struct, so a multicore run windows them as one slice
+ * assignment, and the Multicore rows of sim_stat_rows
+ * (ooo/sim_stats.hh) name these fields.
+ */
 struct CoherenceStats
 {
     /** Remote private-L1 copies dropped by exclusivity requests. */
-    std::uint64_t invalidations = 0;
+    std::uint64_t cohInvalidations = 0;
     /** Requests served by a remote core's Modified line. */
-    std::uint64_t c2cTransfers = 0;
+    std::uint64_t cohC2cTransfers = 0;
     /** Writes that hit a locally Shared line and had to invalidate
      * other sharers before proceeding. */
-    std::uint64_t upgradeMisses = 0;
+    std::uint64_t cohUpgradeMisses = 0;
 
     CoherenceStats operator-(const CoherenceStats &base) const;
 };

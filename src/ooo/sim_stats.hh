@@ -11,15 +11,17 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "memsys/coherence.hh"
 #include "memsys/hierarchy.hh"
 
 namespace nosq {
 
 /**
  * Aggregate counters for one simulation run. The memory-hierarchy
- * counters are its MemSysStats base (windowMemSysStats()).
+ * counters are its MemSysStats base (windowMemSysStats()); a
+ * multicore run's directory counters are its CoherenceStats base.
  */
-struct SimResult : MemSysStats
+struct SimResult : MemSysStats, CoherenceStats
 {
     Cycle cycles = 0;
     std::uint64_t insts = 0;
@@ -90,13 +92,6 @@ struct SimResult : MemSysStats
     bool multicore = false;
     /** Cores in the System (0 for single-core runs). */
     std::uint64_t numCores = 0;
-    /** Remote private-L1 copies dropped by exclusivity requests. */
-    std::uint64_t cohInvalidations = 0;
-    /** Misses served by a remote core's Modified line. */
-    std::uint64_t cohC2cTransfers = 0;
-    /** Writes that hit a locally Shared line and paid an
-     * upgrade-invalidate round. */
-    std::uint64_t cohUpgradeMisses = 0;
     /** Per-core breakdown (cycles are lockstep-identical across
      * cores; the rest differ). */
     struct PerCore
@@ -256,7 +251,7 @@ struct StatRow
 };
 
 /** The row owner of a counter of @p Member: SimResult for its own
- * counters and its MemSysStats base's. */
+ * counters and its MemSysStats and CoherenceStats bases'. */
 template <typename Member>
 using StatOwner = std::conditional_t<std::is_base_of_v<Member, SimResult>,
                                      SimResult, Member>;
@@ -393,11 +388,11 @@ inline constexpr StatRow<SimResult> sim_stat_rows[] = {
     statCounter("cores", "cores", &SimResult::numCores,
                 StatSection::Multicore),
     statCounter("coh_invalidations", "coherence invalidations",
-                &SimResult::cohInvalidations, StatSection::Multicore),
+                &CoherenceStats::cohInvalidations, StatSection::Multicore),
     statCounter("coh_c2c_transfers", "cache-to-cache transfers",
-                &SimResult::cohC2cTransfers, StatSection::Multicore),
+                &CoherenceStats::cohC2cTransfers, StatSection::Multicore),
     statCounter("coh_upgrade_misses", "coherence upgrade misses",
-                &SimResult::cohUpgradeMisses, StatSection::Multicore),
+                &CoherenceStats::cohUpgradeMisses, StatSection::Multicore),
 };
 
 /**

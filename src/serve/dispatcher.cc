@@ -34,7 +34,7 @@ namespace serve {
 namespace {
 
 /** Per-worker dispatch depth: one running + one queued keeps a
- * worker busy across the ring round trip without hoarding jobs a
+ * worker busy across the socket round trip without hoarding jobs a
  * surviving worker could be running. */
 constexpr std::size_t max_inflight_per_worker = 2;
 
@@ -51,6 +51,15 @@ logLine(const char *format, ...)
     std::fputc('\n', stderr);
     std::fflush(stderr);
     va_end(args);
+}
+
+/** Close @p fd if open and mark it closed. */
+void
+closeFd(int &fd)
+{
+    if (fd >= 0)
+        close(fd);
+    fd = -1;
 }
 
 /** Monotonic clock with sub-ms resolution for latency histograms. */
@@ -77,10 +86,6 @@ Dispatcher::~Dispatcher()
     for (auto &[fd, client] : clients) {
         (void)client;
         close(fd);
-    }
-    for (int fd : result_wake) {
-        if (fd >= 0)
-            close(fd);
     }
     if (listen_fd >= 0) {
         close(listen_fd);
@@ -160,20 +165,11 @@ Dispatcher::init(std::string &error)
     }
     fcntl(listen_fd, F_SETFL, O_NONBLOCK);
 
-    // Workers must inherit the shared fault counters, so hits
-    // registered inside a worker (worker.job, worker.beat) are
-    // visible in this process's status reply.
     if (FaultInjector::global().enabled()) {
-        FaultInjector::global().shareCounters();
         logLine("fault plan active: %s",
                 FaultInjector::global().plan().c_str());
     }
 
-    if (!openWakePipe(result_wake)) {
-        error = "cannot open the result wake pipe: " +
-                std::string(std::strerror(errno));
-        return false;
-    }
     workers.resize(opts.workers);
     for (std::size_t i = 0; i < workers.size(); ++i) {
         if (!spawnWorker(i, error))
@@ -188,36 +184,26 @@ bool
 Dispatcher::spawnWorker(std::size_t slot, std::string &error)
 {
     Worker &worker = workers[slot];
-    worker.channel = mapWorkerChannel();
-    if (worker.channel == nullptr) {
-        error = "cannot map worker shared memory: " +
+    int ends[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM, 0, ends) != 0) {
+        error = "cannot open a worker socketpair: " +
                 std::string(std::strerror(errno));
-        return false;
-    }
-    int job_wake[2];
-    if (!openWakePipe(job_wake)) {
-        error = "cannot open a job wake pipe: " +
-                std::string(std::strerror(errno));
-        unmapWorkerChannel(worker.channel);
-        worker.channel = nullptr;
         return false;
     }
     const pid_t daemon_pid = getpid();
     const pid_t pid = faultFork();
     if (pid < 0) {
         error = "fork failed: " + std::string(std::strerror(errno));
-        close(job_wake[0]);
-        close(job_wake[1]);
-        unmapWorkerChannel(worker.channel);
-        worker.channel = nullptr;
+        close(ends[0]);
+        close(ends[1]);
         return false;
     }
     if (pid == 0) {
-        // Worker process: it keeps only its own job wake read end
-        // and the result wake write end. The listening socket, the
-        // client fds, every job wake write end, the result wake read
-        // end, the store and its lock belong to the parent -- an
-        // orphaned worker must never hold the store's lock.
+        // Worker process: it keeps only its own end of its
+        // socketpair. The listening socket, the client fds, every
+        // daemon end (a sibling's copy would hide that worker's EOF),
+        // the store and its lock belong to the parent -- an orphaned
+        // worker must never hold the store's lock.
         if (listen_fd >= 0)
             close(listen_fd);
         for (const auto &[fd, client] : clients) {
@@ -225,34 +211,33 @@ Dispatcher::spawnWorker(std::size_t slot, std::string &error)
             close(fd);
         }
         for (const Worker &other : workers) {
-            if (other.jobWake >= 0)
-                close(other.jobWake);
+            if (other.fd >= 0)
+                close(other.fd);
         }
-        close(job_wake[1]);
-        close(result_wake[0]);
+        close(ends[0]);
         if (store.descriptor() >= 0)
             close(store.descriptor());
         if (store_lock.descriptor() >= 0)
             close(store_lock.descriptor());
 #ifdef __linux__
-        // Die with the daemon. Workers poll shared memory, so a
-        // SIGKILLed daemon would otherwise leave them spinning
-        // forever (a wedge-injected worker ignores even the stop
-        // flag) while holding every inherited fd open.
+        // Die with the daemon. An idle worker sees EOF when the
+        // daemon dies, but one inside a job (a wedge-injected one
+        // never reads again) would otherwise run on, holding every
+        // inherited fd open.
         prctl(PR_SET_PDEATHSIG, SIGKILL);
         if (getppid() != daemon_pid)
             _exit(0); // the daemon died before prctl() armed
 #endif
-        _exit(workerMain(workers[slot].channel, job_wake[0],
-                         result_wake[1]));
+        _exit(workerMain(ends[1]));
     }
-    close(job_wake[0]);
-    worker.jobWake = job_wake[1];
+    close(ends[1]);
+    fcntl(ends[0], F_SETFL, O_NONBLOCK);
+    worker.fd = ends[0];
+    worker.inbuf.clear();  // a torn frame of the previous worker
+    worker.outbuf.clear(); // jobs it never read; requeued already
     worker.pid = pid;
     worker.alive = true;
     worker.wedged = false;
-    worker.lastBeat = 0;
-    worker.lastBeatAtMs = nowMs();
     worker.inflight.clear();
     logLine("worker %zu started (pid %d)", slot,
             static_cast<int>(pid));
@@ -296,36 +281,48 @@ Dispatcher::run()
             }
         }
 
+        // The listening socket, then one entry per open worker
+        // socket (slots[i] is its worker), then the clients.
         std::vector<struct pollfd> fds;
+        std::vector<std::size_t> slots;
         fds.push_back({listen_fd, POLLIN, 0});
-        fds.push_back({result_wake[0], POLLIN, 0});
+        for (std::size_t slot = 0; slot < workers.size(); ++slot) {
+            const Worker &worker = workers[slot];
+            if (worker.fd < 0)
+                continue;
+            short events = POLLIN;
+            if (!worker.outbuf.empty())
+                events |= POLLOUT;
+            fds.push_back({worker.fd, events, 0});
+            slots.push_back(slot);
+        }
         for (const auto &[fd, client] : clients) {
             short events = POLLIN;
             if (!client.outbuf.empty())
                 events |= POLLOUT;
             fds.push_back({fd, events, 0});
         }
-        // Results wake the loop through result_wake; the 20ms
-        // timeout only paces heartbeat checks, reaping and the drain
-        // deadline, which nothing signals.
+        // Result frames wake the loop on their worker's socket; the
+        // 20ms timeout only paces heartbeat checks, reaping and the
+        // drain deadline, which nothing signals.
         poll(fds.data(), fds.size(), 20);
 
         if (fds[0].revents & POLLIN)
             acceptClients();
-        // Before drainResults(): a result pushed after this drain
-        // leaves its wake pending for the next poll().
-        if (fds[1].revents & POLLIN)
-            drainWakes(result_wake[0]);
-        for (std::size_t i = 2; i < fds.size(); ++i) {
+        for (std::size_t i = 0; i < slots.size(); ++i) {
+            if (fds[1 + i].revents & (POLLIN | POLLERR | POLLHUP))
+                readWorker(slots[i]);
+        }
+        for (std::size_t i = 1 + slots.size(); i < fds.size(); ++i) {
             if (fds[i].revents &
                 (POLLIN | POLLERR | POLLHUP))
                 readClient(fds[i].fd);
         }
 
-        drainResults();
         reapWorkers();
         checkHeartbeats();
         feedWorkers();
+        flushWorkers();
         flushClients();
     }
     shutdownWorkers();
@@ -647,50 +644,76 @@ Dispatcher::handleCancel(int fd, const Request &request)
 }
 
 void
-Dispatcher::drainResults()
+Dispatcher::readWorker(std::size_t slot)
 {
-    std::string line;
-    for (std::size_t slot = 0; slot < workers.size(); ++slot) {
-        Worker &worker = workers[slot];
-        if (worker.channel == nullptr)
+    // Plain read(), not the sock.read fault seam: fault plans count
+    // client I/O only.
+    Worker &worker = workers[slot];
+    char buffer[1 << 16];
+    while (worker.fd >= 0) {
+        const ssize_t got = read(worker.fd, buffer, sizeof(buffer));
+        if (got > 0) {
+            worker.inbuf.append(buffer,
+                                static_cast<std::size_t>(got));
             continue;
-        while (worker.channel->results.tryPop(line)) {
-            WorkerResult result;
-            std::string error;
-            if (!parseWorkerResultLine(line, result, error)) {
-                logLine("worker %zu: unparseable result frame "
-                        "(%s); dropped",
-                        slot, error.c_str());
-                continue;
-            }
-            worker.inflight.erase(
-                std::remove(worker.inflight.begin(),
-                            worker.inflight.end(), result.id),
-                worker.inflight.end());
-            const auto idit = id_to_fp.find(result.id);
-            if (idit == id_to_fp.end())
-                continue; // already requeued and completed elsewhere
-            const std::string fp = idit->second;
-            id_to_fp.erase(idit);
-            if (auto dit = dispatched_ms.find(result.id);
-                dit != dispatched_ms.end()) {
-                metrics
-                    .histogram(service_time_metric.name,
-                               service_time_metric.help)
-                    .observe(static_cast<double>(
-                        nowMs() - dit->second));
-                dispatched_ms.erase(dit);
-            }
-            ++stats.executed;
-            attempts.erase(fp); // completed; no longer a suspect
-            if (result.error.empty()) {
-                store.put(fp, result.run);
-                deliver(fp, &result.run, "");
-            } else {
-                ++stats.failed;
-                deliver(fp, nullptr, result.error);
-            }
         }
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            break;
+        // EOF or error: the worker is gone or going. Stop polling;
+        // waitpid() alone reports the death and requeues its jobs.
+        closeFd(worker.fd);
+    }
+
+    std::size_t pos = 0;
+    for (;;) {
+        const std::size_t nl = worker.inbuf.find('\n', pos);
+        if (nl == std::string::npos)
+            break;
+        const std::string line = worker.inbuf.substr(pos, nl - pos);
+        pos = nl + 1;
+        handleWorkerFrame(slot, line);
+    }
+    worker.inbuf.erase(0, pos);
+}
+
+void
+Dispatcher::handleWorkerFrame(std::size_t slot, const std::string &line)
+{
+    Worker &worker = workers[slot];
+    WorkerResult result;
+    std::string error;
+    if (!parseWorkerResultLine(line, result, error)) {
+        logLine("worker %zu: unparseable result frame (%s); dropped",
+                slot, error.c_str());
+        return;
+    }
+    worker.lastFrameAtMs = nowMs();
+    worker.inflight.erase(std::remove(worker.inflight.begin(),
+                                      worker.inflight.end(), result.id),
+                          worker.inflight.end());
+    const auto idit = id_to_fp.find(result.id);
+    if (idit == id_to_fp.end())
+        return; // already requeued and completed elsewhere
+    const std::string fp = idit->second;
+    id_to_fp.erase(idit);
+    if (auto dit = dispatched_ms.find(result.id);
+        dit != dispatched_ms.end()) {
+        metrics
+            .histogram(service_time_metric.name,
+                       service_time_metric.help)
+            .observe(static_cast<double>(nowMs() - dit->second));
+        dispatched_ms.erase(dit);
+    }
+    ++stats.executed;
+    attempts.erase(fp); // completed; no longer a suspect
+    if (result.error.empty()) {
+        store.put(fp, result.run);
+        deliver(fp, &result.run, "");
+    } else {
+        ++stats.failed;
+        deliver(fp, nullptr, result.error);
     }
 }
 
@@ -752,11 +775,12 @@ Dispatcher::reapWorkers()
                     std::to_string(WEXITSTATUS(status));
             logLine("worker %zu (pid %d): %s", slot,
                     static_cast<int>(pid), death_reason.c_str());
+            // Every frame the worker finished before it died is
+            // still in the socket: take those results, then requeue
+            // the rest.
+            readWorker(slot);
             requeueWorkerJobs(slot, death_reason);
-            unmapWorkerChannel(worker.channel);
-            worker.channel = nullptr;
-            close(worker.jobWake);
-            worker.jobWake = -1;
+            closeFd(worker.fd);
             worker.pid = -1;
             std::string error;
             if (!spawnWorker(slot, error))
@@ -825,32 +849,24 @@ Dispatcher::quarantineJob(const std::string &fp,
 void
 Dispatcher::checkHeartbeats()
 {
+    // A worker answers between jobs only, so a worker holding work
+    // that has sent no frame for the timeout is stuck inside a job.
     const std::uint64_t now = nowMs();
     const std::uint64_t limit =
         static_cast<std::uint64_t>(opts.heartbeatTimeoutSec) *
         1000u;
     for (std::size_t slot = 0; slot < workers.size(); ++slot) {
         Worker &worker = workers[slot];
-        if (!worker.alive || worker.channel == nullptr)
+        if (!worker.alive || worker.wedged || worker.inflight.empty() ||
+            now - worker.lastFrameAtMs <= limit)
             continue;
-        const std::uint64_t beat =
-            worker.channel->heartbeat.load(
-                std::memory_order_relaxed);
-        if (beat != worker.lastBeat) {
-            worker.lastBeat = beat;
-            worker.lastBeatAtMs = now;
-            continue;
-        }
-        if (now - worker.lastBeatAtMs > limit) {
-            logLine("worker %zu (pid %d): no heartbeat for %us; "
-                    "killing",
-                    slot, static_cast<int>(worker.pid),
-                    opts.heartbeatTimeoutSec);
-            worker.wedged = true;
-            kill(worker.pid, SIGKILL);
-            // reapWorkers() requeues its jobs and respawns.
-            worker.lastBeatAtMs = now;
-        }
+        logLine("worker %zu (pid %d): no frame for %us while holding "
+                "a job; killing",
+                slot, static_cast<int>(worker.pid),
+                opts.heartbeatTimeoutSec);
+        worker.wedged = true;
+        kill(worker.pid, SIGKILL);
+        // reapWorkers() requeues its jobs and respawns.
     }
 }
 
@@ -862,7 +878,7 @@ Dispatcher::feedWorkers()
     for (std::size_t slot = 0;
          slot < workers.size() && !pending.empty(); ++slot) {
         Worker &worker = workers[slot];
-        if (!worker.alive || worker.channel == nullptr)
+        if (!worker.alive || worker.fd < 0)
             continue;
         while (!pending.empty() &&
                worker.inflight.size() < max_inflight_per_worker) {
@@ -873,11 +889,11 @@ Dispatcher::feedWorkers()
                 continue; // cancelled/completed meanwhile
             }
             const std::uint64_t id = ++exec_seq;
-            const std::string frame =
-                workerJobLine(id, it->second.job);
-            if (!worker.channel->jobs.tryPush(frame))
-                break; // ring full; try again next tick
-            postWake(worker.jobWake);
+            if (worker.inflight.empty())
+                worker.lastFrameAtMs = nowMs();
+            worker.outbuf += workerJobLine(
+                id, it->second.job,
+                FaultInjector::global().check(FaultSite::WorkerJob));
             pending.pop_front();
             it->second.worker = static_cast<int>(slot);
             it->second.id = id;
@@ -885,6 +901,28 @@ Dispatcher::feedWorkers()
             dispatched_ms.emplace(id, nowMs());
             worker.inflight.push_back(id);
             ++attempts[fp];
+        }
+    }
+}
+
+void
+Dispatcher::flushWorkers()
+{
+    // Plain send(), not the sock.write fault seam (see readWorker).
+    for (Worker &worker : workers) {
+        while (worker.fd >= 0 && !worker.outbuf.empty()) {
+            const ssize_t sent =
+                send(worker.fd, worker.outbuf.data(),
+                     worker.outbuf.size(), MSG_NOSIGNAL);
+            if (sent > 0) {
+                worker.outbuf.erase(0, static_cast<std::size_t>(sent));
+                continue;
+            }
+            if (sent < 0 && errno == EINTR)
+                continue;
+            if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+                break;
+            closeFd(worker.fd); // gone; waitpid() reports it
         }
     }
 }
@@ -937,13 +975,9 @@ Dispatcher::closeClient(int fd)
 void
 Dispatcher::shutdownWorkers()
 {
-    for (Worker &worker : workers) {
-        if (worker.channel != nullptr)
-            worker.channel->stop.store(
-                true, std::memory_order_release);
-        if (worker.jobWake >= 0)
-            postWake(worker.jobWake);
-    }
+    // EOF on its socket is a worker's stop signal.
+    for (Worker &worker : workers)
+        closeFd(worker.fd);
     for (Worker &worker : workers) {
         if (!worker.alive)
             continue;
@@ -962,13 +996,6 @@ Dispatcher::shutdownWorkers()
             waitpid(worker.pid, &status, 0);
             worker.alive = false;
         }
-    }
-    for (Worker &worker : workers) {
-        unmapWorkerChannel(worker.channel);
-        worker.channel = nullptr;
-        if (worker.jobWake >= 0)
-            close(worker.jobWake);
-        worker.jobWake = -1;
     }
     workers.clear();
 }

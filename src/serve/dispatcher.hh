@@ -4,16 +4,17 @@
  * loop, the forked worker pool, and the dedup/dispatch state
  * machine.
  *
- * One poll() loop owns everything -- no threads, no locks beyond
- * the SPSC rings' atomics. Each iteration: accept/read clients,
- * parse complete request lines, drain worker result rings, reap
- * dead workers (exit + heartbeat timeout) and requeue their
- * in-flight jobs, feed pending jobs to idle workers, flush client
- * output buffers. The loop sleeps on the client sockets plus one
- * result wake pipe every worker posts to after pushing a result, so
- * a finished job is forwarded at once; each worker in turn sleeps on
- * its own job wake pipe, which the daemon posts to after each job
- * push (spsc_ring.hh, "wake pipes").
+ * One poll() loop owns everything -- no threads, no locks. Each
+ * worker is connected by one socketpair that carries newline-framed
+ * jobs down and results up (protocol.hh); the daemon's end is
+ * non-blocking and buffered like a client connection. The loop
+ * sleeps on the client sockets and every live worker socket, so a
+ * finished job is forwarded at once. Each iteration: accept/read
+ * clients, parse complete request lines, read worker result frames,
+ * reap dead workers (exit + heartbeat timeout) and requeue their
+ * in-flight jobs, feed pending jobs to idle workers, flush worker
+ * and client output buffers. An idle worker sleeps in read() on its
+ * end; closing the daemon's end is its stop signal.
  *
  * Dedup semantics (the daemon's whole point): a submitted job's
  * fingerprint is looked up first in the persistent store (hit:
@@ -24,8 +25,9 @@
  * restart serves them from the warm store.
  *
  * Failure model: a worker that exits or is SIGKILLed is detected by
- * waitpid(); one whose heartbeat stops advancing (wedged inside a
- * job) is SIGKILLed after --heartbeat-timeout. Either way its
+ * waitpid(); one that holds a job without sending a frame for
+ * --heartbeat-timeout seconds (wedged inside it) is SIGKILLed. An EOF
+ * on a worker socket only stops polling it. Either way its
  * in-flight jobs are requeued at the FRONT of the pending queue
  * (oldest work first) and a replacement worker is forked, so a
  * sweep always completes on the surviving pool.
@@ -45,7 +47,6 @@
 #include "obs/metrics.hh"
 #include "serve/job_store.hh"
 #include "serve/protocol.hh"
-#include "serve/spsc_ring.hh"
 
 namespace nosq {
 namespace serve {
@@ -57,9 +58,9 @@ struct DispatcherOptions
     /** Worker processes, clamped to 1..64 (nosq_sweepd defaults it
      * to defaultSweepWorkers()). */
     unsigned workers = 0;
-    /** Seconds without heartbeat progress before a worker is
-     * presumed wedged and SIGKILLed. Must exceed the longest single
-     * job; raise it for full-length sweeps. */
+    /** Seconds a worker may hold a job without sending a frame
+     * before it is presumed wedged and SIGKILLed. Must exceed the
+     * longest single job; raise it for full-length sweeps. */
     unsigned heartbeatTimeoutSec = 300;
     /** A job whose worker dies or wedges this many times is
      * quarantined (delivered as a failure with a reason) instead of
@@ -134,15 +135,17 @@ class Dispatcher
     struct Worker
     {
         pid_t pid = -1;
-        WorkerChannel *channel = nullptr;
-        /** Write end of the worker's job wake pipe; -1 while no
-         * worker runs in this slot. */
-        int jobWake = -1;
-        std::uint64_t lastBeat = 0;
-        std::uint64_t lastBeatAtMs = 0;
+        /** The daemon's end of the worker's socketpair; -1 once it
+         * is closed (EOF, write error, death or shutdown). */
+        int fd = -1;
+        std::string inbuf;  ///< result frames not yet split
+        std::string outbuf; ///< job frames not yet written
+        /** When the worker last got a job with nothing in flight or
+         * last sent a frame; the heartbeat timeout counts from it. */
+        std::uint64_t lastFrameAtMs = 0;
         std::vector<std::uint64_t> inflight;
         bool alive = false;
-        /** Killed for heartbeat stagnation (informs the
+        /** Killed by the heartbeat timeout (informs the
          * quarantine reason when its jobs hit the attempt cap). */
         bool wedged = false;
     };
@@ -159,7 +162,8 @@ class Dispatcher
     /** The counters plus every sampled field, as both verbs report
      * them. */
     ServerStatus snapshot() const;
-    void drainResults();
+    void readWorker(std::size_t slot);
+    void handleWorkerFrame(std::size_t slot, const std::string &line);
     void reapWorkers();
     void checkHeartbeats();
     void requeueWorkerJobs(std::size_t slot,
@@ -170,6 +174,7 @@ class Dispatcher
     void feedWorkers();
     void deliver(const std::string &fp, const RunResult *run,
                  const std::string &error_message);
+    void flushWorkers();
     void flushClients();
     void closeClient(int fd);
     void shutdownWorkers();
@@ -180,8 +185,6 @@ class Dispatcher
     StoreLock store_lock;
     JobStore store;
     int listen_fd = -1;
-    /** The result wake pipe: workers write [1], the loop polls [0]. */
-    int result_wake[2] = {-1, -1};
     std::map<int, Client> clients;
     std::vector<Worker> workers;
     std::unordered_map<std::string, Exec> execs;

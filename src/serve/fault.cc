@@ -3,8 +3,8 @@
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 
-#include <sys/mman.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -16,27 +16,8 @@ namespace {
 const char *const site_names[fault_site_count] = {
     "sock.connect", "sock.read",    "sock.write",
     "store.write",  "store.fsync",  "store.rename",
-    "worker.fork",  "worker.job",   "worker.beat",
+    "worker.fork",  "worker.job",
 };
-
-/** Parse a site token; Count on failure. Wildcards expand later. */
-bool
-parseAction(const std::string &tok, FaultAction &action)
-{
-    if (tok == "fail")
-        action = FaultAction::Fail;
-    else if (tok == "short")
-        action = FaultAction::Short;
-    else if (tok == "eintr")
-        action = FaultAction::Eintr;
-    else if (tok == "wedge")
-        action = FaultAction::Wedge;
-    else if (tok == "crash")
-        action = FaultAction::Crash;
-    else
-        return false;
-    return true;
-}
 
 bool
 parseCount(const std::string &tok, std::uint64_t &value)
@@ -54,7 +35,29 @@ parseCount(const std::string &tok, std::uint64_t &value)
     return value > 0;
 }
 
+const char *const action_names[] = {
+    "none", "fail", "short", "eintr", "wedge", "crash",
+};
+
 } // namespace
+
+const char *
+faultActionName(FaultAction action)
+{
+    return action_names[static_cast<std::size_t>(action)];
+}
+
+bool
+parseFaultAction(const std::string &name, FaultAction &action)
+{
+    for (std::size_t i = 1; i < std::size(action_names); ++i) {
+        if (name == action_names[i]) {
+            action = static_cast<FaultAction>(i);
+            return true;
+        }
+    }
+    return false;
+}
 
 const char *
 faultSiteName(FaultSite site)
@@ -107,7 +110,7 @@ FaultInjector::configure(const std::string &plan, std::string &error)
             return false;
         }
         Rule proto;
-        if (!parseAction(rest.substr(0, trig), proto.action)) {
+        if (!parseFaultAction(rest.substr(0, trig), proto.action)) {
             error = "fault rule '" + ruleText +
                     "': unknown action '" + rest.substr(0, trig) +
                     "' (fail|short|eintr|wedge|crash)";
@@ -158,8 +161,8 @@ FaultInjector::configure(const std::string &plan, std::string &error)
     plan_ = rules_.empty() ? std::string() : plan;
     enabled_ = !rules_.empty();
     for (std::size_t i = 0; i < fault_site_count; ++i) {
-        counters_->hits[i].store(0, std::memory_order_relaxed);
-        counters_->fired[i].store(0, std::memory_order_relaxed);
+        counters_.hits[i].store(0, std::memory_order_relaxed);
+        counters_.fired[i].store(0, std::memory_order_relaxed);
     }
     return true;
 }
@@ -178,7 +181,7 @@ FaultInjector::checkSlow(FaultSite site)
 {
     auto idx = static_cast<std::size_t>(site);
     std::uint64_t hit =
-        counters_->hits[idx].fetch_add(1, std::memory_order_relaxed) +
+        counters_.hits[idx].fetch_add(1, std::memory_order_relaxed) +
         1;
     FaultAction action = FaultAction::None;
     for (const Rule &rule : rules_) {
@@ -190,21 +193,21 @@ FaultInjector::checkSlow(FaultSite site)
         }
     }
     if (action != FaultAction::None)
-        counters_->fired[idx].fetch_add(1, std::memory_order_relaxed);
+        counters_.fired[idx].fetch_add(1, std::memory_order_relaxed);
     return action;
 }
 
 std::uint64_t
 FaultInjector::hits(FaultSite site) const
 {
-    return counters_->hits[static_cast<std::size_t>(site)].load(
+    return counters_.hits[static_cast<std::size_t>(site)].load(
         std::memory_order_relaxed);
 }
 
 std::uint64_t
 FaultInjector::fired(FaultSite site) const
 {
-    return counters_->fired[static_cast<std::size_t>(site)].load(
+    return counters_.fired[static_cast<std::size_t>(site)].load(
         std::memory_order_relaxed);
 }
 
@@ -215,29 +218,6 @@ FaultInjector::planned(FaultSite site) const
         if (rule.site == site)
             return true;
     return false;
-}
-
-void
-FaultInjector::shareCounters()
-{
-    if (shared_)
-        return;
-    void *mem = mmap(nullptr, sizeof(Counters),
-                     PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_ANONYMOUS, -1, 0);
-    if (mem == MAP_FAILED)
-        return; // keep process-local counters; injection still works
-    auto *shared = new (mem) Counters();
-    for (std::size_t i = 0; i < fault_site_count; ++i) {
-        shared->hits[i].store(
-            counters_->hits[i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-        shared->fired[i].store(
-            counters_->fired[i].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-    }
-    counters_ = shared;
-    shared_ = true;
 }
 
 std::string

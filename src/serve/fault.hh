@@ -2,14 +2,13 @@
  * @file
  * Deterministic fault injection for the serving stack.
  *
- * Every syscall seam the daemon, its forked workers, and the sweep
- * client rely on -- socket connect/read/write, store
- * append/fsync/rename, worker fork, the job body, the heartbeat --
- * funnels through a named *fault site*. A fault plan maps sites to
- * actions that fire on precise hit counts, so a test can say "the
- * 3rd store append fails", "every 5th socket call takes an EINTR",
- * or "the 2nd dispatched job wedges its worker" and get exactly
- * that, every run.
+ * Every syscall seam the daemon and the sweep client rely on --
+ * client socket connect/read/write, store append/fsync/rename, worker
+ * fork, the job body a worker runs -- funnels through a named *fault
+ * site*. A fault plan maps sites to actions that fire on precise hit
+ * counts, so a test can say "the 3rd store append fails", "every 5th
+ * socket call takes an EINTR", or "the 2nd dispatched job wedges its
+ * worker" and get exactly that, every run.
  *
  * Plan grammar (comma-separated rules, from `NOSQ_FAULT_PLAN` or
  * `nosq_sweepd --fault-plan`):
@@ -18,7 +17,7 @@
  *   rule   := site ':' action trigger
  *   site   := sock.connect | sock.read | sock.write
  *           | store.write  | store.fsync | store.rename
- *           | worker.fork  | worker.job  | worker.beat
+ *           | worker.fork  | worker.job
  *           | sock.* | store.* | worker.*     (prefix wildcard)
  *   action := fail | short | eintr | wedge | crash
  *   trigger:= '@' N     fire on exactly the Nth hit (one-shot)
@@ -39,17 +38,16 @@
  *   store.rename  fail -> rename reports EIO
  *   worker.fork   fail -> fork reports EAGAIN
  *   worker.job    fail -> the job returns an error frame;
- *                 wedge -> the worker spins without heartbeat
- *                 (until the daemon's timeout kills it);
+ *                 wedge -> the worker hangs without answering
+ *                 (until the daemon's heartbeat timeout kills it);
  *                 crash -> the worker _exit()s mid-job
- *   worker.beat   fail -> the heartbeat bump is skipped
  *
  * Zero overhead when off: with no plan configured, every check is a
- * single inline branch on a bool. Counters live in anonymous shared
- * memory once shareCounters() is called (the dispatcher does, before
- * forking), so hits registered inside workers are visible in the
- * daemon's `--server-status` fault dump and tests can assert a plan
- * actually fired.
+ * single inline branch on a bool. The daemon checks every one of its
+ * sites itself -- worker.job once per dispatched job, sending the
+ * action to the worker inside the job frame -- so its counters are
+ * the whole count: the `--server-status` fault dump shows them and
+ * tests can assert a plan actually fired.
  */
 
 #ifndef NOSQ_SERVE_FAULT_HH
@@ -76,7 +74,6 @@ enum class FaultSite : unsigned {
     StoreRename,
     WorkerFork,
     WorkerJob,
-    WorkerBeat,
     Count
 };
 
@@ -91,9 +88,15 @@ enum class FaultAction : unsigned {
     Fail,  ///< the operation reports a hard error
     Short, ///< partial I/O: transfer a single byte
     Eintr, ///< the syscall is interrupted (errno = EINTR)
-    Wedge, ///< spin forever without heartbeat (worker.job only)
+    Wedge, ///< hang forever without answering (worker.job only)
     Crash, ///< _exit() mid-operation (worker.job only)
 };
+
+/** The plan-grammar name of @p action ("fail", ...; "none"). */
+const char *faultActionName(FaultAction action);
+
+/** Parse a plan-grammar action name. @return false if unknown */
+bool parseFaultAction(const std::string &name, FaultAction &action);
 
 /**
  * The process-wide fault injector. Disabled (and overhead-free)
@@ -156,13 +159,6 @@ class FaultInjector
     bool planned(FaultSite site) const;
 
     /**
-     * Move the hit/fired counters into anonymous shared memory so
-     * processes forked AFTER this call contribute to (and observe)
-     * the same counts. Existing counts carry over. Idempotent.
-     */
-    void shareCounters();
-
-    /**
      * One-line JSON object of per-site counters for every planned
      * site: {"sock.read":{"hits":12,"fired":2},...}. "{}" when
      * disabled.
@@ -189,9 +185,7 @@ class FaultInjector
     bool enabled_ = false;
     std::string plan_;
     std::vector<Rule> rules_;
-    Counters local_{};
-    Counters *counters_ = &local_;
-    bool shared_ = false;
+    Counters counters_{};
 };
 
 // --- injected syscall wrappers ----------------------------------------------

@@ -596,19 +596,22 @@ doneLine(const std::string &ticket, std::size_t jobs)
 // --- worker channel framing -------------------------------------------------
 
 std::string
-workerJobLine(std::uint64_t id, const SweepJob &job)
+workerJobLine(std::uint64_t id, const SweepJob &job, FaultAction fault)
 {
     // The daemon only dispatches jobs that arrived through
     // jobFromWire(), so re-serialization cannot fail; the error slot
     // is unreachable here.
     std::string error;
-    return "{\"id\":" + u64(id) + ",\"job\":" +
-           jobToWire(job, &error) + "}\n";
+    std::string line = "{\"id\":" + u64(id);
+    if (fault != FaultAction::None)
+        line += ",\"fault\":" + quoted(faultActionName(fault));
+    return line + ",\"job\":" + jobToWire(job, &error) + "}\n";
 }
 
 bool
 parseWorkerJobLine(const std::string &line, std::uint64_t &id,
-                   SweepJob &out, std::string &error)
+                   SweepJob &out, FaultAction &fault,
+                   std::string &error)
 {
     JsonValue v;
     std::string parse_error;
@@ -620,6 +623,13 @@ parseWorkerJobLine(const std::string &line, std::uint64_t &id,
         !getU64(v, "id", id, error)) {
         error = error.empty() ? "job frame is not an object"
                               : error;
+        return false;
+    }
+    fault = FaultAction::None;
+    if (const JsonValue *f = v.find("fault");
+        f != nullptr && (f->kind != JsonValue::Kind::String ||
+                         !parseFaultAction(f->string, fault))) {
+        error = "bad field 'fault'";
         return false;
     }
     const JsonValue *job = v.find("job");

@@ -41,14 +41,18 @@
  * bit-identically; a client-side report assembled from these lines
  * is byte-identical to a local runSweep() report.
  *
- * Daemon <-> worker (shared-memory SPSC rings, serve/spsc_ring.hh):
+ * Daemon <-> worker (one socketpair per worker, one frame per line,
+ * no size cap; dispatcher.hh):
  *
- *   {"id": <u64>, "job": {<job>}}                      (job ring)
- *   {"id": <u64>, "fp": "<hex16>", "run": {...}}       (result ring)
+ *   {"id": <u64>, "job": {<job>}}                      (to the worker)
+ *   {"id": <u64>, "fault": "wedge", "job": {<job>}}
+ *   {"id": <u64>, "fp": "<hex16>", "run": {...}}       (to the daemon)
  *   {"id": <u64>, "fp": "<hex16>", "error": "..."}
  *
- * Custom-runner jobs (SweepJob::runner) cannot cross a process
- * boundary and are rejected at serialization time.
+ * A job frame carries "fault" only when the daemon's fault plan
+ * fired its worker.job site for this dispatch (fault.hh); the worker
+ * acts it out. Custom-runner jobs (SweepJob::runner) cannot cross a
+ * process boundary and are rejected at serialization time.
  */
 
 #ifndef NOSQ_SERVE_PROTOCOL_HH
@@ -59,6 +63,7 @@
 #include <utility>
 #include <vector>
 
+#include "serve/fault.hh"
 #include "serve/serve_stats.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
@@ -182,19 +187,22 @@ std::string doneLine(const std::string &ticket, std::size_t jobs);
 
 // --- worker channel framing -------------------------------------------------
 
-std::string workerJobLine(std::uint64_t id, const SweepJob &job);
+/** @p fault: the worker.job action the worker must act out */
+std::string workerJobLine(std::uint64_t id, const SweepJob &job,
+                          FaultAction fault = FaultAction::None);
 
 /** @return false on malformed input (the daemon never produces it;
  * a worker that sees it exits and is respawned) */
 bool parseWorkerJobLine(const std::string &line, std::uint64_t &id,
-                        SweepJob &out, std::string &error);
+                        SweepJob &out, FaultAction &fault,
+                        std::string &error);
 
 std::string workerResultLine(std::uint64_t id, const std::string &fp,
                              const RunResult &run);
 std::string workerErrorLine(std::uint64_t id, const std::string &fp,
                             const std::string &message);
 
-/** A parsed result-ring record; `error` empty means `run` is set. */
+/** A parsed result frame; `error` empty means `run` is set. */
 struct WorkerResult
 {
     std::uint64_t id = 0;

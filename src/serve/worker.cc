@@ -5,10 +5,11 @@
 
 #include "serve/worker.hh"
 
+#include <cerrno>
 #include <exception>
 #include <string>
 
-#include <time.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/logging.hh"
@@ -22,63 +23,78 @@ namespace serve {
 
 namespace {
 
-void
-napMillis(long ms)
+/** Read from @p fd until @p inbuf holds a whole line, and move it
+ * (without its '\n') into @p line.
+ * @return false once the daemon has closed its end */
+bool
+readLine(int fd, std::string &inbuf, std::string &line)
 {
-    struct timespec ts;
-    ts.tv_sec = ms / 1000;
-    ts.tv_nsec = (ms % 1000) * 1000000L;
-    nanosleep(&ts, nullptr);
+    std::size_t scanned = 0;
+    std::size_t nl;
+    while ((nl = inbuf.find('\n', scanned)) == std::string::npos) {
+        scanned = inbuf.size();
+        char buffer[1 << 16];
+        const ssize_t got = read(fd, buffer, sizeof(buffer));
+        if (got > 0)
+            inbuf.append(buffer, static_cast<std::size_t>(got));
+        else if (got == 0 || errno != EINTR)
+            return false;
+    }
+    line.assign(inbuf, 0, nl);
+    inbuf.erase(0, nl + 1);
+    return true;
+}
+
+/** Write all of @p frame to @p fd; no SIGPIPE if the daemon is gone.
+ * @return false once the daemon has closed its end */
+bool
+writeAll(int fd, const std::string &frame)
+{
+    std::size_t sent = 0;
+    while (sent < frame.size()) {
+        const ssize_t n = send(fd, frame.data() + sent,
+                               frame.size() - sent, MSG_NOSIGNAL);
+        if (n > 0)
+            sent += static_cast<std::size_t>(n);
+        else if (n == 0 || errno != EINTR)
+            return false;
+    }
+    return true;
 }
 
 } // anonymous namespace
 
 int
-workerMain(WorkerChannel *channel, int job_wake, int result_wake)
+workerMain(int fd)
 {
     // Re-tag the forked child so NOSQ_LOG_PREFIX attributes its
     // lines to the worker, not the daemon it inherited from.
     setLogRole("worker");
-    const pid_t daemon = getppid();
+    std::string inbuf;
     std::string line;
-    while (!channel->stop.load(std::memory_order_acquire)) {
-        if (FaultInjector::global().check(FaultSite::WorkerBeat) !=
-            FaultAction::Fail)
-            channel->heartbeat.fetch_add(1,
-                                         std::memory_order_relaxed);
-        if (!channel->jobs.tryPop(line)) {
-            // Orphan check: if the daemon died without setting the
-            // stop flag (SIGKILL), nobody will ever read a result
-            // again -- exit instead of spinning forever on fds
-            // (including any inherited pipe) we keep open.
-            if (getppid() != daemon)
-                return 0;
-            // Sleep until the daemon pushes a job (or sets stop),
-            // bounded so the stop, orphan and heartbeat checks above
-            // keep their 2ms cadence.
-            awaitWake(job_wake, 2);
-            continue;
-        }
-
+    // EOF is the stop signal and the orphan check in one: the daemon
+    // closed its end on shutdown, or died and the kernel closed it.
+    while (readLine(fd, inbuf, line)) {
         std::uint64_t id = 0;
         SweepJob job;
+        FaultAction fault = FaultAction::None;
         std::string error;
-        if (!parseWorkerJobLine(line, id, job, error)) {
+        if (!parseWorkerJobLine(line, id, job, fault, error)) {
             // The daemon never produces a malformed frame; seeing
-            // one means this ring is not trustworthy. Exit and let
+            // one means this stream is not trustworthy. Exit and let
             // the daemon respawn a clean worker.
             return 2;
         }
         const std::string fp = jobFingerprint(job);
 
         std::string reply;
-        switch (FaultInjector::global().check(FaultSite::WorkerJob)) {
+        switch (fault) {
         case FaultAction::Wedge:
-            // A genuinely hung job: no heartbeat, no result, no
-            // reaction to stop. Only the daemon's heartbeat
-            // timeout (SIGKILL) ends this worker.
+            // A genuinely hung job: no result and no further read.
+            // Only the daemon's --heartbeat-timeout (SIGKILL) ends
+            // this worker.
             for (;;)
-                napMillis(50);
+                pause();
         case FaultAction::Crash:
             _exit(42);
         case FaultAction::Fail:
@@ -96,17 +112,8 @@ workerMain(WorkerChannel *channel, int job_wake, int result_wake)
         } catch (...) {
             reply = workerErrorLine(id, fp, "unknown error");
         }
-
-        // A full result ring only means the daemon has not drained
-        // yet; keep the heartbeat moving while waiting.
-        while (!channel->results.tryPush(reply)) {
-            if (channel->stop.load(std::memory_order_acquire))
-                return 0;
-            channel->heartbeat.fetch_add(
-                1, std::memory_order_relaxed);
-            napMillis(2);
-        }
-        postWake(result_wake);
+        if (!writeAll(fd, reply))
+            return 0;
     }
     return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <mutex>
 #include <thread>
 
 #include "common/cli.hh"
@@ -290,39 +291,6 @@ paperFigureConfigs(bool big_window)
     return configs;
 }
 
-void
-JobQueue::push(std::size_t index)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        nosq_assert(!closed, "push after close");
-        pending.push_back(index);
-    }
-    cv.notify_one();
-}
-
-void
-JobQueue::close()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        closed = true;
-    }
-    cv.notify_all();
-}
-
-bool
-JobQueue::pop(std::size_t &index)
-{
-    std::unique_lock<std::mutex> lock(mutex);
-    cv.wait(lock, [this] { return !pending.empty() || closed; });
-    if (pending.empty())
-        return false;
-    index = pending.front();
-    pending.pop_front();
-    return true;
-}
-
 unsigned
 defaultSweepWorkers()
 {
@@ -527,25 +495,15 @@ runSweepImpl(const std::vector<SweepJob> &jobs,
             journal->record(index, results[index]);
     };
 
-    if (num_workers <= 1) {
-        std::size_t done = skipped;
-        for (const std::size_t i : pending) {
-            runGuarded(jobs[i], i, results[i], failures);
-            finish(i);
-            if (progress)
-                progress(++done, jobs.size(), i);
-        }
-        failures.throwIfFailed(results);
-        return results;
-    }
-
-    JobQueue queue;
+    // Every pending index is known before any worker starts, so a
+    // shared cursor over `pending` is the whole hand-off.
+    std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> done{skipped};
     std::mutex progress_mutex;
 
     auto worker = [&] {
-        std::size_t index;
-        while (queue.pop(index)) {
+        for (std::size_t k = next++; k < pending.size(); k = next++) {
+            const std::size_t index = pending[k];
             runGuarded(jobs[index], index, results[index], failures);
             finish(index);
             if (progress) {
@@ -559,13 +517,13 @@ runSweepImpl(const std::vector<SweepJob> &jobs,
         }
     };
 
+    // The calling thread is one of the workers; a one-worker sweep
+    // starts no thread.
     std::vector<std::thread> pool;
-    pool.reserve(num_workers);
-    for (unsigned w = 0; w < num_workers; ++w)
+    pool.reserve(num_workers - 1);
+    for (unsigned w = 1; w < num_workers; ++w)
         pool.emplace_back(worker);
-    for (const std::size_t i : pending)
-        queue.push(i);
-    queue.close();
+    worker();
     for (auto &thread : pool)
         thread.join();
     failures.throwIfFailed(results);

@@ -21,11 +21,8 @@
 #ifndef NOSQ_SIM_SWEEP_HH
 #define NOSQ_SIM_SWEEP_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -290,33 +287,6 @@ std::vector<SweepConfig> predictorHistoryConfigs(
     const std::vector<unsigned> &history_bits, bool with_unbounded);
 
 // --- execution -------------------------------------------------------------
-
-/**
- * Mutex/condvar-protected single-producer multi-consumer queue of
- * job indices. Workers block in pop() until an index is available or
- * the producer closes the queue.
- */
-class JobQueue
-{
-  public:
-    /** Producer: enqueue one job index. */
-    void push(std::size_t index);
-
-    /** Producer: signal that no more indices will arrive. */
-    void close();
-
-    /**
-     * Consumer: block for the next index.
-     * @return false when the queue is closed and drained.
-     */
-    bool pop(std::size_t &index);
-
-  private:
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::deque<std::size_t> pending;
-    bool closed = false;
-};
 
 /**
  * Index value reported to SweepProgress when a call does not

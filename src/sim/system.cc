@@ -138,10 +138,7 @@ System::run(std::uint64_t max_insts, std::uint64_t warmup_insts)
 
     agg.multicore = true;
     agg.numCores = cores.size();
-    const CoherenceStats coh = shared.cohStats() - coh_base;
-    agg.cohInvalidations = coh.invalidations;
-    agg.cohC2cTransfers = coh.c2cTransfers;
-    agg.cohUpgradeMisses = coh.upgradeMisses;
+    static_cast<CoherenceStats &>(agg) = shared.cohStats() - coh_base;
     agg.perCore.reserve(per.size());
     for (const SimResult &r : per) {
         SimResult::PerCore pc;

@@ -40,7 +40,7 @@ TEST(Directory, SilentExclusiveToModified)
     EXPECT_FALSE(out.upgrade);
     EXPECT_EQ(out.invalidated, 0u);
     EXPECT_EQ(d.stateOf(0, 7), CohState::Modified);
-    EXPECT_EQ(d.stats().invalidations, 0u);
+    EXPECT_EQ(d.stats().cohInvalidations, 0u);
 }
 
 TEST(Directory, SecondReaderSharesAndDowngradesOwner)
@@ -61,7 +61,7 @@ TEST(Directory, ReadOfRemoteModifiedIsCacheToCache)
     EXPECT_TRUE(out.c2c);
     EXPECT_EQ(d.stateOf(0, 7), CohState::Shared);
     EXPECT_EQ(d.stateOf(1, 7), CohState::Shared);
-    EXPECT_EQ(d.stats().c2cTransfers, 1u);
+    EXPECT_EQ(d.stats().cohC2cTransfers, 1u);
 }
 
 TEST(Directory, WriteToSharedUpgradesAndInvalidates)
@@ -76,8 +76,8 @@ TEST(Directory, WriteToSharedUpgradesAndInvalidates)
     EXPECT_EQ(d.stateOf(0, 7), CohState::Modified);
     EXPECT_EQ(d.stateOf(1, 7), CohState::Invalid);
     EXPECT_EQ(d.stateOf(2, 7), CohState::Invalid);
-    EXPECT_EQ(d.stats().invalidations, 2u);
-    EXPECT_EQ(d.stats().upgradeMisses, 1u);
+    EXPECT_EQ(d.stats().cohInvalidations, 2u);
+    EXPECT_EQ(d.stats().cohUpgradeMisses, 1u);
 }
 
 TEST(Directory, WriteOverRemoteModifiedTransfersAndInvalidates)
@@ -308,7 +308,7 @@ TEST(SharedL2, RemoteModifiedReadIsC2cLatency)
     s.fill(0, addr, true, 0); // core 0 takes the line Modified
     const Cycle lat = s.fill(1, addr, false, 10);
     EXPECT_EQ(lat, smallParams().c2cLatency);
-    EXPECT_EQ(s.cohStats().c2cTransfers, 1u);
+    EXPECT_EQ(s.cohStats().cohC2cTransfers, 1u);
 }
 
 TEST(SharedL2, ColdMissPaysMemoryPath)
@@ -340,7 +340,7 @@ TEST(SharedL2, WriteHitOnSharedLinePaysUpgradeAndInvalidates)
     EXPECT_EQ(extra, p.upgradeLatency);
     EXPECT_FALSE(l1b.probe(addr)) << "remote L1 copy must drop";
     EXPECT_TRUE(l1a.probe(addr)) << "writer's own copy survives";
-    EXPECT_EQ(s.cohStats().invalidations, 1u);
+    EXPECT_EQ(s.cohStats().cohInvalidations, 1u);
 
     // Exclusive now: further write hits are free.
     EXPECT_EQ(s.writeHit(0, addr, 0), 0u);

@@ -3,8 +3,8 @@
  * Unit tests for the fault-injection layer: the plan grammar
  * (sites, actions, @N one-shot and %N periodic triggers, wildcard
  * expansion, every rejection class), hit/fired counters and their
- * determinism across reconfiguration, cross-fork counter sharing,
- * the injected syscall wrappers, and the extended status reply
+ * determinism across reconfiguration, action names, the injected
+ * syscall wrappers, and the extended status reply
  * (quarantine reasons, per-fingerprint attempts, fault counters)
  * that surfaces it all.
  */
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "serve/fault.hh"
@@ -58,7 +57,7 @@ TEST(FaultPlan, ParsesEverySiteAndAction)
     ASSERT_TRUE(inj().configure(
         "sock.connect:fail@1,sock.read:short@2,sock.write:eintr%3,"
         "store.write:fail@4,store.fsync:fail@5,store.rename:fail@6,"
-        "worker.fork:fail@7,worker.job:wedge@8,worker.beat:fail%9",
+        "worker.fork:fail@7,worker.job:wedge@8",
         error))
         << error;
     EXPECT_TRUE(inj().enabled());
@@ -66,6 +65,22 @@ TEST(FaultPlan, ParsesEverySiteAndAction)
         EXPECT_TRUE(inj().planned(static_cast<FaultSite>(i)))
             << faultSiteName(static_cast<FaultSite>(i));
     clearPlan();
+}
+
+TEST(FaultPlan, ActionNamesRoundTrip)
+{
+    for (FaultAction action :
+         {FaultAction::Fail, FaultAction::Short, FaultAction::Eintr,
+          FaultAction::Wedge, FaultAction::Crash}) {
+        FaultAction parsed = FaultAction::None;
+        ASSERT_TRUE(parseFaultAction(faultActionName(action), parsed))
+            << faultActionName(action);
+        EXPECT_EQ(parsed, action);
+    }
+    FaultAction parsed = FaultAction::Fail;
+    EXPECT_FALSE(parseFaultAction("none", parsed));
+    EXPECT_FALSE(parseFaultAction("explode", parsed));
+    EXPECT_EQ(parsed, FaultAction::Fail);
 }
 
 TEST(FaultPlan, WildcardExpandsByPrefix)
@@ -194,34 +209,6 @@ TEST(FaultCounters, StatusJsonListsPlannedSitesOnly)
     EXPECT_EQ(sw->find("fired")->asU64(), 1u);
     clearPlan();
     EXPECT_EQ(inj().statusJson(), "{}");
-}
-
-TEST(FaultCounters, SharedCountersCrossFork)
-{
-    std::string error;
-    ASSERT_TRUE(inj().configure("worker.job:fail%2", error));
-    inj().shareCounters();
-    const pid_t pid = fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        // Child: three hits, the 2nd fires.
-        int fired = 0;
-        for (int i = 0; i < 3; ++i)
-            if (inj().check(FaultSite::WorkerJob) !=
-                FaultAction::None)
-                ++fired;
-        _exit(fired == 1 ? 0 : 1);
-    }
-    int status = 0;
-    ASSERT_EQ(waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 0);
-    // The child's hits are visible here, and the counter carries on
-    // seamlessly: hit 4 (the next even one) fires in this process.
-    EXPECT_EQ(inj().hits(FaultSite::WorkerJob), 3u);
-    EXPECT_EQ(inj().fired(FaultSite::WorkerJob), 1u);
-    EXPECT_EQ(inj().check(FaultSite::WorkerJob), FaultAction::Fail);
-    clearPlan();
 }
 
 // --- injected syscall wrappers ----------------------------------------------

@@ -1,32 +1,33 @@
 /**
  * @file
- * Unit tests for the serving layer's process plumbing: the SPSC
- * shared-memory ring (wrap-around correctness, full-ring refusal,
- * cross-thread ordering), the persistent fingerprint -> result
- * store behind both the daemon and sweep checkpoints (round trip,
- * salvage of every corruption class, duplicate and invalid-result
- * policy, legacy journal files, compact records), and the wake-pipe
- * hand-off with a forked worker.
+ * Unit tests for the serving layer's process plumbing: the
+ * persistent fingerprint -> result store behind both the daemon and
+ * sweep checkpoints (round trip, salvage of every corruption class,
+ * duplicate and invalid-result policy, legacy journal files, compact
+ * records), and the socketpair hand-off with a forked worker.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <poll.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "serve/job_store.hh"
 #include "serve/protocol.hh"
-#include "serve/spsc_ring.hh"
 #include "serve/worker.hh"
 #include "sim/journal.hh"
 #include "sim/report.hh"
@@ -80,124 +81,6 @@ fpOf(unsigned i)
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016x", i + 1);
     return buf;
-}
-
-// --- SpscRing ---------------------------------------------------------------
-
-TEST(SpscRing, PushPopRoundTrip)
-{
-    WorkerChannel *ch = mapWorkerChannel();
-    ASSERT_NE(ch, nullptr);
-
-    EXPECT_TRUE(ch->jobs.empty());
-    std::string out;
-    EXPECT_FALSE(ch->jobs.tryPop(out));
-
-    EXPECT_TRUE(ch->jobs.tryPush("hello"));
-    EXPECT_TRUE(ch->jobs.tryPush(std::string())); // empty message
-    EXPECT_TRUE(ch->jobs.tryPush(std::string(1000, 'x')));
-    EXPECT_FALSE(ch->jobs.empty());
-
-    ASSERT_TRUE(ch->jobs.tryPop(out));
-    EXPECT_EQ(out, "hello");
-    ASSERT_TRUE(ch->jobs.tryPop(out));
-    EXPECT_EQ(out, "");
-    ASSERT_TRUE(ch->jobs.tryPop(out));
-    EXPECT_EQ(out, std::string(1000, 'x'));
-    EXPECT_TRUE(ch->jobs.empty());
-
-    unmapWorkerChannel(ch);
-}
-
-TEST(SpscRing, RefusesWhatDoesNotFit)
-{
-    WorkerChannel *ch = mapWorkerChannel();
-    ASSERT_NE(ch, nullptr);
-    SpscRing &ring = ch->results;
-
-    // A message larger than the whole ring can never be accepted.
-    EXPECT_FALSE(ring.tryPush(std::string(SpscRing::capacity, 'x')));
-    EXPECT_TRUE(ring.empty());
-
-    // Fill until refusal, then drain one and the refused push fits.
-    const std::string chunk(4092, 'y'); // 4096 with header
-    std::size_t pushed = 0;
-    while (ring.tryPush(chunk))
-        ++pushed;
-    EXPECT_EQ(pushed, SpscRing::capacity / 4096);
-    EXPECT_FALSE(ring.tryPush(chunk));
-
-    std::string out;
-    ASSERT_TRUE(ring.tryPop(out));
-    EXPECT_EQ(out, chunk);
-    EXPECT_TRUE(ring.tryPush(chunk));
-
-    // Drain everything back out intact.
-    std::size_t popped = 0;
-    while (ring.tryPop(out)) {
-        EXPECT_EQ(out, chunk);
-        ++popped;
-    }
-    EXPECT_EQ(popped, pushed);
-
-    unmapWorkerChannel(ch);
-}
-
-TEST(SpscRing, MessagesStraddleTheWrapPoint)
-{
-    WorkerChannel *ch = mapWorkerChannel();
-    ASSERT_NE(ch, nullptr);
-    SpscRing &ring = ch->jobs;
-
-    // Interleave push/pop with a size that does not divide the
-    // capacity, forcing many copies across the wrap boundary.
-    std::string out;
-    for (unsigned i = 0; i < 3000; ++i) {
-        std::string msg(997, static_cast<char>('a' + i % 26));
-        msg += std::to_string(i);
-        ASSERT_TRUE(ring.tryPush(msg)) << i;
-        ASSERT_TRUE(ring.tryPop(out)) << i;
-        EXPECT_EQ(out, msg) << i;
-    }
-    EXPECT_TRUE(ring.empty());
-
-    unmapWorkerChannel(ch);
-}
-
-TEST(SpscRing, ThreadedProducerConsumerPreservesOrder)
-{
-    WorkerChannel *ch = mapWorkerChannel();
-    ASSERT_NE(ch, nullptr);
-    SpscRing &ring = ch->jobs;
-    constexpr unsigned count = 20000;
-
-    std::thread producer([&ring] {
-        for (unsigned i = 0; i < count; ++i) {
-            const std::string msg =
-                "m" + std::to_string(i) +
-                std::string(i % 200, '.');
-            while (!ring.tryPush(msg))
-                std::this_thread::yield();
-        }
-    });
-
-    unsigned seen = 0;
-    std::string out;
-    while (seen < count) {
-        if (!ring.tryPop(out)) {
-            std::this_thread::yield();
-            continue;
-        }
-        const std::string want =
-            "m" + std::to_string(seen) +
-            std::string(seen % 200, '.');
-        ASSERT_EQ(out, want) << "at message " << seen;
-        ++seen;
-    }
-    producer.join();
-    EXPECT_TRUE(ring.empty());
-
-    unmapWorkerChannel(ch);
 }
 
 // --- JobStore ---------------------------------------------------------------
@@ -537,51 +420,60 @@ TEST(JobStore, UnusablePathFails)
 
 // --- worker wake pipes ------------------------------------------------------
 //
-// A forked workerMain on a real channel. These tests assert outcomes
-// only: a lost wake leaves a poll() or waitpid() below blocked
-// forever, and the ctest timeout reports it.
+// A forked workerMain on a real socketpair. These tests assert
+// outcomes only: a lost frame or a missed EOF leaves a read() or
+// waitpid() below blocked forever, and the ctest timeout reports it.
 
 struct ForkedWorker
 {
-    WorkerChannel *channel = nullptr;
-    int job_wake[2] = {-1, -1};
-    int result_wake[2] = {-1, -1};
+    int fd = -1; ///< the daemon's end
     pid_t pid = -1;
 };
 
-/** Fork a worker the way the daemon does, keeping the daemon's
- * ends of both wake pipes. */
+/** Fork a worker the way the daemon does, keeping the daemon's end
+ * of its socketpair. */
 void
 startWorker(ForkedWorker &w)
 {
-    w.channel = mapWorkerChannel();
-    ASSERT_NE(w.channel, nullptr);
-    ASSERT_TRUE(openWakePipe(w.job_wake));
-    ASSERT_TRUE(openWakePipe(w.result_wake));
+    int ends[2];
+    ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
     w.pid = fork();
     ASSERT_GE(w.pid, 0);
     if (w.pid == 0) {
-        close(w.job_wake[1]);
-        close(w.result_wake[0]);
-        _exit(workerMain(w.channel, w.job_wake[0], w.result_wake[1]));
+        close(ends[0]);
+        _exit(workerMain(ends[1]));
     }
-    close(w.job_wake[0]);
-    close(w.result_wake[1]);
+    close(ends[1]);
+    w.fd = ends[0];
 }
 
-/** Set stop, ring the job wake, and reap the worker.
+/** Block until one whole frame arrives on @p fd; "" on EOF. */
+std::string
+readFrame(int fd)
+{
+    std::string frame;
+    char c;
+    for (;;) {
+        const ssize_t got = read(fd, &c, 1);
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            return "";
+        frame += c;
+        if (c == '\n')
+            return frame;
+    }
+}
+
+/** Close the daemon's end and reap the worker.
  * @return its wait status */
 int
 stopWorker(ForkedWorker &w)
 {
-    w.channel->stop.store(true, std::memory_order_release);
-    postWake(w.job_wake[1]);
+    close(w.fd);
     int status = 0;
     while (waitpid(w.pid, &status, 0) < 0 && errno == EINTR) {
     }
-    close(w.job_wake[1]);
-    close(w.result_wake[0]);
-    unmapWorkerChannel(w.channel);
     return status;
 }
 
@@ -595,51 +487,234 @@ smallJob()
     return job;
 }
 
-TEST(WorkerWake, PushedJobRingsTheResultWake)
+/** Send @p job to @p w as frame @p id and check the result frame. */
+void
+roundTrip(ForkedWorker &w, std::uint64_t id, const SweepJob &job)
 {
-    ForkedWorker w;
-    startWorker(w);
-    const SweepJob job = smallJob();
-    ASSERT_TRUE(w.channel->jobs.tryPush(workerJobLine(7, job)));
-    postWake(w.job_wake[1]);
-
-    // No timeout: only the worker's result wake ends this wait.
-    struct pollfd pfd = {w.result_wake[0], POLLIN, 0};
-    int ready;
-    while ((ready = poll(&pfd, 1, -1)) < 0 && errno == EINTR) {
-    }
-    ASSERT_EQ(ready, 1);
-    // The wake is posted after the push: the result is already in
-    // the ring.
-    std::string line;
-    ASSERT_TRUE(w.channel->results.tryPop(line));
+    const std::string frame = workerJobLine(id, job);
+    ASSERT_EQ(write(w.fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+    const std::string line = readFrame(w.fd);
+    ASSERT_FALSE(line.empty()) << "worker closed its end";
     WorkerResult result;
     std::string error;
     ASSERT_TRUE(parseWorkerResultLine(line, result, error)) << error;
-    EXPECT_EQ(result.id, 7u);
+    EXPECT_EQ(result.id, id);
     EXPECT_EQ(result.fp, jobFingerprint(job));
     EXPECT_TRUE(result.error.empty()) << result.error;
-    EXPECT_EQ(runResultJsonLine(result.run),
-              runResultJsonLine(runSweepJob(job)));
+    EXPECT_EQ(runResultRecord(result.run),
+              runResultRecord(runSweepJob(job)));
+}
+
+TEST(WorkerSocket, JobWrittenToTheSocketYieldsItsResultLine)
+{
+    ForkedWorker w;
+    startWorker(w);
+    roundTrip(w, 7, smallJob());
 
     const int status = stopWorker(w);
     EXPECT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
-TEST(WorkerWake, StopWakeEndsAnIdleWorkerCleanly)
+TEST(WorkerSocket, FaultInTheJobFrameIsActedOut)
 {
     ForkedWorker w;
     startWorker(w);
-    // Two heartbeats mean the worker has been through its idle wait
-    // at least once and is blocked in it again.
-    while (w.channel->heartbeat.load(std::memory_order_relaxed) < 2)
-        std::this_thread::yield();
+    const SweepJob job = smallJob();
+    const std::string frame = workerJobLine(3, job, FaultAction::Fail);
+    ASSERT_EQ(write(w.fd, frame.data(), frame.size()),
+              static_cast<ssize_t>(frame.size()));
+    WorkerResult result;
+    std::string error;
+    ASSERT_TRUE(parseWorkerResultLine(readFrame(w.fd), result, error))
+        << error;
+    EXPECT_EQ(result.id, 3u);
+    EXPECT_EQ(result.fp, jobFingerprint(job));
+    EXPECT_EQ(result.error, "injected fault: worker.job fail");
+
+    const int status = stopWorker(w);
+    EXPECT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+TEST(WorkerSocket, ClosingTheDaemonEndEndsAnIdleWorkerCleanly)
+{
+    ForkedWorker w;
+    startWorker(w);
+    // A finished round trip leaves the worker idle, blocked in read().
+    roundTrip(w, 1, smallJob());
 
     const int status = stopWorker(w);
     // Exited on its own (a SIGKILL would show as WIFSIGNALED).
     EXPECT_TRUE(WIFEXITED(status));
     EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// --- a real daemon ---------------------------------------------------------
+
+using Clock = std::chrono::steady_clock;
+
+/** A nosq_sweepd child on its own socket and store; SIGKILLed at
+ * scope exit unless stop() has reaped it. */
+struct DaemonProcess
+{
+    std::string socket;
+    pid_t pid = -1;
+
+    DaemonProcess() = default;
+    DaemonProcess(const DaemonProcess &) = delete;
+    DaemonProcess &operator=(const DaemonProcess &) = delete;
+    ~DaemonProcess()
+    {
+        if (pid > 0) {
+            kill(pid, SIGKILL);
+            waitpid(pid, nullptr, 0);
+        }
+    }
+
+    /** SIGTERM, then wait up to @p seconds for the drain.
+     * @return the wait status, or -1 if it did not exit in time */
+    int
+    stop(int seconds)
+    {
+        kill(pid, SIGTERM);
+        const Clock::time_point deadline =
+            Clock::now() + std::chrono::seconds(seconds);
+        int status = 0;
+        while (Clock::now() < deadline) {
+            if (waitpid(pid, &status, WNOHANG) == pid) {
+                pid = -1;
+                return status;
+            }
+            usleep(20000);
+        }
+        return -1;
+    }
+};
+
+void
+startDaemon(DaemonProcess &d, const std::string &name)
+{
+    const std::string base = testing::TempDir() + "nosq_" + name + "_" +
+                             std::to_string(getpid());
+    d.socket = base + ".sock";
+    const std::string store = base + ".jsonl";
+    const std::string log = base + ".log";
+    std::remove(d.socket.c_str());
+    std::remove(store.c_str());
+    d.pid = fork();
+    ASSERT_GE(d.pid, 0);
+    if (d.pid == 0) {
+        execl(NOSQ_SWEEPD_PATH, NOSQ_SWEEPD_PATH, "--socket",
+              d.socket.c_str(), "--store", store.c_str(), "--workers",
+              "1", "--log", log.c_str(), static_cast<char *>(nullptr));
+        _exit(127);
+    }
+}
+
+/** Connect to @p d, retrying while it starts up; -1 after 10 s. */
+int
+connectDaemon(const DaemonProcess &d)
+{
+    struct sockaddr_un addr;
+    std::memset(&addr, 0, sizeof(addr));
+    addr.sun_family = AF_UNIX;
+    std::strncpy(addr.sun_path, d.socket.c_str(),
+                 sizeof(addr.sun_path) - 1);
+    for (int i = 0; i < 200; ++i) {
+        const int fd = socket(AF_UNIX, SOCK_STREAM, 0);
+        if (connect(fd, reinterpret_cast<struct sockaddr *>(&addr),
+                    sizeof(addr)) == 0)
+            return fd;
+        close(fd);
+        usleep(50000);
+    }
+    return -1;
+}
+
+bool
+sendAll(int fd, const std::string &data)
+{
+    std::size_t sent = 0;
+    while (sent < data.size()) {
+        const ssize_t n = send(fd, data.data() + sent,
+                               data.size() - sent, MSG_NOSIGNAL);
+        if (n > 0)
+            sent += static_cast<std::size_t>(n);
+        else if (n == 0 || errno != EINTR)
+            return false;
+    }
+    return true;
+}
+
+/** Read from @p fd until a whole line containing @p marker has
+ * arrived. @return everything read, or "" at EOF or @p deadline */
+std::string
+readUntil(int fd, const std::string &marker, Clock::time_point deadline)
+{
+    std::string got;
+    for (;;) {
+        const std::size_t at = got.find(marker);
+        if (at != std::string::npos &&
+            got.find('\n', at) != std::string::npos)
+            return got;
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - Clock::now())
+                .count();
+        if (left <= 0)
+            return "";
+        struct pollfd pfd = {fd, POLLIN, 0};
+        const int ready = poll(&pfd, 1, static_cast<int>(left));
+        if (ready < 0 && errno == EINTR)
+            continue;
+        if (ready <= 0)
+            return "";
+        char buffer[1 << 16];
+        const ssize_t n = read(fd, buffer, sizeof(buffer));
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return "";
+        got.append(buffer, static_cast<std::size_t>(n));
+    }
+}
+
+TEST(ServeDaemon, OversizedLabelIsServedNotStranded)
+{
+    // A 1.5 MiB config label: admitted under the 16 MiB request cap,
+    // so its job and result frames must reach the worker and back
+    // whatever their size.
+    SweepJob job = smallJob();
+    job.config = std::string(3u << 19, 'x');
+    std::string error;
+    const std::string submit = submitRequestLine({job}, &error);
+    ASSERT_FALSE(submit.empty()) << error;
+
+    DaemonProcess daemon;
+    startDaemon(daemon, "big_label");
+    const int fd = connectDaemon(daemon);
+    ASSERT_GE(fd, 0) << "nosq_sweepd never accepted on "
+                     << daemon.socket;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::seconds(60);
+    ASSERT_TRUE(sendAll(fd, submit));
+    const std::string replies = readUntil(fd, "\"done\":true", deadline);
+    ASSERT_FALSE(replies.empty()) << "no done line within 60 s";
+    EXPECT_NE(replies.find("\"run\":"), std::string::npos);
+    EXPECT_EQ(replies.find("\"error\":"), std::string::npos);
+
+    ASSERT_TRUE(sendAll(fd, statusRequestLine()));
+    const std::string status = readUntil(fd, "\"executed\":", deadline);
+    EXPECT_NE(status.find("\"executed\":1,"), std::string::npos)
+        << status;
+    close(fd);
+
+    const int exit_status = daemon.stop(30);
+    ASSERT_NE(exit_status, -1) << "the drain did not finish";
+    EXPECT_TRUE(WIFEXITED(exit_status));
+    EXPECT_EQ(WEXITSTATUS(exit_status), 0);
 }
 
 } // namespace

@@ -389,11 +389,22 @@ TEST(ServeProtocol, WorkerFramingRoundTrips)
 
     std::uint64_t id = 0;
     SweepJob rebuilt;
+    FaultAction fault = FaultAction::Crash;
     std::string error;
     ASSERT_TRUE(parseWorkerJobLine(
-        line.substr(0, line.size() - 1), id, rebuilt, error))
+        line.substr(0, line.size() - 1), id, rebuilt, fault, error))
         << error;
     EXPECT_EQ(id, 1234u);
+    EXPECT_EQ(jobFingerprint(job), jobFingerprint(rebuilt));
+    EXPECT_EQ(fault, FaultAction::None);
+
+    // A fired worker.job fault rides in the job frame.
+    ASSERT_TRUE(parseWorkerJobLine(
+        workerJobLine(5, job, FaultAction::Wedge), id, rebuilt, fault,
+        error))
+        << error;
+    EXPECT_EQ(id, 5u);
+    EXPECT_EQ(fault, FaultAction::Wedge);
     EXPECT_EQ(jobFingerprint(job), jobFingerprint(rebuilt));
 
     RunResult run;
@@ -425,8 +436,9 @@ TEST(ServeProtocol, WorkerFramingRoundTrips)
 
     std::uint64_t bad_id;
     SweepJob bad_job;
-    EXPECT_FALSE(
-        parseWorkerJobLine("{\"id\":1}", bad_id, bad_job, error));
+    FaultAction bad_fault;
+    EXPECT_FALSE(parseWorkerJobLine("{\"id\":1}", bad_id, bad_job,
+                                    bad_fault, error));
     WorkerResult bad_wr;
     EXPECT_FALSE(parseWorkerResultLine("{\"id\":1,\"fp\":\"x\"}",
                                        bad_wr, error));

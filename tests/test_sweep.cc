@@ -9,14 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "sim/journal.hh"
@@ -145,34 +143,6 @@ TEST(Sweep, ProfileSetBuilders)
     for (const Suite s : {Suite::Media, Suite::Int, Suite::Fp})
         by_suite += profilesOfSuite(s).size();
     EXPECT_EQ(by_suite, all.size());
-}
-
-TEST(JobQueue, DrainsInFifoOrderAndSignalsClose)
-{
-    JobQueue queue;
-    for (std::size_t i = 0; i < 5; ++i)
-        queue.push(i);
-    queue.close();
-    std::size_t index = 0, expected = 0;
-    while (queue.pop(index))
-        EXPECT_EQ(index, expected++);
-    EXPECT_EQ(expected, 5u);
-    EXPECT_FALSE(queue.pop(index)); // stays closed
-}
-
-TEST(JobQueue, BlockedConsumerWakesOnPush)
-{
-    JobQueue queue;
-    std::atomic<bool> got{false};
-    std::thread consumer([&] {
-        std::size_t index;
-        while (queue.pop(index))
-            got = true;
-    });
-    queue.push(42);
-    queue.close();
-    consumer.join();
-    EXPECT_TRUE(got);
 }
 
 // --- failure isolation and custom runners ----------------------------------

@@ -74,9 +74,9 @@ optionTable(nosq::serve::DispatcherOptions &opts, std::string &log_path,
              "(default: NOSQ_JOBS, else hardware concurrency)",
              number(opts.workers, 1, max_count)},
             {"--heartbeat-timeout", Arg::Required, "SEC",
-             "seconds without worker heartbeat progress before the "
-             "worker is presumed wedged and killed; must exceed the "
-             "longest single job (default: 300)",
+             "seconds a worker may hold a job without answering "
+             "before it is presumed wedged and killed; must exceed "
+             "the longest single job (default: 300)",
              number(opts.heartbeatTimeoutSec, 1, max_count)},
             {"--max-job-attempts", Arg::Required, "N",
              "quarantine a job after its worker dies or wedges N "
