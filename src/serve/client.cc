@@ -112,18 +112,20 @@ readLine(int fd, std::string &buffer, std::string &line,
     }
 }
 
-/** The invalid placeholder runSweep() uses for a failed job. */
-RunResult
-failedResult(const SweepJob &job)
+/** One request line out, one reply line back, on a fresh
+ * connection. */
+bool
+requestReply(const std::string &socket_path, const std::string &request,
+             std::string &reply, std::string &error)
 {
-    RunResult result;
-    result.benchmark =
-        job.profile ? job.profile->name : job.benchmark;
-    result.suite = job.profile ? job.profile->suite : job.suite;
-    result.config = job.config;
-    result.memsys = job.memsysLabel;
-    result.valid = false;
-    return result;
+    const int fd = connectTo(socket_path, error);
+    if (fd < 0)
+        return false;
+    std::string buffer;
+    const bool ok = sendAll(fd, request, error) &&
+                    readLine(fd, buffer, reply, error);
+    close(fd);
+    return ok;
 }
 
 enum class Attempt {
@@ -200,46 +202,25 @@ attemptSweep(const std::string &socket_path,
             close(fd);
             return Attempt::Retry;
         }
-        JsonValue v;
-        if (!parseJson(line, v, nullptr) ||
-            v.kind != JsonValue::Kind::Object) {
-            error = "unparseable server stream line: " + line;
+        JobResult result;
+        std::string parse_error;
+        if (!parseJobResultLine(line, result, parse_error) ||
+            !result.index || *result.index >= jobs.size()) {
+            error = "bad server stream line (" +
+                    (parse_error.empty() ? "job index" : parse_error) +
+                    "): " + line;
             close(fd);
             return Attempt::Fatal;
         }
-        if (v.find("done") != nullptr)
-            continue; // premature; tolerated
-        std::uint64_t index = 0;
-        const JsonValue *job = v.find("job");
-        if (job == nullptr || !jsonExactCounter(*job, index) ||
-            index >= jobs.size()) {
-            error = "server stream line with a bad job index: " +
-                    line;
-            close(fd);
-            return Attempt::Fatal;
-        }
+        const std::size_t index = *result.index;
         if (have[index])
             continue; // duplicate delivery; first wins
-        if (const JsonValue *run = v.find("run")) {
-            if (!runResultFromJson(*run, out.results[index])) {
-                error = "unrestorable result for job " +
-                        std::to_string(index);
-                close(fd);
-                return Attempt::Fatal;
-            }
-        } else if (const JsonValue *msg = v.find("error")) {
-            out.results[index] = failedResult(jobs[index]);
-            out.failures.push_back(
-                std::to_string(index) + ": " +
-                (msg->kind == JsonValue::Kind::String
-                     ? msg->string
-                     : "unknown failure"));
+        if (result.error.empty()) {
+            out.results[index] = std::move(result.run);
         } else {
-            error = "server stream line with neither result nor "
-                    "error: " +
-                    line;
-            close(fd);
-            return Attempt::Fatal;
+            out.results[index] = labelledResult(jobs[index], false);
+            out.failures.push_back(std::to_string(index) + ": " +
+                                   result.error);
         }
         have[index] = 1;
         ++delivered;
@@ -330,36 +311,17 @@ bool
 fetchServerStatus(const std::string &socket_path,
                   std::string &reply, std::string &error)
 {
-    const int fd = connectTo(socket_path, error);
-    if (fd < 0)
-        return false;
-    if (!sendAll(fd, statusRequestLine(), error)) {
-        close(fd);
-        return false;
-    }
-    std::string buffer;
-    const bool ok = readLine(fd, buffer, reply, error);
-    close(fd);
-    return ok;
+    return requestReply(socket_path, statusRequestLine(), reply, error);
 }
 
 bool
 fetchServerMetrics(const std::string &socket_path,
                    std::string &exposition, std::string &error)
 {
-    const int fd = connectTo(socket_path, error);
-    if (fd < 0)
-        return false;
-    if (!sendAll(fd, metricsRequestLine(), error)) {
-        close(fd);
-        return false;
-    }
-    std::string buffer, reply;
-    const bool ok = readLine(fd, buffer, reply, error);
-    close(fd);
-    if (!ok)
-        return false;
-    return parseMetricsReplyLine(reply, exposition, error);
+    std::string reply;
+    return requestReply(socket_path, metricsRequestLine(), reply,
+                        error) &&
+           parseMetricsReplyLine(reply, exposition, error);
 }
 
 } // namespace serve

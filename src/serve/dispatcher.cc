@@ -442,12 +442,6 @@ Dispatcher::handleLine(int fd, const std::string &line)
       case Request::Op::Status:
         handleStatus(fd);
         break;
-      case Request::Op::Results:
-        handleResults(fd, request);
-        break;
-      case Request::Op::Cancel:
-        handleCancel(fd, request);
-        break;
       case Request::Op::Metrics:
         handleMetrics(fd);
         break;
@@ -511,7 +505,7 @@ Dispatcher::handleSubmit(int fd, const Request &request)
             qit != quarantine.end()) {
             // A poison job fails fast instead of re-wedging the
             // pool; the client sees an ordinary per-job error row.
-            streamed += jobErrorLine(i, fp, qit->second);
+            streamed += jobErrorLine(i, fp, qit->second.reason);
             ++t.delivered;
             continue;
         }
@@ -558,11 +552,18 @@ Dispatcher::snapshot() const
     status.max_pending = opts.maxPending;
     status.uptime_ms = nowMs() - start_ms;
     status.draining = draining;
-    // Deterministic dump order (attempts is an unordered_map).
-    std::map<std::string, std::uint64_t> ordered(attempts.begin(),
-                                                 attempts.end());
-    status.job_attempts.assign(ordered.begin(), ordered.end());
-    status.quarantine.assign(quarantine.begin(), quarantine.end());
+    // Dispatched live executions and quarantined jobs, in
+    // fingerprint order (execs is an unordered_map).
+    std::map<std::string, std::uint64_t> attempts;
+    for (const auto &[fp, exec] : execs) {
+        if (exec.attempts > 0)
+            attempts.emplace(fp, exec.attempts);
+    }
+    for (const auto &[fp, q] : quarantine) {
+        attempts.emplace(fp, q.attempts);
+        status.quarantine.emplace_back(fp, q.reason);
+    }
+    status.job_attempts.assign(attempts.begin(), attempts.end());
     status.faults_json = FaultInjector::global().statusJson();
     return status;
 }
@@ -604,46 +605,6 @@ Dispatcher::handleMetrics(int fd)
 }
 
 void
-Dispatcher::handleResults(int fd, const Request &request)
-{
-    if (!store.has(request.fp)) {
-        clients[fd].outbuf += errorReplyLine(
-            "no stored result for fingerprint '" + request.fp +
-            "'");
-        return;
-    }
-    clients[fd].outbuf +=
-        jobResultLine(0, request.fp, store.get(request.fp));
-}
-
-void
-Dispatcher::handleCancel(int fd, const Request &request)
-{
-    auto it = tickets.find(request.ticket);
-    if (it == tickets.end() || it->second.fd != fd) {
-        clients[fd].outbuf += errorReplyLine(
-            "unknown ticket '" + request.ticket + "'");
-        return;
-    }
-    // Drop the ticket's waiters; executions keep running (their
-    // results still warm the store, and other waiters may exist).
-    for (auto &[fp, exec] : execs) {
-        (void)fp;
-        exec.waiters.erase(
-            std::remove_if(exec.waiters.begin(),
-                           exec.waiters.end(),
-                           [&](const Waiter &w) {
-                               return w.ticket == request.ticket;
-                           }),
-            exec.waiters.end());
-    }
-    tickets.erase(it);
-    clients[fd].outbuf += "{\"ok\":true,\"ticket\":\"" +
-                          jsonEscape(request.ticket) +
-                          "\",\"cancelled\":true}\n";
-}
-
-void
 Dispatcher::readWorker(std::size_t slot)
 {
     // Plain read(), not the sock.read fault seam: fault plans count
@@ -682,32 +643,29 @@ void
 Dispatcher::handleWorkerFrame(std::size_t slot, const std::string &line)
 {
     Worker &worker = workers[slot];
-    WorkerResult result;
+    JobResult result;
     std::string error;
-    if (!parseWorkerResultLine(line, result, error)) {
+    if (!parseJobResultLine(line, result, error)) {
         logLine("worker %zu: unparseable result frame (%s); dropped",
                 slot, error.c_str());
         return;
     }
     worker.lastFrameAtMs = nowMs();
-    worker.inflight.erase(std::remove(worker.inflight.begin(),
-                                      worker.inflight.end(), result.id),
-                          worker.inflight.end());
-    const auto idit = id_to_fp.find(result.id);
-    if (idit == id_to_fp.end())
-        return; // already requeued and completed elsewhere
-    const std::string fp = idit->second;
-    id_to_fp.erase(idit);
-    if (auto dit = dispatched_ms.find(result.id);
-        dit != dispatched_ms.end()) {
-        metrics
-            .histogram(service_time_metric.name,
-                       service_time_metric.help)
-            .observe(static_cast<double>(nowMs() - dit->second));
-        dispatched_ms.erase(dit);
+    const std::string &fp = result.fp;
+    const auto held =
+        std::find(worker.inflight.begin(), worker.inflight.end(), fp);
+    if (held == worker.inflight.end()) {
+        logLine("worker %zu: result for job %s it was not sent; "
+                "dropped",
+                slot, fp.c_str());
+        return;
     }
+    worker.inflight.erase(held);
+    metrics
+        .histogram(service_time_metric.name, service_time_metric.help)
+        .observe(static_cast<double>(nowMs() -
+                                     execs.at(fp).dispatchedAtMs));
     ++stats.executed;
-    attempts.erase(fp); // completed; no longer a suspect
     if (result.error.empty()) {
         store.put(fp, result.run);
         deliver(fp, &result.run, "");
@@ -801,23 +759,11 @@ Dispatcher::requeueWorkerJobs(std::size_t slot,
     // sweep is not starved behind newly submitted ones.
     for (auto it = worker.inflight.rbegin();
          it != worker.inflight.rend(); ++it) {
-        // A requeued attempt never lands in the service-time
-        // histogram; only delivered results do.
-        dispatched_ms.erase(*it);
-        const auto idit = id_to_fp.find(*it);
-        if (idit == id_to_fp.end())
-            continue;
-        const std::string fp = idit->second;
-        id_to_fp.erase(idit);
-        auto eit = execs.find(fp);
-        if (eit == execs.end())
-            continue;
-        eit->second.worker = -1;
-        eit->second.id = 0;
-        const std::uint64_t tried = attempts[fp];
+        const std::string &fp = *it;
+        const std::uint64_t tried = execs.at(fp).attempts;
         if (opts.maxJobAttempts > 0 &&
             tried >= opts.maxJobAttempts) {
-            quarantineJob(fp,
+            quarantineJob(fp, tried,
                           "quarantined after " +
                               std::to_string(tried) +
                               " attempt(s): " + death_reason);
@@ -833,12 +779,12 @@ Dispatcher::requeueWorkerJobs(std::size_t slot,
 }
 
 void
-Dispatcher::quarantineJob(const std::string &fp,
+Dispatcher::quarantineJob(const std::string &fp, std::uint64_t attempts,
                           const std::string &reason)
 {
     ++stats.failed;
     ++stats.quarantined;
-    quarantine[fp] = reason;
+    quarantine[fp] = Quarantined{reason, attempts};
     logLine("job %s %s", fp.c_str(), reason.c_str());
     // Delivered as a per-job error row, exactly like a job whose
     // simulation threw: every attached waiter unblocks, nothing is
@@ -882,25 +828,17 @@ Dispatcher::feedWorkers()
             continue;
         while (!pending.empty() &&
                worker.inflight.size() < max_inflight_per_worker) {
-            const std::string fp = pending.front();
-            auto it = execs.find(fp);
-            if (it == execs.end()) {
-                pending.pop_front();
-                continue; // cancelled/completed meanwhile
-            }
-            const std::uint64_t id = ++exec_seq;
+            Exec &exec = execs.at(pending.front());
+            const std::uint64_t now = nowMs();
             if (worker.inflight.empty())
-                worker.lastFrameAtMs = nowMs();
+                worker.lastFrameAtMs = now;
             worker.outbuf += workerJobLine(
-                id, it->second.job,
+                exec.job,
                 FaultInjector::global().check(FaultSite::WorkerJob));
+            exec.dispatchedAtMs = now;
+            ++exec.attempts;
+            worker.inflight.push_back(std::move(pending.front()));
             pending.pop_front();
-            it->second.worker = static_cast<int>(slot);
-            it->second.id = id;
-            id_to_fp.emplace(id, fp);
-            dispatched_ms.emplace(id, nowMs());
-            worker.inflight.push_back(id);
-            ++attempts[fp];
         }
     }
 }

@@ -22,7 +22,11 @@
  * table (hit: this client becomes another waiter on the same
  * execution, `shared`); only a miss on both spawns a new execution.
  * Completed executions are persisted before delivery, so a daemon
- * restart serves them from the warm store.
+ * restart serves them from the warm store. The fingerprint is an
+ * execution's only key: the pending queue, each worker's in-flight
+ * list and the result frames all name it, and an execution carries
+ * its own dispatch time and attempt count. A client that hangs up
+ * only orphans its waiters; the execution still runs and is stored.
  *
  * Failure model: a worker that exits or is SIGKILLed is detected by
  * waitpid(); one that holds a job without sending a frame for
@@ -116,13 +120,27 @@ class Dispatcher
         std::size_t index = 0;
     };
 
-    /** One deduplicated job execution, keyed by fingerprint. */
+    /** One deduplicated job execution, keyed by fingerprint: the
+     * only name it has on the client stream, in the worker frames
+     * and in the store. */
     struct Exec
     {
         SweepJob job;
         std::vector<Waiter> waiters;
-        int worker = -1;        ///< index; -1 while pending
-        std::uint64_t id = 0;   ///< wire frame id once dispatched
+        /** When it was last sent to a worker (ms); feeds the job
+         * service-time histogram on delivery. */
+        std::uint64_t dispatchedAtMs = 0;
+        /** Times it was sent to a worker (the status reply's
+         * job_attempts and the quarantine cap). */
+        std::uint64_t attempts = 0;
+    };
+
+    /** A poison job: why it was quarantined, after how many
+     * attempts. */
+    struct Quarantined
+    {
+        std::string reason;
+        std::uint64_t attempts = 0;
     };
 
     struct Ticket
@@ -143,7 +161,9 @@ class Dispatcher
         /** When the worker last got a job with nothing in flight or
          * last sent a frame; the heartbeat timeout counts from it. */
         std::uint64_t lastFrameAtMs = 0;
-        std::vector<std::uint64_t> inflight;
+        /** Fingerprints of the jobs sent and not yet answered, in
+         * dispatch order. */
+        std::vector<std::string> inflight;
         bool alive = false;
         /** Killed by the heartbeat timeout (informs the
          * quarantine reason when its jobs hit the attempt cap). */
@@ -156,8 +176,6 @@ class Dispatcher
     void handleLine(int fd, const std::string &line);
     void handleSubmit(int fd, const Request &request);
     void handleStatus(int fd);
-    void handleResults(int fd, const Request &request);
-    void handleCancel(int fd, const Request &request);
     void handleMetrics(int fd);
     /** The counters plus every sampled field, as both verbs report
      * them. */
@@ -168,7 +186,7 @@ class Dispatcher
     void checkHeartbeats();
     void requeueWorkerJobs(std::size_t slot,
                            const std::string &death_reason);
-    void quarantineJob(const std::string &fp,
+    void quarantineJob(const std::string &fp, std::uint64_t attempts,
                        const std::string &reason);
     void beginDrain();
     void feedWorkers();
@@ -188,18 +206,13 @@ class Dispatcher
     std::map<int, Client> clients;
     std::vector<Worker> workers;
     std::unordered_map<std::string, Exec> execs;
-    std::unordered_map<std::uint64_t, std::string> id_to_fp;
     std::deque<std::string> pending;
     std::unordered_map<std::string, Ticket> tickets;
     std::uint64_t ticket_seq = 0;
-    std::uint64_t exec_seq = 0;
 
-    /** Dispatch attempts per live execution fingerprint; erased on
-     * delivery, kept (for the status reply) on quarantine. */
-    std::unordered_map<std::string, std::uint64_t> attempts;
-    /** Poison jobs: fingerprint -> why it was quarantined. std::map
-     * keeps the status dump deterministically ordered. */
-    std::map<std::string, std::string> quarantine;
+    /** Poison jobs by fingerprint. std::map keeps the status dump
+     * deterministically ordered. */
+    std::map<std::string, Quarantined> quarantine;
 
     bool draining = false;
     std::uint64_t drain_deadline_ms = 0;
@@ -210,9 +223,6 @@ class Dispatcher
     /** Series per serve_stats.hh: the rows' series are set from a
      * snapshot at scrape time, the histograms observe live. */
     obs::MetricsRegistry metrics;
-    /** Dispatch timestamp (ms) per in-flight wire frame id; feeds
-     * the job service-time histogram on delivery. */
-    std::unordered_map<std::uint64_t, std::uint64_t> dispatched_ms;
     std::uint64_t start_ms = 0;
 };
 

@@ -354,26 +354,6 @@ parseRequestLine(const std::string &line, Request &out,
         out.op = Request::Op::Metrics;
         return true;
     }
-    if (op == "results") {
-        out.op = Request::Op::Results;
-        if (!getString(v, "fp", out.fp, error))
-            return false;
-        if (out.fp.empty() || out.fp.size() > 64) {
-            error = "field 'fp' is not a fingerprint";
-            return false;
-        }
-        return true;
-    }
-    if (op == "cancel") {
-        out.op = Request::Op::Cancel;
-        if (!getString(v, "ticket", out.ticket, error))
-            return false;
-        if (out.ticket.empty() || out.ticket.size() > 64) {
-            error = "field 'ticket' is not a ticket id";
-            return false;
-        }
-        return true;
-    }
     if (op != "submit") {
         error = "unknown op '" + op + "'";
         return false;
@@ -438,21 +418,6 @@ statusRequestLine()
 {
     return "{\"schema\":" + quoted(serve_schema) +
            ",\"op\":\"status\"}\n";
-}
-
-std::string
-resultsRequestLine(const std::string &fp)
-{
-    return "{\"schema\":" + quoted(serve_schema) +
-           ",\"op\":\"results\",\"fp\":" + quoted(fp) + "}\n";
-}
-
-std::string
-cancelRequestLine(const std::string &ticket)
-{
-    return "{\"schema\":" + quoted(serve_schema) +
-           ",\"op\":\"cancel\",\"ticket\":" + quoted(ticket) +
-           "}\n";
 }
 
 std::string
@@ -570,20 +535,35 @@ setServeMetrics(obs::MetricsRegistry &metrics,
     }
 }
 
+namespace {
+
+/** The shared head of a result line: `{"job":N,"fp":...` or, for a
+ * worker frame, `{"fp":...`. */
 std::string
-jobResultLine(std::size_t index, const std::string &fp,
+resultLineHead(std::optional<std::size_t> index, const std::string &fp)
+{
+    std::string head = "{";
+    if (index)
+        head += "\"job\":" + u64(*index) + ",";
+    return head + "\"fp\":" + quoted(fp);
+}
+
+} // anonymous namespace
+
+std::string
+jobResultLine(std::optional<std::size_t> index, const std::string &fp,
               const RunResult &run)
 {
-    return "{\"job\":" + u64(index) + ",\"fp\":" + quoted(fp) +
-           ",\"run\":" + runResultRecord(run) + "}\n";
+    return resultLineHead(index, fp) + ",\"run\":" +
+           runResultRecord(run) + "}\n";
 }
 
 std::string
-jobErrorLine(std::size_t index, const std::string &fp,
+jobErrorLine(std::optional<std::size_t> index, const std::string &fp,
              const std::string &message)
 {
-    return "{\"job\":" + u64(index) + ",\"fp\":" + quoted(fp) +
-           ",\"error\":" + quoted(message) + "}\n";
+    return resultLineHead(index, fp) + ",\"error\":" +
+           quoted(message) + "}\n";
 }
 
 std::string
@@ -593,24 +573,8 @@ doneLine(const std::string &ticket, std::size_t jobs)
            ",\"jobs\":" + u64(jobs) + "}\n";
 }
 
-// --- worker channel framing -------------------------------------------------
-
-std::string
-workerJobLine(std::uint64_t id, const SweepJob &job, FaultAction fault)
-{
-    // The daemon only dispatches jobs that arrived through
-    // jobFromWire(), so re-serialization cannot fail; the error slot
-    // is unreachable here.
-    std::string error;
-    std::string line = "{\"id\":" + u64(id);
-    if (fault != FaultAction::None)
-        line += ",\"fault\":" + quoted(faultActionName(fault));
-    return line + ",\"job\":" + jobToWire(job, &error) + "}\n";
-}
-
 bool
-parseWorkerJobLine(const std::string &line, std::uint64_t &id,
-                   SweepJob &out, FaultAction &fault,
+parseJobResultLine(const std::string &line, JobResult &out,
                    std::string &error)
 {
     JsonValue v;
@@ -619,10 +583,70 @@ parseWorkerJobLine(const std::string &line, std::uint64_t &id,
         error = "malformed JSON: " + parse_error;
         return false;
     }
-    if (v.kind != JsonValue::Kind::Object ||
-        !getU64(v, "id", id, error)) {
-        error = error.empty() ? "job frame is not an object"
-                              : error;
+    if (v.kind != JsonValue::Kind::Object) {
+        error = "result line is not an object";
+        return false;
+    }
+    out = JobResult();
+    if (v.find("job") != nullptr) {
+        std::uint64_t index = 0;
+        if (!getU64(v, "job", index, error))
+            return false;
+        out.index = index;
+    }
+    if (!getString(v, "fp", out.fp, error))
+        return false;
+    if (const JsonValue *err = v.find("error")) {
+        if (err->kind != JsonValue::Kind::String) {
+            error = "non-string field 'error'";
+            return false;
+        }
+        out.error = err->string;
+        if (out.error.empty()) {
+            error = "empty error message";
+            return false;
+        }
+        return true;
+    }
+    const JsonValue *run = v.find("run");
+    if (run == nullptr) {
+        error = "result line carries neither 'run' nor 'error'";
+        return false;
+    }
+    if (!runResultFromJson(*run, out.run)) {
+        error = "unrestorable 'run' record";
+        return false;
+    }
+    return true;
+}
+
+// --- worker job frames ------------------------------------------------------
+
+std::string
+workerJobLine(const SweepJob &job, FaultAction fault)
+{
+    // The daemon only dispatches jobs that arrived through
+    // jobFromWire(), so re-serialization cannot fail; the error slot
+    // is unreachable here.
+    std::string error;
+    std::string line = "{";
+    if (fault != FaultAction::None)
+        line += "\"fault\":" + quoted(faultActionName(fault)) + ",";
+    return line + "\"job\":" + jobToWire(job, &error) + "}\n";
+}
+
+bool
+parseWorkerJobLine(const std::string &line, SweepJob &out,
+                   FaultAction &fault, std::string &error)
+{
+    JsonValue v;
+    std::string parse_error;
+    if (!parseJson(line, v, &parse_error)) {
+        error = "malformed JSON: " + parse_error;
+        return false;
+    }
+    if (v.kind != JsonValue::Kind::Object) {
+        error = "job frame is not an object";
         return false;
     }
     fault = FaultAction::None;
@@ -638,64 +662,6 @@ parseWorkerJobLine(const std::string &line, std::uint64_t &id,
         return false;
     }
     return jobFromWire(*job, out, error);
-}
-
-std::string
-workerResultLine(std::uint64_t id, const std::string &fp,
-                 const RunResult &run)
-{
-    return "{\"id\":" + u64(id) + ",\"fp\":" + quoted(fp) +
-           ",\"run\":" + runResultRecord(run) + "}\n";
-}
-
-std::string
-workerErrorLine(std::uint64_t id, const std::string &fp,
-                const std::string &message)
-{
-    return "{\"id\":" + u64(id) + ",\"fp\":" + quoted(fp) +
-           ",\"error\":" + quoted(message) + "}\n";
-}
-
-bool
-parseWorkerResultLine(const std::string &line, WorkerResult &out,
-                      std::string &error)
-{
-    JsonValue v;
-    std::string parse_error;
-    if (!parseJson(line, v, &parse_error)) {
-        error = "malformed JSON: " + parse_error;
-        return false;
-    }
-    if (v.kind != JsonValue::Kind::Object) {
-        error = "result frame is not an object";
-        return false;
-    }
-    out = WorkerResult();
-    if (!getU64(v, "id", out.id, error) ||
-        !getString(v, "fp", out.fp, error))
-        return false;
-    if (const JsonValue *err = v.find("error")) {
-        if (err->kind != JsonValue::Kind::String) {
-            error = "non-string field 'error'";
-            return false;
-        }
-        out.error = err->string;
-        if (out.error.empty()) {
-            error = "empty worker error message";
-            return false;
-        }
-        return true;
-    }
-    const JsonValue *run = v.find("run");
-    if (run == nullptr) {
-        error = "result frame carries neither 'run' nor 'error'";
-        return false;
-    }
-    if (!runResultFromJson(*run, out.run)) {
-        error = "unrestorable 'run' record";
-        return false;
-    }
-    return true;
 }
 
 } // namespace serve

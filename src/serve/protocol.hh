@@ -11,8 +11,7 @@
  *
  *   {"schema": "nosq-serve-v1", "op": "submit", "jobs": [<job>...]}
  *   {"schema": "nosq-serve-v1", "op": "status"}
- *   {"schema": "nosq-serve-v1", "op": "results", "fp": "<hex16>"}
- *   {"schema": "nosq-serve-v1", "op": "cancel", "ticket": "<id>"}
+ *   {"schema": "nosq-serve-v1", "op": "metrics"}
  *
  * Replies. Every request is answered; a request the daemon cannot
  * parse or honour gets {"ok": false, "error": "..."} and never
@@ -44,12 +43,15 @@
  * Daemon <-> worker (one socketpair per worker, one frame per line,
  * no size cap; dispatcher.hh):
  *
- *   {"id": <u64>, "job": {<job>}}                      (to the worker)
- *   {"id": <u64>, "fault": "wedge", "job": {<job>}}
- *   {"id": <u64>, "fp": "<hex16>", "run": {...}}       (to the daemon)
- *   {"id": <u64>, "fp": "<hex16>", "error": "..."}
+ *   {"job": {<job>}}                                   (to the worker)
+ *   {"fault": "wedge", "job": {<job>}}
+ *   {"fp": "<hex16>", "run": {...}}                    (to the daemon)
+ *   {"fp": "<hex16>", "error": "..."}
  *
- * A job frame carries "fault" only when the daemon's fault plan
+ * A result frame is the client's result line without "job": one
+ * builder pair and one parser serve both hops. The fingerprint, which
+ * the worker computes from the job it was sent, is the frame's only
+ * key. A job frame carries "fault" only when the daemon's fault plan
  * fired its worker.job site for this dispatch (fault.hh); the worker
  * acts it out. Custom-runner jobs (SweepJob::runner) cannot cross a
  * process boundary and are rejected at serialization time.
@@ -59,6 +61,7 @@
 #define NOSQ_SERVE_PROTOCOL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -115,12 +118,10 @@ bool jobFromWire(const JsonValue &v, SweepJob &out,
 
 struct Request
 {
-    enum class Op { Submit, Status, Results, Cancel, Metrics };
+    enum class Op { Submit, Status, Metrics };
 
     Op op = Op::Status;
     std::vector<SweepJob> jobs; ///< submit
-    std::string fp;             ///< results
-    std::string ticket;         ///< cancel
 };
 
 /**
@@ -137,8 +138,6 @@ std::string submitRequestLine(const std::vector<SweepJob> &jobs,
                               std::string *error);
 
 std::string statusRequestLine();
-std::string resultsRequestLine(const std::string &fp);
-std::string cancelRequestLine(const std::string &ticket);
 std::string metricsRequestLine();
 
 // --- daemon replies ---------------------------------------------------------
@@ -178,41 +177,42 @@ bool parseMetricsReplyLine(const std::string &line,
                            std::string &exposition,
                            std::string &error);
 
-/** One delivered job result / failure, and the stream terminator. */
-std::string jobResultLine(std::size_t index, const std::string &fp,
-                          const RunResult &run);
-std::string jobErrorLine(std::size_t index, const std::string &fp,
+/**
+ * One delivered job result / failure: the client stream line when
+ * @p index is set, the worker's result frame when it is not.
+ */
+std::string jobResultLine(std::optional<std::size_t> index,
+                          const std::string &fp, const RunResult &run);
+std::string jobErrorLine(std::optional<std::size_t> index,
+                         const std::string &fp,
                          const std::string &message);
+/** The stream terminator. */
 std::string doneLine(const std::string &ticket, std::size_t jobs);
 
-// --- worker channel framing -------------------------------------------------
-
-/** @p fault: the worker.job action the worker must act out */
-std::string workerJobLine(std::uint64_t id, const SweepJob &job,
-                          FaultAction fault = FaultAction::None);
-
-/** @return false on malformed input (the daemon never produces it;
- * a worker that sees it exits and is respawned) */
-bool parseWorkerJobLine(const std::string &line, std::uint64_t &id,
-                        SweepJob &out, FaultAction &fault,
-                        std::string &error);
-
-std::string workerResultLine(std::uint64_t id, const std::string &fp,
-                             const RunResult &run);
-std::string workerErrorLine(std::uint64_t id, const std::string &fp,
-                            const std::string &message);
-
-/** A parsed result frame; `error` empty means `run` is set. */
-struct WorkerResult
+/** A parsed result line; `error` empty means `run` is set. */
+struct JobResult
 {
-    std::uint64_t id = 0;
+    std::optional<std::uint64_t> index; ///< "job"; unset in a frame
     std::string fp;
     RunResult run;
     std::string error;
 };
 
-bool parseWorkerResultLine(const std::string &line,
-                           WorkerResult &out, std::string &error);
+/** Parse a jobResultLine()/jobErrorLine() line (either hop).
+ * @return false with @p error set on malformed input */
+bool parseJobResultLine(const std::string &line, JobResult &out,
+                        std::string &error);
+
+// --- worker job frames ------------------------------------------------------
+
+/** @p fault: the worker.job action the worker must act out */
+std::string workerJobLine(const SweepJob &job,
+                          FaultAction fault = FaultAction::None);
+
+/** @return false on malformed input (the daemon never produces it;
+ * a worker that sees it exits and is respawned) */
+bool parseWorkerJobLine(const std::string &line, SweepJob &out,
+                        FaultAction &fault, std::string &error);
 
 } // namespace serve
 } // namespace nosq

@@ -28,9 +28,10 @@ namespace serve {
  * One snapshot of the daemon. The status reply prints the table's
  * status keys first (their order is part of the observable surface:
  * scripts grep for `"executed":N`), then `job_attempts`
- * (per-fingerprint dispatch attempts of live executions),
- * `quarantine` (fingerprint -> reason for poison jobs) and `faults`
- * (per-site injection counters, `{}` when no fault plan is active).
+ * (per-fingerprint dispatch attempts of dispatched live executions
+ * and of quarantined jobs), `quarantine` (fingerprint -> reason for
+ * poison jobs) and `faults` (per-site injection counters, `{}` when
+ * no fault plan is active).
  */
 struct ServerStatus
 {

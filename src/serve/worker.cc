@@ -75,11 +75,10 @@ workerMain(int fd)
     // EOF is the stop signal and the orphan check in one: the daemon
     // closed its end on shutdown, or died and the kernel closed it.
     while (readLine(fd, inbuf, line)) {
-        std::uint64_t id = 0;
         SweepJob job;
         FaultAction fault = FaultAction::None;
         std::string error;
-        if (!parseWorkerJobLine(line, id, job, fault, error)) {
+        if (!parseWorkerJobLine(line, job, fault, error)) {
             // The daemon never produces a malformed frame; seeing
             // one means this stream is not trustworthy. Exit and let
             // the daemon respawn a clean worker.
@@ -98,19 +97,19 @@ workerMain(int fd)
         case FaultAction::Crash:
             _exit(42);
         case FaultAction::Fail:
-            reply = workerErrorLine(
-                id, fp, "injected fault: worker.job fail");
+            reply = jobErrorLine(std::nullopt, fp,
+                                 "injected fault: worker.job fail");
             break;
         default:
             break;
         }
         if (reply.empty()) try {
             const RunResult run = runSweepJob(job);
-            reply = workerResultLine(id, fp, run);
+            reply = jobResultLine(std::nullopt, fp, run);
         } catch (const std::exception &e) {
-            reply = workerErrorLine(id, fp, e.what());
+            reply = jobErrorLine(std::nullopt, fp, e.what());
         } catch (...) {
-            reply = workerErrorLine(id, fp, "unknown error");
+            reply = jobErrorLine(std::nullopt, fp, "unknown error");
         }
         if (!writeAll(fd, reply))
             return 0;

@@ -317,6 +317,19 @@ SweepError::SweepError(std::vector<Failure> failures_,
 {
 }
 
+RunResult
+labelledResult(const SweepJob &job, bool valid)
+{
+    RunResult result;
+    result.benchmark = job.profile ? job.profile->name
+                                   : job.benchmark;
+    result.suite = job.profile ? job.profile->suite : job.suite;
+    result.config = job.config;
+    result.memsys = job.memsysLabel;
+    result.valid = valid;
+    return result;
+}
+
 /**
  * Run one job. All simulation state (workload RNG, core, caches,
  * predictors) is constructed here from the job tuple alone, which is
@@ -325,12 +338,7 @@ SweepError::SweepError(std::vector<Failure> failures_,
 RunResult
 runSweepJob(const SweepJob &job, obs::PipeTracer *tracer)
 {
-    RunResult result;
-    result.benchmark = job.profile ? job.profile->name
-                                   : job.benchmark;
-    result.suite = job.profile ? job.profile->suite : job.suite;
-    result.config = job.config;
-    result.memsys = job.memsysLabel;
+    RunResult result = labelledResult(job);
     nosq_assert(tracer == nullptr || (!job.runner && job.cores == 1),
                 "only a single-core default-pipeline job is traced");
     if (job.runner) {
@@ -411,20 +419,6 @@ class FailureLog
     std::vector<SweepError::Failure> failures;
 };
 
-/** An identifiable invalid result for a job that threw. */
-RunResult
-failedResult(const SweepJob &job)
-{
-    RunResult result;
-    result.benchmark = job.profile ? job.profile->name
-                                   : job.benchmark;
-    result.suite = job.profile ? job.profile->suite : job.suite;
-    result.config = job.config;
-    result.memsys = job.memsysLabel;
-    result.valid = false;
-    return result;
-}
-
 /** runSweepJob() with the per-job exception guard. */
 void
 runGuarded(const SweepJob &job, std::size_t index, RunResult &result,
@@ -434,10 +428,10 @@ runGuarded(const SweepJob &job, std::size_t index, RunResult &result,
         result = runSweepJob(job);
     } catch (const std::exception &e) {
         log.record(index, e.what());
-        result = failedResult(job);
+        result = labelledResult(job, false);
     } catch (...) {
         log.record(index, "unknown exception");
-        result = failedResult(job);
+        result = labelledResult(job, false);
     }
 }
 

@@ -309,6 +309,14 @@ using SweepProgress = std::function<void(
 unsigned defaultSweepWorkers();
 
 /**
+ * An empty result labelled with @p job's benchmark, suite, config
+ * and memsys point: the shell runSweepJob() fills in, and, with
+ * @p valid false, the identifiable placeholder of a job that failed
+ * (locally or on a server).
+ */
+RunResult labelledResult(const SweepJob &job, bool valid = true);
+
+/**
  * Run one job synchronously on the calling thread: the unit of work
  * behind runSweep()'s worker pool, exported so out-of-process
  * executors (the nosq_sweepd worker, src/serve/worker.cc) run the

@@ -487,19 +487,19 @@ smallJob()
     return job;
 }
 
-/** Send @p job to @p w as frame @p id and check the result frame. */
+/** Send @p job to @p w and check the result frame. */
 void
-roundTrip(ForkedWorker &w, std::uint64_t id, const SweepJob &job)
+roundTrip(ForkedWorker &w, const SweepJob &job)
 {
-    const std::string frame = workerJobLine(id, job);
+    const std::string frame = workerJobLine(job);
     ASSERT_EQ(write(w.fd, frame.data(), frame.size()),
               static_cast<ssize_t>(frame.size()));
     const std::string line = readFrame(w.fd);
     ASSERT_FALSE(line.empty()) << "worker closed its end";
-    WorkerResult result;
+    JobResult result;
     std::string error;
-    ASSERT_TRUE(parseWorkerResultLine(line, result, error)) << error;
-    EXPECT_EQ(result.id, id);
+    ASSERT_TRUE(parseJobResultLine(line, result, error)) << error;
+    EXPECT_FALSE(result.index.has_value());
     EXPECT_EQ(result.fp, jobFingerprint(job));
     EXPECT_TRUE(result.error.empty()) << result.error;
     EXPECT_EQ(runResultRecord(result.run),
@@ -510,7 +510,7 @@ TEST(WorkerSocket, JobWrittenToTheSocketYieldsItsResultLine)
 {
     ForkedWorker w;
     startWorker(w);
-    roundTrip(w, 7, smallJob());
+    roundTrip(w, smallJob());
 
     const int status = stopWorker(w);
     EXPECT_TRUE(WIFEXITED(status));
@@ -522,14 +522,13 @@ TEST(WorkerSocket, FaultInTheJobFrameIsActedOut)
     ForkedWorker w;
     startWorker(w);
     const SweepJob job = smallJob();
-    const std::string frame = workerJobLine(3, job, FaultAction::Fail);
+    const std::string frame = workerJobLine(job, FaultAction::Fail);
     ASSERT_EQ(write(w.fd, frame.data(), frame.size()),
               static_cast<ssize_t>(frame.size()));
-    WorkerResult result;
+    JobResult result;
     std::string error;
-    ASSERT_TRUE(parseWorkerResultLine(readFrame(w.fd), result, error))
+    ASSERT_TRUE(parseJobResultLine(readFrame(w.fd), result, error))
         << error;
-    EXPECT_EQ(result.id, 3u);
     EXPECT_EQ(result.fp, jobFingerprint(job));
     EXPECT_EQ(result.error, "injected fault: worker.job fail");
 
@@ -543,7 +542,7 @@ TEST(WorkerSocket, ClosingTheDaemonEndEndsAnIdleWorkerCleanly)
     ForkedWorker w;
     startWorker(w);
     // A finished round trip leaves the worker idle, blocked in read().
-    roundTrip(w, 1, smallJob());
+    roundTrip(w, smallJob());
 
     const int status = stopWorker(w);
     // Exited on its own (a SIGKILL would show as WIFSIGNALED).

@@ -250,24 +250,15 @@ TEST(ServeProtocol, SimpleRequestRoundTrips)
         << error;
     EXPECT_EQ(req.op, Request::Op::Status);
 
-    line = resultsRequestLine("0123456789abcdef");
+    line = metricsRequestLine();
     ASSERT_TRUE(parseRequestLine(line.substr(0, line.size() - 1),
                                  req, error))
         << error;
-    EXPECT_EQ(req.op, Request::Op::Results);
-    EXPECT_EQ(req.fp, "0123456789abcdef");
-
-    line = cancelRequestLine("t42");
-    ASSERT_TRUE(parseRequestLine(line.substr(0, line.size() - 1),
-                                 req, error))
-        << error;
-    EXPECT_EQ(req.op, Request::Op::Cancel);
-    EXPECT_EQ(req.ticket, "t42");
+    EXPECT_EQ(req.op, Request::Op::Metrics);
 }
 
 TEST(ServeProtocol, MalformedRequestsFailCleanly)
 {
-    const std::string huge_fp(65, 'a');
     const std::vector<std::pair<const char *, std::string>> cases = {
         {"empty line", ""},
         {"not JSON", "this is not json"},
@@ -293,16 +284,17 @@ TEST(ServeProtocol, MalformedRequestsFailCleanly)
         {"submit malformed job",
          "{\"schema\":\"nosq-serve-v1\",\"op\":\"submit\","
          "\"jobs\":[{}]}"},
-        {"results without fp",
+        // Ops the daemon does not serve, such as results and cancel.
+        {"unknown op results",
          "{\"schema\":\"nosq-serve-v1\",\"op\":\"results\"}"},
-        {"results empty fp",
+        {"unknown op results with fp",
          "{\"schema\":\"nosq-serve-v1\",\"op\":\"results\","
-         "\"fp\":\"\"}"},
-        {"results oversized fp",
-         "{\"schema\":\"nosq-serve-v1\",\"op\":\"results\",\"fp\":\"" +
-             huge_fp + "\"}"},
-        {"cancel without ticket",
+         "\"fp\":\"0123456789abcdef\"}"},
+        {"unknown op cancel",
          "{\"schema\":\"nosq-serve-v1\",\"op\":\"cancel\"}"},
+        {"unknown op cancel with ticket",
+         "{\"schema\":\"nosq-serve-v1\",\"op\":\"cancel\","
+         "\"ticket\":\"t42\"}"},
     };
     for (const auto &c : cases) {
         Request req;
@@ -310,6 +302,10 @@ TEST(ServeProtocol, MalformedRequestsFailCleanly)
         EXPECT_FALSE(parseRequestLine(c.second, req, error))
             << c.first;
         EXPECT_FALSE(error.empty()) << c.first;
+        if (std::string(c.first).rfind("unknown op", 0) == 0) {
+            EXPECT_NE(error.find("unknown op"), std::string::npos)
+                << c.first << ": " << error;
+        }
     }
 }
 
@@ -385,25 +381,24 @@ TEST(ServeProtocol, TruncationAndMutationFuzzNeverCrashes)
 TEST(ServeProtocol, WorkerFramingRoundTrips)
 {
     const SweepJob job = kernelJob();
-    const std::string line = workerJobLine(1234, job);
+    const std::string line = workerJobLine(job);
+    // A job frame carries the job alone: the worker names its result
+    // by the job's fingerprint.
+    EXPECT_EQ(line.find("\"id\""), std::string::npos) << line;
 
-    std::uint64_t id = 0;
     SweepJob rebuilt;
     FaultAction fault = FaultAction::Crash;
     std::string error;
-    ASSERT_TRUE(parseWorkerJobLine(
-        line.substr(0, line.size() - 1), id, rebuilt, fault, error))
+    ASSERT_TRUE(parseWorkerJobLine(line.substr(0, line.size() - 1),
+                                   rebuilt, fault, error))
         << error;
-    EXPECT_EQ(id, 1234u);
     EXPECT_EQ(jobFingerprint(job), jobFingerprint(rebuilt));
     EXPECT_EQ(fault, FaultAction::None);
 
     // A fired worker.job fault rides in the job frame.
     ASSERT_TRUE(parseWorkerJobLine(
-        workerJobLine(5, job, FaultAction::Wedge), id, rebuilt, fault,
-        error))
+        workerJobLine(job, FaultAction::Wedge), rebuilt, fault, error))
         << error;
-    EXPECT_EQ(id, 5u);
     EXPECT_EQ(fault, FaultAction::Wedge);
     EXPECT_EQ(jobFingerprint(job), jobFingerprint(rebuilt));
 
@@ -416,32 +411,52 @@ TEST(ServeProtocol, WorkerFramingRoundTrips)
     run.sim.loads = 777;
     const std::string fp = jobFingerprint(job);
 
-    WorkerResult wr;
-    ASSERT_TRUE(parseWorkerResultLine(
-        workerResultLine(9, fp, run), wr, error))
-        << error;
-    EXPECT_EQ(wr.id, 9u);
+    // A worker's result frame is the client's result line without
+    // "job"; one parser reads both.
+    const std::string frame = jobResultLine(std::nullopt, fp, run);
+    EXPECT_EQ(jobResultLine(9, fp, run),
+              "{\"job\":9," + frame.substr(1));
+    JobResult wr;
+    ASSERT_TRUE(parseJobResultLine(frame, wr, error)) << error;
+    EXPECT_FALSE(wr.index.has_value());
     EXPECT_EQ(wr.fp, fp);
     EXPECT_TRUE(wr.error.empty());
     // The run payload is the journal record shape; the line form is
     // the bit-identity witness.
     EXPECT_EQ(runResultJsonLine(wr.run), runResultJsonLine(run));
 
-    WorkerResult we;
-    ASSERT_TRUE(parseWorkerResultLine(
-        workerErrorLine(10, fp, "simulation exploded"), we, error))
+    JobResult cr;
+    ASSERT_TRUE(parseJobResultLine(jobResultLine(9, fp, run), cr, error))
         << error;
-    EXPECT_EQ(we.id, 10u);
-    EXPECT_EQ(we.error, "simulation exploded");
+    ASSERT_TRUE(cr.index.has_value());
+    EXPECT_EQ(*cr.index, 9u);
+    EXPECT_EQ(runResultJsonLine(cr.run), runResultJsonLine(run));
 
-    std::uint64_t bad_id;
+    JobResult we;
+    ASSERT_TRUE(parseJobResultLine(
+        jobErrorLine(std::nullopt, fp, "simulation exploded"), we,
+        error))
+        << error;
+    EXPECT_FALSE(we.index.has_value());
+    EXPECT_EQ(we.error, "simulation exploded");
+    ASSERT_TRUE(parseJobResultLine(jobErrorLine(10, fp, "worker died"),
+                                   we, error))
+        << error;
+    EXPECT_EQ(*we.index, 10u);
+    EXPECT_EQ(we.error, "worker died");
+
     SweepJob bad_job;
     FaultAction bad_fault;
-    EXPECT_FALSE(parseWorkerJobLine("{\"id\":1}", bad_id, bad_job,
+    EXPECT_FALSE(parseWorkerJobLine("{\"fault\":\"wedge\"}", bad_job,
                                     bad_fault, error));
-    WorkerResult bad_wr;
-    EXPECT_FALSE(parseWorkerResultLine("{\"id\":1,\"fp\":\"x\"}",
-                                       bad_wr, error));
+    JobResult bad;
+    EXPECT_FALSE(parseJobResultLine("{\"fp\":\"x\"}", bad, error));
+    EXPECT_FALSE(parseJobResultLine("{\"job\":-1,\"fp\":\"x\","
+                                    "\"error\":\"e\"}",
+                                    bad, error));
+    EXPECT_FALSE(parseJobResultLine("{\"done\":true,\"ticket\":\"t1\","
+                                    "\"jobs\":1}",
+                                    bad, error));
 }
 
 TEST(ServeProtocol, ReplyBuildersEmitParsableJson)
