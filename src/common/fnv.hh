@@ -13,8 +13,10 @@
 #ifndef NOSQ_COMMON_FNV_HH
 #define NOSQ_COMMON_FNV_HH
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace nosq {
 
@@ -23,25 +25,30 @@ class Fnv
 {
   public:
     void
-    text(const std::string &s)
+    text(std::string_view s)
     {
         // Length prefix rather than a delimiter byte: with a
         // delimiter, adjacent free-form fields could absorb each
         // other's bytes ("A|B" + "C" vs "A" + "B|C") and distinct
         // tuples would collide.
-        std::uint64_t n = s.size();
-        for (int i = 0; i < 8; ++i) {
-            byte(static_cast<unsigned char>(n & 0xff));
-            n >>= 8;
-        }
-        for (const char c : s)
-            byte(static_cast<unsigned char>(c));
+        length(s.size());
+        bytes(s);
     }
 
+    /** Hashes the same bytes as text("<key>=<decimal value>"). */
     void
     field(const char *key, std::uint64_t value)
     {
-        text(std::string(key) + '=' + std::to_string(value));
+        char digits[20];
+        const char *end =
+            std::to_chars(digits, digits + sizeof(digits), value).ptr;
+        const std::string_view name(key);
+        const std::string_view number(
+            digits, static_cast<std::size_t>(end - digits));
+        length(name.size() + 1 + number.size());
+        bytes(name);
+        byte('=');
+        bytes(number);
     }
 
     /** The accumulated hash as 16 lowercase hex digits. */
@@ -59,6 +66,22 @@ class Fnv
     std::uint64_t value() const { return hash; }
 
   private:
+    void
+    length(std::uint64_t n)
+    {
+        for (int i = 0; i < 8; ++i) {
+            byte(static_cast<unsigned char>(n & 0xff));
+            n >>= 8;
+        }
+    }
+
+    void
+    bytes(std::string_view s)
+    {
+        for (const char c : s)
+            byte(static_cast<unsigned char>(c));
+    }
+
     void
     byte(unsigned char b)
     {

@@ -33,8 +33,14 @@ headerLine()
 std::string
 recordLine(const std::string &fp, const RunResult &run)
 {
-    return "{\"fp\":\"" + jsonEscape(fp) +
-           "\",\"run\":" + runResultRecord(run) + "}\n";
+    std::string line;
+    line.reserve(1024);
+    line += "{\"fp\":";
+    jsonString(line, fp);
+    line += ",\"run\":";
+    appendJson(line, run, JsonSpacing::Compact);
+    line += "}\n";
+    return line;
 }
 
 } // anonymous namespace

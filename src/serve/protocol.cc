@@ -8,8 +8,10 @@
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <unordered_map>
+#include <vector>
 
 #include "memsys/coherence.hh"
 #include "obs/metrics.hh"
@@ -24,10 +26,16 @@ namespace serve {
 
 namespace {
 
+/** Room for one job's wire form (about 1.2 KB with today's
+ * UarchParams). */
+constexpr std::size_t job_wire_bytes = 1536;
+
 std::string
-quoted(const std::string &s)
+quoted(std::string_view s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    std::string out;
+    jsonString(out, s);
+    return out;
 }
 
 std::string
@@ -68,13 +76,30 @@ getString(const JsonValue &v, const char *key, std::string &out,
     return true;
 }
 
+/** The params wire keys, in forEachUarchField order. */
+const std::vector<std::string_view> &
+paramsKeys()
+{
+    static const std::vector<std::string_view> keys = [] {
+        std::vector<std::string_view> out;
+        UarchParams probe;
+        forEachUarchField(probe, [&](const char *key, auto &) {
+            out.emplace_back(key);
+        });
+        return out;
+    }();
+    return keys;
+}
+
 /**
  * Parse the "params" wire object into @p params. Strict both ways:
  * every enumerated field must be present and in range for its member
  * type, and every wire key must be enumerated -- an unknown key
  * means the two binaries disagree about UarchParams, and
  * half-applying the rest would fingerprint a configuration nobody
- * asked for.
+ * asked for. jobToWire() writes the keys in forEachUarchField order,
+ * so each is read at its own position; a sender's other order is
+ * indexed by name once, which finds a repeat in one pass.
  */
 bool
 paramsFromWire(const JsonValue &v, UarchParams &params,
@@ -84,39 +109,68 @@ paramsFromWire(const JsonValue &v, UarchParams &params,
         error = "'params' is not an object";
         return false;
     }
-    std::unordered_map<std::string, std::uint64_t> vals;
-    for (const auto &[key, member] : v.object) {
+    const std::vector<std::string_view> &keys = paramsKeys();
+    const auto &members = v.object;
+    // While in_order, members [0, i) are the first i keys, so hold no
+    // repeat; from the first member out of place, all are indexed.
+    bool in_order = true;
+    std::unordered_map<std::string_view, const JsonValue *> index;
+    for (std::size_t i = 0; i < members.size(); ++i) {
+        const std::string &key = members[i].first;
         std::uint64_t n = 0;
-        if (!jsonExactCounter(member, n)) {
+        if (!jsonExactCounter(members[i].second, n)) {
             error = "params field '" + key +
                     "' is not an exact non-negative integer";
             return false;
         }
-        if (!vals.emplace(key, n).second) {
+        if (in_order && i < keys.size() && key == keys[i])
+            continue;
+        if (in_order) {
+            in_order = false;
+            index.reserve(members.size());
+            for (std::size_t j = 0; j < i; ++j)
+                index.emplace(members[j].first, &members[j].second);
+        }
+        if (!index.emplace(key, &members[i].second).second) {
             error = "duplicate params field '" + key + "'";
             return false;
         }
     }
+    // The member holding keys[k]. In order, the members are a prefix
+    // of the keys; otherwise it is taken out of the index, which so
+    // ends holding just the members no key names.
+    const auto find = [&](std::size_t k) -> const JsonValue * {
+        if (in_order)
+            return k < members.size() ? &members[k].second : nullptr;
+        const auto it = index.find(keys[k]);
+        if (it == index.end())
+            return nullptr;
+        const JsonValue *member = it->second;
+        index.erase(it);
+        return member;
+    };
     bool ok = true;
-    std::size_t consumed = 0;
+    std::size_t next = 0;
     forEachUarchField(params, [&](const char *key, auto &slot) {
         if (!ok)
             return;
-        const auto it = vals.find(key);
-        if (it == vals.end()) {
+        const JsonValue *member = find(next++);
+        if (member == nullptr) {
             error = std::string("params missing field '") + key +
                     "'";
             ok = false;
             return;
         }
-        const std::uint64_t n = it->second;
+        // Exact: every member passed jsonExactCounter() above.
+        std::uint64_t n = 0;
+        jsonExactCounter(*member, n);
         using T = std::decay_t<decltype(slot)>;
         slot = static_cast<T>(n);
         // Round-trip equality rejects any value the member cannot
         // hold exactly (oversized widths, bools > 1, enum codes
         // beyond the narrow storage type).
         if (static_cast<std::uint64_t>(slot) != n) {
-            error = "params field '" + it->first +
+            error = std::string("params field '") + key +
                     "' is out of range";
             ok = false;
             return;
@@ -130,26 +184,20 @@ paramsFromWire(const JsonValue &v, UarchParams &params,
                 return;
             }
         }
-        ++consumed;
     });
     if (!ok)
         return false;
-    if (consumed != vals.size()) {
-        // Name one offender so the error is actionable.
-        UarchParams probe;
-        std::unordered_map<std::string, bool> known;
-        forEachUarchField(probe, [&](const char *key, auto &) {
-            known.emplace(key, true);
-        });
-        for (const auto &[key, n] : vals) {
-            (void)n;
-            if (known.find(key) == known.end()) {
-                error = "unknown params field '" + key + "'";
-                return false;
-            }
+    // Every key was found and none repeats, so the members left in
+    // the index are ones this binary does not enumerate: name the
+    // first.
+    if (index.empty())
+        return true;
+    for (const auto &[key, member] : members) {
+        (void)member;
+        if (index.count(key) != 0) {
+            error = "unknown params field '" + key + "'";
+            return false;
         }
-        error = "params field set mismatch";
-        return false;
     }
     return true;
 }
@@ -180,35 +228,52 @@ jobToWire(const SweepJob &job, std::string *error)
     const Suite suite =
         job.profile != nullptr ? job.profile->suite : job.suite;
 
-    std::string out = "{";
-    out += "\"bench\":" + quoted(bench);
-    out += ",\"suite\":" + quoted(suiteName(suite));
-    out += ",\"config\":" + quoted(job.config);
-    out += ",\"memsys\":" + quoted(job.memsysLabel);
+    std::string out;
+    out.reserve(job_wire_bytes);
+    out += "{\"bench\":";
+    jsonString(out, bench);
+    out += ",\"suite\":";
+    jsonString(out, suiteName(suite));
+    out += ",\"config\":";
+    jsonString(out, job.config);
+    out += ",\"memsys\":";
+    jsonString(out, job.memsysLabel);
     // runnerTag is hashed into the job fingerprint even for
     // default-pipeline jobs, so it must cross the wire for the two
     // ends to fingerprint identically.
-    out += ",\"rtag\":" + quoted(job.runnerTag);
-    out += ",\"seed\":" + u64(job.seed);
-    out += ",\"insts\":" + u64(job.insts);
-    out += ",\"warmup\":" + u64(job.warmup);
-    out += ",\"cores\":" + u64(job.cores);
-    out += ",\"qdepth\":" + u64(job.queueDepth);
-    out += ",\"smp\":{\"on\":" + u64(job.sampling.enabled ? 1 : 0);
-    out += ",\"ff\":" + u64(job.sampling.ffLength);
-    out += ",\"warm\":" + u64(job.sampling.warmupLength);
-    out += ",\"int\":" + u64(job.sampling.interval);
-    out += ",\"n\":" + u64(job.sampling.intervals);
-    out += ",\"seed\":" + u64(job.sampling.seed) + "}";
-    out += ",\"params\":{";
-    bool first = true;
+    out += ",\"rtag\":";
+    jsonString(out, job.runnerTag);
+    out += ",\"seed\":";
+    jsonU64(out, job.seed);
+    out += ",\"insts\":";
+    jsonU64(out, job.insts);
+    out += ",\"warmup\":";
+    jsonU64(out, job.warmup);
+    out += ",\"cores\":";
+    jsonU64(out, job.cores);
+    out += ",\"qdepth\":";
+    jsonU64(out, job.queueDepth);
+    out += ",\"smp\":{\"on\":";
+    jsonU64(out, job.sampling.enabled ? 1 : 0);
+    out += ",\"ff\":";
+    jsonU64(out, job.sampling.ffLength);
+    out += ",\"warm\":";
+    jsonU64(out, job.sampling.warmupLength);
+    out += ",\"int\":";
+    jsonU64(out, job.sampling.interval);
+    out += ",\"n\":";
+    jsonU64(out, job.sampling.intervals);
+    out += ",\"seed\":";
+    jsonU64(out, job.sampling.seed);
+    out += "},\"params\":{";
+    const char *separator = "\"";
     forEachUarchField(job.params,
                       [&](const char *key, const auto &v) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += quoted(key) + ":" +
-               u64(static_cast<std::uint64_t>(v));
+        out += separator;
+        separator = ",\"";
+        out += key;
+        out += "\":";
+        jsonU64(out, static_cast<std::uint64_t>(v));
     });
     out += "}}";
     return out;
@@ -393,7 +458,9 @@ std::string
 submitRequestLine(const std::vector<SweepJob> &jobs,
                   std::string *error)
 {
-    std::string out = "{\"schema\":";
+    std::string out;
+    out.reserve(64 + jobs.size() * job_wire_bytes);
+    out += "{\"schema\":";
     out += quoted(serve_schema);
     out += ",\"op\":\"submit\",\"jobs\":[";
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -537,15 +604,23 @@ setServeMetrics(obs::MetricsRegistry &metrics,
 
 namespace {
 
-/** The shared head of a result line: `{"job":N,"fp":...` or, for a
- * worker frame, `{"fp":...`. */
+/** Start a result line: `{"job":N,"fp":...` or, for a worker
+ * frame, `{"fp":...`. */
 std::string
-resultLineHead(std::optional<std::size_t> index, const std::string &fp)
+resultLineHead(std::optional<std::size_t> index, const std::string &fp,
+               std::size_t reserve)
 {
-    std::string head = "{";
-    if (index)
-        head += "\"job\":" + u64(*index) + ",";
-    return head + "\"fp\":" + quoted(fp);
+    std::string line;
+    line.reserve(reserve);
+    line += '{';
+    if (index) {
+        line += "\"job\":";
+        jsonU64(line, *index);
+        line += ',';
+    }
+    line += "\"fp\":";
+    jsonString(line, fp);
+    return line;
 }
 
 } // anonymous namespace
@@ -554,16 +629,22 @@ std::string
 jobResultLine(std::optional<std::size_t> index, const std::string &fp,
               const RunResult &run)
 {
-    return resultLineHead(index, fp) + ",\"run\":" +
-           runResultRecord(run) + "}\n";
+    std::string line = resultLineHead(index, fp, 1024);
+    line += ",\"run\":";
+    appendJson(line, run, JsonSpacing::Compact);
+    line += "}\n";
+    return line;
 }
 
 std::string
 jobErrorLine(std::optional<std::size_t> index, const std::string &fp,
              const std::string &message)
 {
-    return resultLineHead(index, fp) + ",\"error\":" +
-           quoted(message) + "}\n";
+    std::string line = resultLineHead(index, fp, 64 + message.size());
+    line += ",\"error\":";
+    jsonString(line, message);
+    line += "}\n";
+    return line;
 }
 
 std::string
@@ -630,9 +711,15 @@ workerJobLine(const SweepJob &job, FaultAction fault)
     // is unreachable here.
     std::string error;
     std::string line = "{";
-    if (fault != FaultAction::None)
-        line += "\"fault\":" + quoted(faultActionName(fault)) + ",";
-    return line + "\"job\":" + jobToWire(job, &error) + "}\n";
+    if (fault != FaultAction::None) {
+        line += "\"fault\":";
+        jsonString(line, faultActionName(fault));
+        line += ',';
+    }
+    line += "\"job\":";
+    line += jobToWire(job, &error);
+    line += "}\n";
+    return line;
 }
 
 bool

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <string_view>
 
 #include "common/fnv.hh"
 #include "common/logging.hh"
@@ -47,38 +48,19 @@ hashParams(Fnv &fnv, const UarchParams &p)
 std::string
 runResultJsonLine(const RunResult &run)
 {
-    std::string json = toJson(run);
-    json.erase(std::remove(json.begin(), json.end(), '\n'),
-               json.end());
-    return json;
+    std::string line;
+    line.reserve(2048);
+    appendJson(line, run, JsonSpacing::OneLine);
+    return line;
 }
 
 std::string
 runResultRecord(const RunResult &run)
 {
-    // The emitter writes only spaces and newlines between tokens;
-    // inside a string literal every byte is kept, so a label with
-    // spaces survives.
-    const std::string json = toJson(run);
-    std::string out;
-    out.reserve(json.size());
-    bool in_string = false, escaped = false;
-    for (const char c : json) {
-        if (in_string) {
-            if (escaped)
-                escaped = false;
-            else if (c == '\\')
-                escaped = true;
-            else if (c == '"')
-                in_string = false;
-        } else if (c == '"') {
-            in_string = true;
-        } else if (c == ' ' || c == '\n') {
-            continue;
-        }
-        out += c;
-    }
-    return out;
+    std::string record;
+    record.reserve(1024);
+    appendJson(record, run, JsonSpacing::Compact);
+    return record;
 }
 
 /**
@@ -103,6 +85,20 @@ jsonExactCounter(const JsonValue &v, std::uint64_t &out)
 
 namespace {
 
+/** The member of @p stats named @p prefix + @p key, compared in
+ * place. */
+const JsonValue *
+findStat(const JsonValue &stats, std::string_view prefix,
+         std::string_view key)
+{
+    for (const auto &[name, member] : stats.object)
+        if (name.size() == prefix.size() + key.size() &&
+            name.compare(0, prefix.size(), prefix) == 0 &&
+            name.compare(prefix.size(), key.size(), key) == 0)
+            return &member;
+    return nullptr;
+}
+
 /**
  * Restore the stored rows of @p section from @p stats (keys prefixed
  * by @p prefix) into @p out. Derived rows are skipped: the accessors
@@ -112,14 +108,13 @@ namespace {
 template <typename Owner, std::size_t N>
 bool
 loadStatRows(const JsonValue &stats, const StatRow<Owner> (&rows)[N],
-             StatSection section, const std::string &prefix,
-             Owner &out)
+             StatSection section, std::string_view prefix, Owner &out)
 {
     for (const StatRow<Owner> &row : rows) {
         if (row.section != section || row.key == nullptr ||
             row.derived != nullptr)
             continue;
-        const JsonValue *field = stats.find(prefix + row.key);
+        const JsonValue *field = findStat(stats, prefix, row.key);
         if (field == nullptr)
             return false;
         if (row.counter != nullptr) {

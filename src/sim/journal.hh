@@ -57,19 +57,18 @@ std::string jobFingerprint(const SweepJob &job);
 // shape.
 
 /**
- * toJson(RunResult) flattened to one JSONL-safe line, the emitter's
- * spacing kept: a stable text of every counter, for comparing and
- * digesting results. The emitter's newlines only ever separate
- * tokens (strings escape control characters), so erasing them
- * cannot corrupt a value.
+ * toJson(RunResult) on one JSONL-safe line, the emitter's spacing
+ * kept (JsonSpacing::OneLine): a stable text of every counter, for
+ * comparing and digesting results.
  */
 std::string runResultJsonLine(const RunResult &run);
 
 /**
- * The compact record of a result: toJson(RunResult) with every
- * whitespace character outside string literals dropped, about 20%
- * fewer bytes than runResultJsonLine(). It is the store record, the
- * worker -> daemon ring frame and the daemon -> client result line.
+ * The compact record of a result: toJson(RunResult) with no
+ * whitespace between tokens (JsonSpacing::Compact), about 20% fewer
+ * bytes than runResultJsonLine(). It is the store record, the
+ * worker -> daemon result frame and the daemon -> client result
+ * line.
  */
 std::string runResultRecord(const RunResult &run);
 

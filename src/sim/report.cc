@@ -1,6 +1,7 @@
 #include "sim/report.hh"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -182,87 +183,181 @@ writeTextFile(const std::string &path, const std::string &contents)
     return true;
 }
 
-std::string
-jsonEscape(const std::string &s)
+void
+jsonEscape(std::string &out, std::string_view s)
 {
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
+    // Bytes that need no escape are appended a run at a time.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const unsigned char c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\')
+            continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
           case '"': out += "\\\""; break;
           case '\\': out += "\\\\"; break;
           case '\n': out += "\\n"; break;
           case '\r': out += "\\r"; break;
           case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
+          default: {
+            static const char hex[] = "0123456789abcdef";
+            const char code[] = {'\\', 'u', '0', '0', hex[c >> 4],
+                                 hex[c & 0xf]};
+            out.append(code, sizeof(code));
+          }
         }
     }
+    out.append(s.data() + run, s.size() - run);
+}
+
+std::string
+jsonEscape(const std::string &s)
+{
+    std::string out;
+    out.reserve(s.size());
+    jsonEscape(out, s);
     return out;
+}
+
+void
+jsonNumber(std::string &out, double v)
+{
+    // JSON has no NaN/Inf; null marks the value as unusable instead
+    // of forging a finite one.
+    if (!std::isfinite(v)) {
+        out += "null";
+        return;
+    }
+    char buf[32];
+    char *const end = buf + sizeof(buf);
+    // The shortest decimal that reads back as v has n significant
+    // digits, so no "%.{p}g" with p < n can round-trip: the search
+    // for the shortest round-tripping precision starts at n.
+    const char *const shortest_end =
+        std::to_chars(buf, end, v, std::chars_format::scientific).ptr;
+    int precision = 0;
+    for (const char *c = buf; c != shortest_end && *c != 'e'; ++c)
+        precision += *c >= '0' && *c <= '9';
+    for (; precision < 17; ++precision) {
+        const char *const last =
+            std::to_chars(buf, end, v, std::chars_format::general,
+                          precision)
+                .ptr;
+        // Out of range (a subnormal, for some libraries) from_chars
+        // leaves back unset; strtod reads it as the reference does.
+        double back = 0.0;
+        if (std::from_chars(buf, last, back).ec != std::errc())
+            back = std::strtod(
+                std::string(buf, static_cast<std::size_t>(last - buf))
+                    .c_str(),
+                nullptr);
+        if (back == v) {
+            out.append(buf, static_cast<std::size_t>(last - buf));
+            return;
+        }
+    }
+    out.append(buf, std::to_chars(buf, end, v,
+                                  std::chars_format::general, 17)
+                        .ptr);
 }
 
 std::string
 jsonNumber(double v)
 {
-    // JSON has no NaN/Inf; null marks the value as unusable instead
-    // of forging a finite one.
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    // Prefer a shorter form when it parses back exactly.
-    for (int precision = 1; precision < 17; ++precision) {
-        char probe[32];
-        std::snprintf(probe, sizeof(probe), "%.*g", precision, v);
-        if (std::strtod(probe, nullptr) == v)
-            return probe;
-    }
-    return buf;
+    std::string out;
+    jsonNumber(out, v);
+    return out;
+}
+
+void
+jsonString(std::string &out, std::string_view s)
+{
+    out += '"';
+    jsonEscape(out, s);
+    out += '"';
+}
+
+void
+jsonU64(std::string &out, std::uint64_t v)
+{
+    char buf[20];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 namespace {
 
-std::string
-pad(int indent)
+/**
+ * The punctuation of one emitted object under a JsonSpacing: '{',
+ * then each member's separator, line break, indent and key, then the
+ * closing line and '}' ("{}" when empty). Indented output is the
+ * report's layout; OneLine drops its line breaks and Compact every
+ * space besides.
+ */
+class ObjectWriter
 {
-    return std::string(static_cast<std::size_t>(indent), ' ');
-}
+  public:
+    ObjectWriter(std::string &out_, JsonSpacing spacing_, int indent_)
+        : out(out_), spacing(spacing_), indent(indent_)
+    {
+        out += '{';
+    }
+
+    /** Open member "@p prefix@p name"; the caller appends its
+     * value. */
+    void
+    key(std::string_view name, std::string_view prefix = {})
+    {
+        if (!first)
+            out += ',';
+        first = false;
+        lineBreak(indent + 2);
+        out += '"';
+        jsonEscape(out, prefix);
+        jsonEscape(out, name);
+        out += spacing == JsonSpacing::Compact ? "\":" : "\": ";
+    }
+
+    void
+    close()
+    {
+        if (!first)
+            lineBreak(indent);
+        out += '}';
+    }
+
+  private:
+    void
+    lineBreak(int pad)
+    {
+        if (spacing == JsonSpacing::Indented)
+            out += '\n';
+        if (spacing != JsonSpacing::Compact)
+            out.append(static_cast<std::size_t>(pad), ' ');
+    }
+
+    std::string &out;
+    const JsonSpacing spacing;
+    const int indent;
+    bool first = true;
+};
 
 /** @p row's value in @p o as a JSON literal. */
 template <typename Owner>
-std::string
-statJson(const StatRow<Owner> &row, const Owner &o)
+void
+appendStat(std::string &out, const StatRow<Owner> &row, const Owner &o)
 {
-    return row.counter != nullptr ? std::to_string(o.*row.counter)
-                                  : jsonNumber(row.valueOf(o));
+    if (row.counter != nullptr)
+        jsonU64(out, o.*row.counter);
+    else
+        jsonNumber(out, row.valueOf(o));
 }
 
-} // anonymous namespace
-
-std::string
-toJson(const SimResult &r, int indent)
+void
+appendSimJson(std::string &out, const SimResult &r,
+              JsonSpacing spacing, int indent)
 {
-    const std::string inner = pad(indent + 2);
-    std::string out = "{\n";
-    const char *separator = "";
-    auto member = [&](const std::string &prefix, const char *key,
-                      const std::string &value) {
-        out += separator;
-        out += inner;
-        out += '"';
-        out += prefix;
-        out += key;
-        out += "\": ";
-        out += value;
-        separator = ",\n";
-    };
-    const std::string no_prefix;
+    ObjectWriter object(out, spacing, indent);
     for (const StatSection section : stat_sections) {
         const auto flag = statSectionFlag(section);
         if (flag != nullptr && !(r.*flag))
@@ -271,83 +366,104 @@ toJson(const SimResult &r, int indent)
         for (const bool derived : {false, true})
             for (const StatRow<SimResult> &row : sim_stat_rows)
                 if (row.section == section && row.key != nullptr &&
-                    (row.derived != nullptr) == derived)
-                    member(no_prefix, row.key, statJson(row, r));
+                    (row.derived != nullptr) == derived) {
+                    object.key(row.key);
+                    appendStat(out, row, r);
+                }
         if (section != StatSection::Multicore)
             continue;
         for (std::size_t i = 0; i < r.perCore.size(); ++i) {
             const std::string prefix =
                 "core" + std::to_string(i) + "_";
-            for (const auto &row : per_core_stat_rows)
-                member(prefix, row.key, statJson(row, r.perCore[i]));
+            for (const auto &row : per_core_stat_rows) {
+                object.key(row.key, prefix);
+                appendStat(out, row, r.perCore[i]);
+            }
         }
     }
-    out += "\n" + pad(indent) + "}";
+    object.close();
+}
+
+} // anonymous namespace
+
+void
+appendJson(std::string &out, const RunResult &r, JsonSpacing spacing,
+           int indent)
+{
+    ObjectWriter object(out, spacing, indent);
+    object.key("benchmark");
+    jsonString(out, r.benchmark);
+    object.key("suite");
+    jsonString(out, suiteName(r.suite));
+    object.key("config");
+    jsonString(out, r.config);
+    if (!r.memsys.empty()) {
+        object.key("memsys");
+        jsonString(out, r.memsys);
+    }
+    // Same predicate the reductions aggregate by: completed AND
+    // every derived statistic finite.
+    object.key("valid");
+    out += statsValid(r) ? "true" : "false";
+    object.key("stats");
+    appendSimJson(out, r.sim, spacing, indent + 2);
+    object.close();
+}
+
+std::string
+toJson(const SimResult &r, int indent)
+{
+    std::string out;
+    out.reserve(2048);
+    appendSimJson(out, r, JsonSpacing::Indented, indent);
     return out;
 }
 
 std::string
 toJson(const RunResult &r, int indent)
 {
-    // Same predicate the reductions aggregate by: completed AND
-    // every derived statistic finite.
-    const bool valid = statsValid(r);
-    const std::string inner = pad(indent + 2);
-    std::string out = "{\n";
-    out += inner + "\"benchmark\": \"" + jsonEscape(r.benchmark) +
-        "\",\n";
-    out += inner + "\"suite\": \"" + jsonEscape(suiteName(r.suite)) +
-        "\",\n";
-    out += inner + "\"config\": \"" + jsonEscape(r.config) + "\",\n";
-    if (!r.memsys.empty()) {
-        out += inner + "\"memsys\": \"" + jsonEscape(r.memsys) +
-            "\",\n";
-    }
-    out += inner + "\"valid\": " + (valid ? "true" : "false") +
-        ",\n";
-    out += inner + "\"stats\": " + toJson(r.sim, indent + 2) + "\n";
-    out += pad(indent) + "}";
+    std::string out;
+    out.reserve(2048);
+    appendJson(out, r, JsonSpacing::Indented, indent);
     return out;
 }
 
 namespace {
 
-std::string
-meanPairJson(const MeanPair &m)
+void
+appendMeanPair(std::string &out, const MeanPair &m)
 {
-    return "{\"geomean\": " + jsonNumber(m.geomean) +
-        ", \"amean\": " + jsonNumber(m.amean) + "}";
+    out += "{\"geomean\": ";
+    jsonNumber(out, m.geomean);
+    out += ", \"amean\": ";
+    jsonNumber(out, m.amean);
+    out += '}';
 }
 
-std::string
-reductionsJson(const SweepReductions &red, int indent)
+void
+appendReductions(std::string &out, const SweepReductions &red,
+                 int indent)
 {
-    const std::string g_pad = pad(indent + 2);
-    const std::string c_pad = pad(indent + 4);
-    const std::string f_pad = pad(indent + 6);
-    std::string out = "{";
-    for (std::size_t g = 0; g < red.groups.size(); ++g) {
-        const auto &[group, configs] = red.groups[g];
-        out += g ? ",\n" : "\n";
-        out += g_pad + '"' + jsonEscape(group) + "\": {";
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-            const auto &[config, stats] = configs[c];
-            out += c ? ",\n" : "\n";
-            out += c_pad + '"' + jsonEscape(config) + "\": {\n";
-            out += f_pad + "\"runs\": " +
-                std::to_string(stats.runs) + ",\n";
-            out += f_pad + "\"rel_time\": " +
-                meanPairJson(stats.relTime) + ",\n";
-            out += f_pad + "\"cache_reads\": " +
-                meanPairJson(stats.cacheReads) + ",\n";
-            out += f_pad + "\"reexec_rate\": " +
-                meanPairJson(stats.reexecRate) + "\n";
-            out += c_pad + "}";
+    ObjectWriter groups(out, JsonSpacing::Indented, indent);
+    for (const auto &[group, configs] : red.groups) {
+        groups.key(group);
+        ObjectWriter cells(out, JsonSpacing::Indented, indent + 2);
+        for (const auto &[config, stats] : configs) {
+            cells.key(config);
+            ObjectWriter cell(out, JsonSpacing::Indented, indent + 4);
+            cell.key("runs");
+            jsonU64(out, stats.runs);
+            cell.key("rel_time");
+            appendMeanPair(out, stats.relTime);
+            cell.key("cache_reads");
+            appendMeanPair(out, stats.cacheReads);
+            cell.key("reexec_rate");
+            appendMeanPair(out, stats.reexecRate);
+            cell.close();
         }
-        out += configs.empty() ? "}" : "\n" + g_pad + "}";
+        cells.close();
     }
-    out += red.groups.empty() ? "}" : "\n" + pad(indent) + "}";
-    return out;
+    groups.close();
 }
 
 } // anonymous namespace
@@ -359,25 +475,33 @@ sweepReportJson(const std::vector<RunResult> &results,
 {
     const SweepReductions red =
         computeReductions(results, baseline_config);
-    std::string out = "{\n";
-    out += "  \"schema\": \"nosq-sweep-v2\",\n";
-    out += "  \"insts\": " + std::to_string(insts) + ",\n";
-    out += "  \"baseline\": \"" + jsonEscape(red.baseline) + "\",\n";
-    out += "  \"runs\": [";
+    std::string out;
+    out.reserve(2048 * (results.size() + 1));
+    ObjectWriter report(out, JsonSpacing::Indented, 0);
+    report.key("schema");
+    out += "\"nosq-sweep-v2\"";
+    report.key("insts");
+    jsonU64(out, insts);
+    report.key("baseline");
+    jsonString(out, red.baseline);
+    report.key("runs");
+    out += '[';
     for (std::size_t i = 0; i < results.size(); ++i) {
         out += i ? ",\n    " : "\n    ";
-        out += toJson(results[i], 4);
+        appendJson(out, results[i], JsonSpacing::Indented, 4);
     }
-    out += results.empty() ? "],\n" : "\n  ],\n";
-    out += "  \"reductions\": " + reductionsJson(red, 2) + "\n";
-    out += "}\n";
+    out += results.empty() ? "]" : "\n  ]";
+    report.key("reductions");
+    appendReductions(out, red, 2);
+    report.close();
+    out += '\n';
     return out;
 }
 
 // --- parsing ---------------------------------------------------------------
 
 const JsonValue *
-JsonValue::find(const std::string &key) const
+JsonValue::find(std::string_view key) const
 {
     if (kind != Kind::Object)
         return nullptr;
@@ -393,7 +517,7 @@ namespace {
 class JsonParser
 {
   public:
-    JsonParser(const std::string &text_, std::string *error_)
+    JsonParser(std::string_view text_, std::string *error_)
         : text(text_), error(error_)
     {}
 
@@ -420,11 +544,24 @@ class JsonParser
         return false;
     }
 
+    /** The "C"-locale isspace() set. */
+    static bool
+    isSpace(char c)
+    {
+        return c == ' ' || c == '\n' || c == '\t' || c == '\r' ||
+            c == '\v' || c == '\f';
+    }
+
+    static bool
+    isDigit(char c)
+    {
+        return c >= '0' && c <= '9';
+    }
+
     void
     skipSpace()
     {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
+        while (pos < text.size() && isSpace(text[pos]))
             ++pos;
     }
 
@@ -438,14 +575,23 @@ class JsonParser
         return false;
     }
 
-    bool
-    literal(const char *word, JsonValue &out, JsonValue::Kind kind,
-            bool boolean)
+    /** Advance past a run of digits; @return how many. */
+    std::size_t
+    digits()
     {
-        const std::size_t len = std::string(word).size();
-        if (text.compare(pos, len, word) != 0)
+        const std::size_t start = pos;
+        while (pos < text.size() && isDigit(text[pos]))
+            ++pos;
+        return pos - start;
+    }
+
+    bool
+    literal(std::string_view word, JsonValue &out,
+            JsonValue::Kind kind, bool boolean)
+    {
+        if (text.compare(pos, word.size(), word) != 0)
             return fail("invalid literal");
-        pos += len;
+        pos += word.size();
         out.kind = kind;
         out.boolean = boolean;
         return true;
@@ -456,14 +602,17 @@ class JsonParser
     {
         if (!consume('"'))
             return fail("expected '\"'");
-        while (pos < text.size()) {
-            const char c = text[pos++];
-            if (c == '"')
+        for (;;) {
+            // Bytes up to the next quote or escape go in as one run.
+            const std::size_t run = pos;
+            while (pos < text.size() && text[pos] != '"' &&
+                   text[pos] != '\\')
+                ++pos;
+            out.append(text.data() + run, pos - run);
+            if (pos >= text.size())
+                return fail("unterminated string");
+            if (text[pos++] == '"')
                 return true;
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
             if (pos >= text.size())
                 return fail("truncated escape");
             const char esc = text[pos++];
@@ -480,7 +629,7 @@ class JsonParser
                 if (pos + 4 > text.size())
                     return fail("truncated \\u escape");
                 const unsigned code = static_cast<unsigned>(
-                    std::strtoul(text.substr(pos, 4).c_str(),
+                    std::strtoul(std::string(text.substr(pos, 4)).c_str(),
                                  nullptr, 16));
                 pos += 4;
                 // Emitted strings only escape control bytes; decode
@@ -502,7 +651,6 @@ class JsonParser
                 return fail("unknown escape");
             }
         }
-        return fail("unterminated string");
     }
 
     bool
@@ -512,47 +660,31 @@ class JsonParser
         // permissive: it accepts "+1", "1.2" of "1.2.3", hex, inf).
         const std::size_t start = pos;
         consume('-');
-        std::size_t digits = 0;
-        while (pos < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[pos]))) {
-            ++pos;
-            ++digits;
-        }
-        if (digits == 0)
+        const std::size_t int_digits = digits();
+        if (int_digits == 0)
             return fail("expected number");
-        if (digits > 1 && text[start + (text[start] == '-')] == '0')
+        if (int_digits > 1 && text[start + (text[start] == '-')] == '0')
             return fail("leading zero in number");
-        if (consume('.')) {
-            digits = 0;
-            while (pos < text.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text[pos]))) {
-                ++pos;
-                ++digits;
-            }
-            if (digits == 0)
-                return fail("expected fraction digits");
-        }
+        if (consume('.') && digits() == 0)
+            return fail("expected fraction digits");
         if (pos < text.size() &&
             (text[pos] == 'e' || text[pos] == 'E')) {
             ++pos;
             if (pos < text.size() &&
                 (text[pos] == '+' || text[pos] == '-'))
                 ++pos;
-            digits = 0;
-            while (pos < text.size() &&
-                   std::isdigit(
-                       static_cast<unsigned char>(text[pos]))) {
-                ++pos;
-                ++digits;
-            }
-            if (digits == 0)
+            if (digits() == 0)
                 return fail("expected exponent digits");
         }
         out.kind = JsonValue::Kind::Number;
-        out.number =
-            std::strtod(text.substr(start, pos - start).c_str(),
-                        nullptr);
+        // from_chars rounds exactly as strtod does, in place. It
+        // leaves the value unset out of double range, where strtod
+        // gives its +-HUGE_VAL or underflowed result.
+        const char *const first = text.data() + start;
+        const char *const last = text.data() + pos;
+        if (std::from_chars(first, last, out.number).ec != std::errc())
+            out.number = std::strtod(std::string(first, last).c_str(),
+                                     nullptr);
         return true;
     }
 
@@ -591,17 +723,15 @@ class JsonParser
             return true;
         for (;;) {
             skipSpace();
-            std::string key;
-            if (!parseString(key))
+            // Key and value are parsed straight into their slot.
+            auto &member = out.object.emplace_back();
+            if (!parseString(member.first))
                 return false;
             skipSpace();
             if (!consume(':'))
                 return fail("expected ':'");
-            JsonValue value;
-            if (!parseValue(value))
+            if (!parseValue(member.second))
                 return false;
-            out.object.emplace_back(std::move(key),
-                                    std::move(value));
             skipSpace();
             if (consume(','))
                 continue;
@@ -620,10 +750,8 @@ class JsonParser
         if (consume(']'))
             return true;
         for (;;) {
-            JsonValue value;
-            if (!parseValue(value))
+            if (!parseValue(out.array.emplace_back()))
                 return false;
-            out.array.push_back(std::move(value));
             skipSpace();
             if (consume(','))
                 continue;
@@ -633,7 +761,7 @@ class JsonParser
         }
     }
 
-    const std::string &text;
+    const std::string_view text;
     std::string *error;
     std::size_t pos = 0;
 };
@@ -645,6 +773,7 @@ parseJson(const std::string &text, JsonValue &out, std::string *error)
 {
     if (error)
         error->clear();
+    out = JsonValue();
     JsonParser parser(text, error);
     return parser.parse(out);
 }

@@ -49,6 +49,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/experiment.hh"
@@ -125,15 +126,33 @@ computeReductions(const std::vector<RunResult> &results,
 bool writeTextFile(const std::string &path,
                    const std::string &contents);
 
-/** Escape @p s for inclusion in a JSON string literal. */
+/** Append @p s, escaped for a JSON string literal, to @p out. */
+void jsonEscape(std::string &out, std::string_view s);
 std::string jsonEscape(const std::string &s);
 
+/** Append @p s as a quoted JSON string literal. */
+void jsonString(std::string &out, std::string_view s);
+
+/** Append @p v as a JSON integer literal. */
+void jsonU64(std::string &out, std::uint64_t v);
+
 /**
- * Shortest round-tripping JSON literal for @p v. Non-finite values
- * serialize as "null" -- JSON has no NaN/Inf, and rewriting them to
- * a finite number would poison trajectory comparisons.
+ * Append the shortest round-tripping JSON literal for @p v: the
+ * "%.{p}g" rendering of the smallest precision p that reads back
+ * exactly (17 when none shorter does). Non-finite values serialize
+ * as "null" -- JSON has no NaN/Inf, and rewriting them to a finite
+ * number would poison trajectory comparisons.
  */
+void jsonNumber(std::string &out, double v);
 std::string jsonNumber(double v);
+
+/**
+ * The whitespace between an emitted object's tokens: the report's
+ * indented lines, those lines joined into one (runResultJsonLine),
+ * or none at all (runResultRecord). Only the whitespace differs;
+ * every token is the same.
+ */
+enum class JsonSpacing { Indented, OneLine, Compact };
 
 /**
  * Serialize one SimResult as a JSON object: the rows of
@@ -144,6 +163,10 @@ std::string toJson(const SimResult &r, int indent = 0);
 
 /** Serialize one RunResult (benchmark/suite/config + stats). */
 std::string toJson(const RunResult &r, int indent = 0);
+
+/** Append toJson(@p r, @p indent) to @p out, spaced by @p spacing. */
+void appendJson(std::string &out, const RunResult &r,
+                JsonSpacing spacing, int indent = 0);
 
 /**
  * Serialize a full sweep to the nosq-sweep-v2 schema, reductions
@@ -172,7 +195,7 @@ struct JsonValue
     std::vector<std::pair<std::string, JsonValue>> object;
 
     /** Object member lookup; nullptr if absent or not an object. */
-    const JsonValue *find(const std::string &key) const;
+    const JsonValue *find(std::string_view key) const;
 
     /** number, asserted integral-safe convenience accessor. */
     std::uint64_t
@@ -183,7 +206,8 @@ struct JsonValue
 };
 
 /**
- * Parse @p text as a single JSON document.
+ * Parse @p text as a single JSON document into @p out, replacing
+ * whatever @p out held.
  *
  * Supports the full emitted subset: objects, arrays, strings with
  * escapes, numbers (including exponents), true/false/null.

@@ -70,7 +70,7 @@ run="$sim --sweep=delay --bench gcc,g721.e --insts 20000"
 "$sweepd" --socket cli_fig.sock --store cli_fig_store.jsonl --workers 1 \
     --log cli_fig_daemon.log &
 daemon=$!
-trap 'kill $daemon 2>/dev/null' EXIT
+trap 'kill -KILL $daemon 2>/dev/null' EXIT
 for i in $(seq 1 100); do
     [ -S cli_fig.sock ] && break
     sleep 0.1

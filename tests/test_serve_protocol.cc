@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -158,8 +159,11 @@ mutate(const std::string &wire, const std::string &from,
     return out;
 }
 
+/** @p message, when given, is the exact error jobFromWire() must
+ * give. */
 void
-expectWireRejected(const std::string &wire, const char *what)
+expectWireRejected(const std::string &wire, const char *what,
+                   const char *message = nullptr)
 {
     JsonValue doc;
     std::string error;
@@ -168,6 +172,9 @@ expectWireRejected(const std::string &wire, const char *what)
     SweepJob rebuilt;
     EXPECT_FALSE(jobFromWire(doc, rebuilt, error)) << what;
     EXPECT_FALSE(error.empty()) << what;
+    if (message != nullptr) {
+        EXPECT_EQ(error, message) << what;
+    }
 }
 
 TEST(ServeProtocol, StrictParserRejectsBadJobFields)
@@ -214,7 +221,76 @@ TEST(ServeProtocol, StrictParserRejectsUnknownParamsKey)
     // fingerprinted tuple.
     expectWireRejected(
         mutate(wire, "\"svw\":", "\"not-a-field\":1,\"svw\":"),
-        "unknown params key");
+        "unknown params key", "unknown params field 'not-a-field'");
+}
+
+TEST(ServeProtocol, StrictParserRejectsDuplicateParamsKey)
+{
+    std::string error;
+    const std::string wire = jobToWire(profileJob(), &error);
+    ASSERT_FALSE(wire.empty()) << error;
+    // Which of two values would apply is not the sender's to leave
+    // open, so a repeat is rejected wherever it lands.
+    expectWireRejected(mutate(wire, "\"svw\":", "\"svw\":0,\"svw\":"),
+                       "repeated params key",
+                       "duplicate params field 'svw'");
+    expectWireRejected(mutate(wire, "\"params\":{",
+                              "\"params\":{\"rob\":128,"),
+                       "repeat ahead of its own position",
+                       "duplicate params field 'rob'");
+}
+
+TEST(ServeProtocol, StrictParserRejectsMissingParamsKey)
+{
+    std::string error;
+    const std::string wire = jobToWire(profileJob(), &error);
+    ASSERT_FALSE(wire.empty()) << error;
+    const std::size_t at = wire.find("\"svw\":");
+    ASSERT_NE(at, std::string::npos);
+    std::string cut = wire;
+    cut.erase(at, wire.find(',', at) + 1 - at);
+    expectWireRejected(cut, "missing params key",
+                       "params missing field 'svw'");
+}
+
+TEST(ServeProtocol, StrictParamsCheckIsLinearInTheKeyCount)
+{
+    // The daemon checks params inside its one poll loop, on requests
+    // of up to max_request_bytes. Comparing each out-of-place key
+    // with every earlier one would spend about 2e10 string compares
+    // on these 200k keys, a stall of minutes that this binary's ctest
+    // TIMEOUT fails; one pass over an index takes milliseconds.
+    std::string error;
+    std::string line = submitRequestLine({profileJob()}, &error);
+    ASSERT_FALSE(line.empty()) << error;
+    line.pop_back();
+    std::string extra;
+    for (int i = 0; i < 200000; ++i)
+        extra += "\"k" + std::to_string(i) + "\":1,";
+    Request req;
+    EXPECT_FALSE(parseRequestLine(
+        mutate(line, "\"params\":{", "\"params\":{" + extra), req,
+        error));
+    EXPECT_EQ(error, "job 0: unknown params field 'k0'");
+}
+
+TEST(ServeProtocol, ParamsInAnyOrderKeepTheFingerprint)
+{
+    // jobToWire() writes the params keys in forEachUarchField order;
+    // a sender that orders them otherwise names the same tuple.
+    for (const SweepJob &job : {profileJob(), memsysJob()}) {
+        std::string error;
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(jobToWire(job, &error), doc, &error))
+            << error;
+        for (auto &[key, member] : doc.object)
+            if (key == "params")
+                std::reverse(member.object.begin(),
+                             member.object.end());
+        SweepJob rebuilt;
+        ASSERT_TRUE(jobFromWire(doc, rebuilt, error)) << error;
+        EXPECT_EQ(jobFingerprint(rebuilt), jobFingerprint(job));
+    }
 }
 
 TEST(ServeProtocol, SubmitRequestRoundTrip)

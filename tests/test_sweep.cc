@@ -9,12 +9,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/journal.hh"
@@ -529,6 +534,45 @@ TEST(Report, ParserHandlesEmittedSubset)
     EXPECT_EQ(v.find("d")->kind, JsonValue::Kind::Null);
 }
 
+/** Deep equality of two parsed documents (numbers by bit pattern). */
+bool
+sameJson(const JsonValue &a, const JsonValue &b)
+{
+    if (a.kind != b.kind || a.boolean != b.boolean ||
+        std::memcmp(&a.number, &b.number, sizeof(a.number)) != 0 ||
+        a.string != b.string || a.array.size() != b.array.size() ||
+        a.object.size() != b.object.size())
+        return false;
+    for (std::size_t i = 0; i < a.array.size(); ++i)
+        if (!sameJson(a.array[i], b.array[i]))
+            return false;
+    for (std::size_t i = 0; i < a.object.size(); ++i)
+        if (a.object[i].first != b.object[i].first ||
+            !sameJson(a.object[i].second, b.object[i].second))
+            return false;
+    return true;
+}
+
+TEST(Report, ParserReplacesWhatTheValueHeld)
+{
+    // A loop that re-parses into one value must see each document
+    // alone, not appended to the ones before it.
+    const char *docs[] = {
+        "{\"a\": 1, \"b\": [1, 2], \"c\": \"x\"}",
+        "{\"a\": 2, \"c\": \"y\"}",
+        "[3, {\"a\": 4}]",
+        "\"text\"",
+        "5",
+    };
+    JsonValue reused;
+    for (const char *doc : docs) {
+        JsonValue fresh;
+        ASSERT_TRUE(parseJson(doc, fresh)) << doc;
+        ASSERT_TRUE(parseJson(doc, reused)) << doc;
+        EXPECT_TRUE(sameJson(reused, fresh)) << doc;
+    }
+}
+
 TEST(Report, ParserRejectsMalformedInput)
 {
     JsonValue v;
@@ -564,6 +608,81 @@ TEST(Report, NonFiniteNumbersEmitNull)
         -std::numeric_limits<double>::infinity()), "null");
     EXPECT_EQ(jsonNumber(1.5), "1.5");
     EXPECT_EQ(jsonNumber(0.0), "0");
+}
+
+/** The shortest-precision search jsonNumber() has always made,
+ * through snprintf and strtod: the reference it must match. */
+std::string
+referenceJsonNumber(double v)
+{
+    if (!std::isfinite(v))
+        return "null";
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    for (int precision = 1; precision < 17; ++precision) {
+        char probe[32];
+        std::snprintf(probe, sizeof(probe), "%.*g", precision, v);
+        if (std::strtod(probe, nullptr) == v)
+            return probe;
+    }
+    return buf;
+}
+
+TEST(Report, NumbersMatchThePrintfReference)
+{
+    std::vector<double> values = {
+        0.0, -0.0, 0.1, 0.2, 0.3, 1.0 / 3.0, 2.0 / 3.0, 5e-324,
+        -5e-324, 1e-323, DBL_MIN, -DBL_MIN, DBL_MAX, -DBL_MAX,
+        DBL_EPSILON, 0x1.fffffffffffffp-1023 /* largest subnormal */,
+        0x0.0000000000001p-1022, 123456789012345680.0,
+        9007199254740992.0, 9007199254740993.0, 0.8285690612312536,
+    };
+    for (int e = -1074; e <= 1023; ++e) {
+        values.push_back(std::ldexp(1.0, e));
+        values.push_back(-std::ldexp(1.0, e));
+    }
+    for (int e = 15; e <= 22; ++e) {
+        const double p = std::pow(10.0, e);
+        values.push_back(p);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(std::nextafter(p, HUGE_VAL));
+    }
+    std::mt19937_64 rng(20061209);
+    constexpr int per_kind = 1 << 18;
+    for (int i = 0; i < per_kind; ++i) {
+        // Any bit pattern: NaNs, infinities and subnormals included.
+        const std::uint64_t bits = rng();
+        double any;
+        std::memcpy(&any, &bits, sizeof(any));
+        values.push_back(any);
+        // [0, 1), as the emitter's ratios are.
+        const double unit = static_cast<double>(rng() >> 11) * 0x1p-53;
+        values.push_back(unit);
+        // Ratios of small integers, as derived statistics are.
+        values.push_back(static_cast<double>(rng() % 100000) /
+                         static_cast<double>(rng() % 1000 + 1));
+        values.push_back(std::ldexp(unit, i % 2 ? 100 : -100));
+    }
+    ASSERT_GE(values.size(), 1000000u);
+    // The reference costs ~10 us a value: split it over a few threads.
+    constexpr std::size_t threads = 4;
+    std::vector<std::vector<std::string>> mismatches(threads);
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+        pool.emplace_back([&, t] {
+            for (std::size_t i = t; i < values.size(); i += threads) {
+                const std::string want = referenceJsonNumber(values[i]);
+                const std::string got = jsonNumber(values[i]);
+                if (got != want)
+                    mismatches[t].push_back(want + " gave " + got);
+            }
+        });
+    }
+    for (std::thread &t : pool)
+        t.join();
+    for (const auto &found : mismatches)
+        EXPECT_TRUE(found.empty()) << found.size()
+                                   << " mismatches, first: " << found[0];
 }
 
 TEST(Report, InvalidRunIsFlaggedNotFaked)
