@@ -1,6 +1,6 @@
 /**
  * @file
- * Metrics registry bookkeeping and Prometheus text rendering (see
+ * Histogram bookkeeping and Prometheus text rendering (see
  * metrics.hh).
  */
 
@@ -8,9 +8,10 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
+
+#include "sim/report.hh"
 
 namespace nosq {
 namespace obs {
@@ -18,10 +19,11 @@ namespace obs {
 namespace {
 
 /**
- * Shortest decimal literal that strtod()s back to exactly @p v.
+ * Shortest decimal literal that reads back as exactly @p v.
  * Exposition values must round-trip (the round-trip unit test and
  * any scraper doing rate() math depend on it) without rendering
- * every gauge as a 17-digit monster.
+ * every gauge as a 17-digit monster. jsonNumber() runs the search;
+ * integers, NaN and the infinities keep their own spellings.
  */
 std::string
 fmtValue(double v)
@@ -34,61 +36,22 @@ fmtValue(double v)
         std::fabs(v) < 9.2e18) {
         return std::to_string(static_cast<long long>(v));
     }
-    char buf[64];
-    for (int prec = 1; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            break;
-    }
-    return buf;
+    return jsonNumber(v);
 }
 
-std::string
-fmtValue(std::uint64_t v)
+void
+appendSample(std::string &out, std::string_view name,
+             std::string_view labels, const std::string &value)
 {
-    return std::to_string(v);
-}
-
-/** Render a label block: {a="x",b="y"} or "" when empty. @p extra
- * appends one more pair (the histogram `le` bound). */
-std::string
-labelBlock(const MetricLabels &labels, const std::string &extra = "")
-{
-    if (labels.empty() && extra.empty())
-        return "";
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[key, value] : labels) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += key + "=\"";
-        for (char c : value) {
-            if (c == '\\' || c == '"')
-                out += '\\';
-            if (c == '\n') {
-                out += "\\n";
-                continue;
-            }
-            out += c;
-        }
-        out += "\"";
+    out += name;
+    if (!labels.empty()) {
+        out += '{';
+        out += labels;
+        out += '}';
     }
-    if (!extra.empty()) {
-        if (!first)
-            out += ",";
-        out += extra;
-    }
-    out += "}";
-    return out;
-}
-
-const char *
-kindName(bool is_counter, bool is_histogram)
-{
-    if (is_histogram)
-        return "histogram";
-    return is_counter ? "counter" : "gauge";
+    out += ' ';
+    out += value;
+    out += '\n';
 }
 
 } // anonymous namespace
@@ -131,108 +94,52 @@ defaultLatencyBucketsMs()
     return buckets;
 }
 
-// --- MetricsRegistry --------------------------------------------------------
+// --- rendering --------------------------------------------------------------
 
-MetricsRegistry::Series &
-MetricsRegistry::find(const std::string &name,
-                      const MetricLabels &labels, Kind kind,
-                      const std::string &help)
+void
+exposeHeader(std::string &out, std::string_view name,
+             std::string_view type, std::string_view help)
 {
-    for (Series &s : series_) {
-        if (s.name == name && s.labels == labels) {
-            assert(s.kind == kind &&
-                   "metric re-registered with a different kind");
-            return s;
-        }
+    out += "# HELP ";
+    out += name;
+    out += ' ';
+    out += help;
+    out += "\n# TYPE ";
+    out += name;
+    out += ' ';
+    out += type;
+    out += '\n';
+}
+
+void
+exposeSample(std::string &out, std::string_view name,
+             std::string_view labels, double value)
+{
+    appendSample(out, name, labels, fmtValue(value));
+}
+
+void
+exposeSample(std::string &out, std::string_view name,
+             std::string_view labels, std::uint64_t value)
+{
+    appendSample(out, name, labels, std::to_string(value));
+}
+
+void
+exposeHistogram(std::string &out, std::string_view name,
+                const Histogram &h)
+{
+    const std::string bucket = std::string(name) + "_bucket";
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
+        cumulative += h.bucketCount(i);
+        const std::string le = i < h.bounds().size()
+                                   ? fmtValue(h.bounds()[i])
+                                   : std::string("+Inf");
+        exposeSample(out, bucket, "le=\"" + le + "\"", cumulative);
     }
-    series_.emplace_back();
-    Series &s = series_.back();
-    s.name = name;
-    s.help = help;
-    s.labels = labels;
-    s.kind = kind;
-    return s;
-}
-
-Counter &
-MetricsRegistry::counter(const std::string &name,
-                         const std::string &help,
-                         const MetricLabels &labels)
-{
-    return find(name, labels, Kind::Counter, help).counter;
-}
-
-Gauge &
-MetricsRegistry::gauge(const std::string &name,
-                       const std::string &help,
-                       const MetricLabels &labels)
-{
-    return find(name, labels, Kind::Gauge, help).gauge;
-}
-
-Histogram &
-MetricsRegistry::histogram(const std::string &name,
-                           const std::string &help,
-                           const std::vector<double> &bounds,
-                           const MetricLabels &labels)
-{
-    Series &s = find(name, labels, Kind::Histogram, help);
-    if (s.histogram.empty())
-        s.histogram.emplace_back(bounds);
-    return s.histogram.front();
-}
-
-std::string
-MetricsRegistry::expose() const
-{
-    std::string out;
-    // HELP/TYPE headers are emitted once per metric name, on its
-    // first series -- Prometheus rejects duplicate headers when a
-    // name fans out over labels (the fault-site counters do).
-    std::vector<std::string> headered;
-    for (const Series &s : series_) {
-        bool seen = false;
-        for (const std::string &name : headered)
-            seen = seen || name == s.name;
-        if (!seen) {
-            headered.push_back(s.name);
-            out += "# HELP " + s.name + " " + s.help + "\n";
-            out += "# TYPE " + s.name + " " +
-                   kindName(s.kind == Kind::Counter,
-                            s.kind == Kind::Histogram) +
-                   "\n";
-        }
-        switch (s.kind) {
-          case Kind::Counter:
-            out += s.name + labelBlock(s.labels) + " " +
-                   fmtValue(s.counter.value()) + "\n";
-            break;
-          case Kind::Gauge:
-            out += s.name + labelBlock(s.labels) + " " +
-                   fmtValue(s.gauge.value()) + "\n";
-            break;
-          case Kind::Histogram: {
-            const Histogram &h = s.histogram.front();
-            std::uint64_t cumulative = 0;
-            for (std::size_t i = 0; i <= h.bounds().size(); ++i) {
-                cumulative += h.bucketCount(i);
-                const std::string le =
-                    i < h.bounds().size()
-                        ? fmtValue(h.bounds()[i])
-                        : std::string("+Inf");
-                out += s.name + "_bucket" +
-                       labelBlock(s.labels, "le=\"" + le + "\"") +
-                       " " + fmtValue(cumulative) + "\n";
-            }
-            out += s.name + "_sum" + labelBlock(s.labels) + " " +
-                   fmtValue(h.sum()) + "\n";
-            out += s.name + "_count" + labelBlock(s.labels) + " " +
-                   fmtValue(h.count()) + "\n";
-            break;
-          }
-        }
-    }
-    return out;
+    exposeSample(out, std::string(name) + "_sum", "", h.sum());
+    exposeSample(out, std::string(name) + "_count", "", h.count());
 }
 
 // --- parsing ----------------------------------------------------------------

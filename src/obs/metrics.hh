@@ -1,29 +1,25 @@
 /**
  * @file
- * A small metrics registry with Prometheus text exposition.
- *
- * Three series kinds -- monotonic counters, set-anywhere gauges, and
- * fixed-bucket latency histograms -- registered by name (plus an
- * optional label set) in a MetricsRegistry and rendered in the
- * Prometheus text exposition format (version 0.0.4):
+ * Prometheus text exposition (format 0.0.4): fixed-bucket latency
+ * histograms, the writers that render metric families, and the
+ * parser that reads a rendered text back.
  *
  *   # HELP nosq_pending_jobs Jobs queued behind the worker pool.
  *   # TYPE nosq_pending_jobs gauge
  *   nosq_pending_jobs 3
+ *   # HELP nosq_job_service_time_ms Per-job service time.
  *   # TYPE nosq_job_service_time_ms histogram
  *   nosq_job_service_time_ms_bucket{le="50"} 2
  *   nosq_job_service_time_ms_bucket{le="+Inf"} 8
  *   nosq_job_service_time_ms_sum 1934
  *   nosq_job_service_time_ms_count 8
  *
- * The registry is the serving daemon's scrape surface (the `metrics`
- * verb in nosq-serve-v1, see serve/dispatcher.hh) but deliberately
- * knows nothing about serving: it is plain bookkeeping plus a
- * renderer, so unit tests and future subsystems can use it directly.
- *
- * Not thread-safe by design: the daemon is single-threaded (one
- * poll() loop owns all state), so locking here would be pure
- * overhead. Guard access externally if that ever changes.
+ * There is no registry: a scrape is rendered straight from the
+ * values its owner already holds (the serving daemon's is
+ * metricsExposition(), serve/protocol.hh). The format wants one
+ * HELP/TYPE header per family with all of the family's samples
+ * right after it; the caller writes exposeHeader() once and then
+ * every sample of that family.
  *
  * parseExposition() is the inverse for tests and tooling: it reads
  * the rendered text back into (series, value) samples so an
@@ -35,64 +31,11 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 namespace nosq {
 namespace obs {
-
-/** One key="value" label pair on a series. */
-using MetricLabels = std::vector<std::pair<std::string, std::string>>;
-
-/** Monotonically increasing counter. */
-class Counter
-{
-  public:
-    void
-    inc(std::uint64_t by = 1)
-    {
-        value_ += by;
-    }
-
-    /** Counters only move forward; set() exists for mirroring an
-     * externally accumulated total (e.g. a fault-injection hit
-     * count) and asserts the monotonic contract is kept. */
-    void
-    set(std::uint64_t total)
-    {
-        if (total > value_)
-            value_ = total;
-    }
-
-    std::uint64_t
-    value() const
-    {
-        return value_;
-    }
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** A gauge: a value that can go anywhere at any time. */
-class Gauge
-{
-  public:
-    void
-    set(double v)
-    {
-        value_ = v;
-    }
-
-    double
-    value() const
-    {
-        return value_;
-    }
-
-  private:
-    double value_ = 0.0;
-};
 
 /**
  * Fixed-bucket histogram. Buckets are the upper bounds handed to the
@@ -141,48 +84,26 @@ class Histogram
  * different daemons are always comparable. */
 const std::vector<double> &defaultLatencyBucketsMs();
 
+/** Append the `# HELP` and `# TYPE` lines that open family @p name;
+ * @p type is "counter", "gauge" or "histogram". */
+void exposeHeader(std::string &out, std::string_view name,
+                  std::string_view type, std::string_view help);
+
 /**
- * The registry: named series in registration order. counter() /
- * gauge() / histogram() get-or-create, so call sites can look their
- * series up every time without caching pointers; re-registering an
- * existing (name, labels) pair returns the same series (the help
- * text and bucket layout of the first registration win).
+ * Append one sample line, `name{labels} value`. @p labels is the
+ * rendered label list without braces (`site="sock.read"`), empty
+ * for none. A value renders as the shortest decimal that reads back
+ * exactly (integers without a fraction, NaN and +Inf/-Inf by name).
  */
-class MetricsRegistry
-{
-  public:
-    Counter &counter(const std::string &name, const std::string &help,
-                     const MetricLabels &labels = {});
-    Gauge &gauge(const std::string &name, const std::string &help,
-                 const MetricLabels &labels = {});
-    Histogram &histogram(const std::string &name,
-                         const std::string &help,
-                         const std::vector<double> &bounds =
-                             defaultLatencyBucketsMs(),
-                         const MetricLabels &labels = {});
+void exposeSample(std::string &out, std::string_view name,
+                  std::string_view labels, double value);
+void exposeSample(std::string &out, std::string_view name,
+                  std::string_view labels, std::uint64_t value);
 
-    /** Render every registered series as Prometheus text. */
-    std::string expose() const;
-
-  private:
-    enum class Kind { Counter, Gauge, Histogram };
-
-    struct Series
-    {
-        std::string name;
-        std::string help;
-        MetricLabels labels;
-        Kind kind = Kind::Counter;
-        Counter counter;
-        Gauge gauge;
-        std::vector<Histogram> histogram; ///< 0 or 1 entries
-    };
-
-    Series &find(const std::string &name, const MetricLabels &labels,
-                 Kind kind, const std::string &help);
-
-    std::vector<Series> series_;
-};
+/** Append @p h's samples under family @p name: the cumulative
+ * `_bucket` lines, `_sum` and `_count`. */
+void exposeHistogram(std::string &out, std::string_view name,
+                     const Histogram &h);
 
 /** One parsed sample line of an exposition. */
 struct ExpositionSample

@@ -63,51 +63,29 @@ connectTo(const std::string &socket_path, std::string &error)
     }
 }
 
+/** Send @p data on the blocking @p link. */
 bool
-sendAll(int fd, const std::string &data, std::string &error)
+sendAll(LineChannel &link, const std::string &data, std::string &error)
 {
-    std::size_t sent = 0;
-    while (sent < data.size()) {
-        const ssize_t n = faultSend(fd, data.data() + sent,
-                                    data.size() - sent,
-                                    MSG_NOSIGNAL);
-        if (n > 0) {
-            sent += static_cast<std::size_t>(n);
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        error = "send failed: " + std::string(std::strerror(errno));
-        return false;
-    }
-    return true;
+    link.queue(data);
+    if (link.flush() == LineChannel::Io::Done)
+        return true;
+    error = "send failed: " + std::string(std::strerror(errno));
+    return false;
 }
 
-/** Read one '\n'-terminated line (buffered across calls). */
+/** Block until the next line arrives on @p link. */
 bool
-readLine(int fd, std::string &buffer, std::string &line,
-         std::string &error)
+readLine(LineChannel &link, std::string &line, std::string &error)
 {
-    for (;;) {
-        const std::size_t nl = buffer.find('\n');
-        if (nl != std::string::npos) {
-            line = buffer.substr(0, nl);
-            buffer.erase(0, nl + 1);
-            return true;
-        }
-        char chunk[1 << 16];
-        const ssize_t got = faultRead(fd, chunk, sizeof(chunk));
-        if (got > 0) {
-            buffer.append(chunk, static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got < 0 && errno == EINTR)
-            continue;
-        if (got == 0)
-            error = "server closed the connection mid-stream";
-        else
-            error = "read failed: " +
-                    std::string(std::strerror(errno));
+    switch (link.readLine(line)) {
+      case LineChannel::Io::Done:
+        return true;
+      case LineChannel::Io::Closed:
+        error = "server closed the connection mid-stream";
+        return false;
+      default:
+        error = "read failed: " + std::string(std::strerror(errno));
         return false;
     }
 }
@@ -121,11 +99,8 @@ requestReply(const std::string &socket_path, const std::string &request,
     const int fd = connectTo(socket_path, error);
     if (fd < 0)
         return false;
-    std::string buffer;
-    const bool ok = sendAll(fd, request, error) &&
-                    readLine(fd, buffer, reply, error);
-    close(fd);
-    return ok;
+    LineChannel link(fd, faultRead, faultSend);
+    return sendAll(link, request, error) && readLine(link, reply, error);
 }
 
 enum class Attempt {
@@ -149,41 +124,29 @@ attemptSweep(const std::string &socket_path,
     const int fd = connectTo(socket_path, error);
     if (fd < 0)
         return Attempt::Retry;
-    if (!sendAll(fd, request, error)) {
-        close(fd);
-        return Attempt::Retry;
-    }
-
-    std::string buffer, line;
-
+    LineChannel link(fd, faultRead, faultSend);
+    std::string line;
     // Ack first.
-    if (!readLine(fd, buffer, line, error)) {
-        close(fd);
+    if (!sendAll(link, request, error) || !readLine(link, line, error))
         return Attempt::Retry;
-    }
     JsonValue ack;
-    if (!parseJson(line, ack, nullptr) ||
-        ack.kind != JsonValue::Kind::Object) {
+    std::string reason;
+    switch (checkReplyLine(line, ack, reason)) {
+      case ReplyCheck::Malformed:
         error = "unparseable server reply: " + line;
-        close(fd);
         return Attempt::Fatal;
-    }
-    if (const JsonValue *okv = ack.find("ok");
-        okv == nullptr || okv->kind != JsonValue::Kind::Bool ||
-        !okv->boolean) {
-        const JsonValue *msg = ack.find("error");
-        const std::string reason =
-            msg != nullptr && msg->kind == JsonValue::Kind::String
-                ? msg->string
-                : line;
+      case ReplyCheck::Refused:
+        if (reason.empty())
+            reason = line;
         error = "server refused the sweep: " + reason;
-        close(fd);
         // Load shedding and shutdown are the daemon's way of
         // saying "not now" -- back off and try again.
         return reason.rfind("draining", 0) == 0 ||
                        reason.rfind("overloaded", 0) == 0
                    ? Attempt::Retry
                    : Attempt::Fatal;
+      case ReplyCheck::Ok:
+        break;
     }
     if (const JsonValue *t = ack.find("ticket");
         t != nullptr && t->kind == JsonValue::Kind::String)
@@ -198,10 +161,8 @@ attemptSweep(const std::string &socket_path,
 
     // Stream until every job (across all attempts) is in.
     while (delivered < jobs.size()) {
-        if (!readLine(fd, buffer, line, error)) {
-            close(fd);
+        if (!readLine(link, line, error))
             return Attempt::Retry;
-        }
         JobResult result;
         std::string parse_error;
         if (!parseJobResultLine(line, result, parse_error) ||
@@ -209,7 +170,6 @@ attemptSweep(const std::string &socket_path,
             error = "bad server stream line (" +
                     (parse_error.empty() ? "job index" : parse_error) +
                     "): " + line;
-            close(fd);
             return Attempt::Fatal;
         }
         const std::size_t index = *result.index;
@@ -228,8 +188,6 @@ attemptSweep(const std::string &socket_path,
             progress(delivered, jobs.size(),
                      static_cast<std::size_t>(index));
     }
-
-    close(fd);
     return Attempt::Done;
 }
 

@@ -53,15 +53,6 @@ logLine(const char *format, ...)
     va_end(args);
 }
 
-/** Close @p fd if open and mark it closed. */
-void
-closeFd(int &fd)
-{
-    if (fd >= 0)
-        close(fd);
-    fd = -1;
-}
-
 /** Monotonic clock with sub-ms resolution for latency histograms. */
 double
 nowMsF()
@@ -83,10 +74,6 @@ Dispatcher::Dispatcher(DispatcherOptions options)
 Dispatcher::~Dispatcher()
 {
     shutdownWorkers();
-    for (auto &[fd, client] : clients) {
-        (void)client;
-        close(fd);
-    }
     if (listen_fd >= 0) {
         close(listen_fd);
         unlink(opts.socketPath.c_str());
@@ -114,16 +101,7 @@ Dispatcher::init(std::string &error)
         logLine("%s", warning.c_str());
     logLine("store '%s': %zu cached result(s)",
             store.path().c_str(), store.size());
-
-    // Register every series up front, in exposition order, so the
-    // very first scrape already carries each documented one (at
-    // zero). Fault counters are per-site labelled children and
-    // register at scrape time, only while a plan is active.
     start_ms = nowMs();
-    setServeMetrics(metrics, ServerStatus{});
-    metrics.histogram(submit_latency_metric.name,
-                      submit_latency_metric.help);
-    metrics.histogram(service_time_metric.name, service_time_metric.help);
 
     struct sockaddr_un addr;
     std::memset(&addr, 0, sizeof(addr));
@@ -211,8 +189,8 @@ Dispatcher::spawnWorker(std::size_t slot, std::string &error)
             close(fd);
         }
         for (const Worker &other : workers) {
-            if (other.fd >= 0)
-                close(other.fd);
+            if (other.link.open())
+                close(other.link.fd());
         }
         close(ends[0]);
         if (store.descriptor() >= 0)
@@ -232,9 +210,9 @@ Dispatcher::spawnWorker(std::size_t slot, std::string &error)
     }
     close(ends[1]);
     fcntl(ends[0], F_SETFL, O_NONBLOCK);
-    worker.fd = ends[0];
-    worker.inbuf.clear();  // a torn frame of the previous worker
-    worker.outbuf.clear(); // jobs it never read; requeued already
+    // Fresh buffers: a torn frame of the previous worker and the
+    // jobs it never read (requeued already) go with the old link.
+    worker.link = LineChannel(ends[0], read, send);
     worker.pid = pid;
     worker.alive = true;
     worker.wedged = false;
@@ -265,7 +243,7 @@ Dispatcher::run()
             bool flushed = true;
             for (const auto &[fd, client] : clients) {
                 (void)fd;
-                if (!client.outbuf.empty())
+                if (client.link.hasOutput())
                     flushed = false;
             }
             if (execs.empty() && flushed) {
@@ -288,17 +266,17 @@ Dispatcher::run()
         fds.push_back({listen_fd, POLLIN, 0});
         for (std::size_t slot = 0; slot < workers.size(); ++slot) {
             const Worker &worker = workers[slot];
-            if (worker.fd < 0)
+            if (!worker.link.open())
                 continue;
             short events = POLLIN;
-            if (!worker.outbuf.empty())
+            if (worker.link.hasOutput())
                 events |= POLLOUT;
-            fds.push_back({worker.fd, events, 0});
+            fds.push_back({worker.link.fd(), events, 0});
             slots.push_back(slot);
         }
         for (const auto &[fd, client] : clients) {
             short events = POLLIN;
-            if (!client.outbuf.empty())
+            if (client.link.hasOutput())
                 events |= POLLOUT;
             fds.push_back({fd, events, 0});
         }
@@ -362,7 +340,7 @@ Dispatcher::acceptClients()
         if (fd < 0)
             return;
         fcntl(fd, F_SETFL, O_NONBLOCK);
-        clients.emplace(fd, Client());
+        clients.emplace(fd, Client{LineChannel(fd, faultRead, faultSend)});
     }
 }
 
@@ -373,51 +351,27 @@ Dispatcher::readClient(int fd)
     if (it == clients.end())
         return;
     Client &client = it->second;
-
-    char buffer[1 << 16];
     for (;;) {
-        const ssize_t got = faultRead(fd, buffer, sizeof(buffer));
-        if (got > 0) {
-            client.inbuf.append(buffer,
-                                static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got == 0) {
+        const LineChannel::Io io = client.link.fill();
+        if (io == LineChannel::Io::Again)
+            break;
+        if (io != LineChannel::Io::Done) {
             closeClient(fd);
             return;
         }
-        if (errno == EINTR)
-            continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-        closeClient(fd);
-        return;
     }
 
-    if (client.inbuf.size() > max_request_bytes &&
-        client.inbuf.find('\n') == std::string::npos) {
-        // Mid-line resync is not reliable; answer and hang up.
-        client.outbuf += errorReplyLine(
-            "request line exceeds " +
-            std::to_string(max_request_bytes) + " bytes");
-        client.closing = true;
-        client.inbuf.clear();
-        return;
-    }
-
-    std::size_t pos = 0;
-    for (;;) {
-        const std::size_t nl = client.inbuf.find('\n', pos);
-        if (nl == std::string::npos)
-            break;
-        const std::string line =
-            client.inbuf.substr(pos, nl - pos);
-        pos = nl + 1;
+    std::string line;
+    while (client.link.nextLine(line))
         handleLine(fd, line);
-        if (clients.find(fd) == clients.end())
-            return; // handler closed the connection
+    if (client.link.partialBytes() > max_request_bytes) {
+        // Mid-line resync is not reliable; answer and hang up.
+        client.link.queue(errorReplyLine(
+            "request line exceeds " +
+            std::to_string(max_request_bytes) + " bytes"));
+        client.closing = true;
+        client.link.discardInput();
     }
-    client.inbuf.erase(0, pos);
 }
 
 void
@@ -426,17 +380,14 @@ Dispatcher::handleLine(int fd, const std::string &line)
     Request request;
     std::string error;
     if (!parseRequestLine(line, request, error)) {
-        clients[fd].outbuf += errorReplyLine(error);
+        clients[fd].link.queue(errorReplyLine(error));
         return;
     }
     switch (request.op) {
       case Request::Op::Submit: {
         const double t0 = nowMsF();
         handleSubmit(fd, request);
-        metrics
-            .histogram(submit_latency_metric.name,
-                       submit_latency_metric.help)
-            .observe(nowMsF() - t0);
+        submit_latency.observe(nowMsF() - t0);
         break;
       }
       case Request::Op::Status:
@@ -452,9 +403,9 @@ void
 Dispatcher::handleSubmit(int fd, const Request &request)
 {
     if (draining) {
-        clients[fd].outbuf += errorReplyLine(
+        clients[fd].link.queue(errorReplyLine(
             "draining: the daemon is shutting down; retry against "
-            "its replacement");
+            "its replacement"));
         return;
     }
 
@@ -476,9 +427,9 @@ Dispatcher::handleSubmit(int fd, const Request &request)
         ++stats.overloaded;
         logLine("submit shed: %zu pending >= --max-pending %zu",
                 pending.size(), opts.maxPending);
-        clients[fd].outbuf += errorReplyLine(
+        clients[fd].link.queue(errorReplyLine(
             "overloaded: " + std::to_string(pending.size()) +
-            " job(s) already pending; back off and retry");
+            " job(s) already pending; back off and retry"));
         return;
     }
 
@@ -524,11 +475,11 @@ Dispatcher::handleSubmit(int fd, const Request &request)
     }
 
     Client &client = clients[fd];
-    client.outbuf += submitAckLine(ticket, request.jobs.size(),
-                                   cached, shared);
-    client.outbuf += streamed;
+    client.link.queue(
+        submitAckLine(ticket, request.jobs.size(), cached, shared));
+    client.link.queue(streamed);
     if (t.delivered == t.jobs) {
-        client.outbuf += doneLine(ticket, t.jobs);
+        client.link.queue(doneLine(ticket, t.jobs));
         tickets.erase(ticket);
     }
     logLine("%s: %zu job(s), %zu cached, %zu shared, %zu queued",
@@ -571,72 +522,36 @@ Dispatcher::snapshot() const
 void
 Dispatcher::handleStatus(int fd)
 {
-    clients[fd].outbuf += statusReplyLine(snapshot());
+    clients[fd].link.queue(statusReplyLine(snapshot()));
 }
 
 void
 Dispatcher::handleMetrics(int fd)
 {
     ++stats.scrapes;
-    setServeMetrics(metrics, snapshot());
-
-    // One labelled child per planned fault site, mirroring the
-    // shared-memory hit/fired totals the status verb dumps as JSON.
-    const FaultInjector &faults = FaultInjector::global();
-    if (faults.enabled()) {
-        for (std::size_t i = 0; i < fault_site_count; ++i) {
-            const FaultSite site = static_cast<FaultSite>(i);
-            if (!faults.planned(site))
-                continue;
-            const obs::MetricLabels labels = {
-                {"site", faultSiteName(site)}};
-            metrics
-                .counter(fault_hits_metric.name, fault_hits_metric.help,
-                         labels)
-                .set(faults.hits(site));
-            metrics
-                .counter(fault_fired_metric.name,
-                         fault_fired_metric.help, labels)
-                .set(faults.fired(site));
-        }
-    }
-
-    clients[fd].outbuf += metricsReplyLine(metrics.expose());
+    // The fault families read the same per-site counters the status
+    // verb dumps as JSON.
+    clients[fd].link.queue(metricsReplyLine(
+        metricsExposition(snapshot(), FaultInjector::global(),
+                          submit_latency, service_time)));
 }
 
 void
 Dispatcher::readWorker(std::size_t slot)
 {
-    // Plain read(), not the sock.read fault seam: fault plans count
-    // client I/O only.
-    Worker &worker = workers[slot];
-    char buffer[1 << 16];
-    while (worker.fd >= 0) {
-        const ssize_t got = read(worker.fd, buffer, sizeof(buffer));
-        if (got > 0) {
-            worker.inbuf.append(buffer,
-                                static_cast<std::size_t>(got));
-            continue;
-        }
-        if (got < 0 && errno == EINTR)
-            continue;
-        if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+    LineChannel &link = workers[slot].link;
+    while (link.open()) {
+        const LineChannel::Io io = link.fill();
+        if (io == LineChannel::Io::Again)
             break;
         // EOF or error: the worker is gone or going. Stop polling;
         // waitpid() alone reports the death and requeues its jobs.
-        closeFd(worker.fd);
+        if (io != LineChannel::Io::Done)
+            link.close();
     }
-
-    std::size_t pos = 0;
-    for (;;) {
-        const std::size_t nl = worker.inbuf.find('\n', pos);
-        if (nl == std::string::npos)
-            break;
-        const std::string line = worker.inbuf.substr(pos, nl - pos);
-        pos = nl + 1;
+    std::string line;
+    while (link.nextLine(line))
         handleWorkerFrame(slot, line);
-    }
-    worker.inbuf.erase(0, pos);
 }
 
 void
@@ -661,10 +576,8 @@ Dispatcher::handleWorkerFrame(std::size_t slot, const std::string &line)
         return;
     }
     worker.inflight.erase(held);
-    metrics
-        .histogram(service_time_metric.name, service_time_metric.help)
-        .observe(static_cast<double>(nowMs() -
-                                     execs.at(fp).dispatchedAtMs));
+    service_time.observe(
+        static_cast<double>(nowMs() - execs.at(fp).dispatchedAtMs));
     ++stats.executed;
     if (result.error.empty()) {
         store.put(fp, result.run);
@@ -687,16 +600,14 @@ Dispatcher::deliver(const std::string &fp, const RunResult *run,
         auto tit = tickets.find(waiter.ticket);
         if (cit == clients.end() || tit == tickets.end())
             continue; // client hung up before completion
+        LineChannel &link = cit->second.link;
         if (run != nullptr)
-            cit->second.outbuf +=
-                jobResultLine(waiter.index, fp, *run);
+            link.queue(jobResultLine(waiter.index, fp, *run));
         else
-            cit->second.outbuf += jobErrorLine(
-                waiter.index, fp, error_message);
+            link.queue(jobErrorLine(waiter.index, fp, error_message));
         Ticket &ticket = tit->second;
         if (++ticket.delivered == ticket.jobs) {
-            cit->second.outbuf +=
-                doneLine(waiter.ticket, ticket.jobs);
+            link.queue(doneLine(waiter.ticket, ticket.jobs));
             tickets.erase(tit);
         }
     }
@@ -738,7 +649,7 @@ Dispatcher::reapWorkers()
             // the rest.
             readWorker(slot);
             requeueWorkerJobs(slot, death_reason);
-            closeFd(worker.fd);
+            worker.link.close();
             worker.pid = -1;
             std::string error;
             if (!spawnWorker(slot, error))
@@ -824,7 +735,7 @@ Dispatcher::feedWorkers()
     for (std::size_t slot = 0;
          slot < workers.size() && !pending.empty(); ++slot) {
         Worker &worker = workers[slot];
-        if (!worker.alive || worker.fd < 0)
+        if (!worker.alive || !worker.link.open())
             continue;
         while (!pending.empty() &&
                worker.inflight.size() < max_inflight_per_worker) {
@@ -832,9 +743,9 @@ Dispatcher::feedWorkers()
             const std::uint64_t now = nowMs();
             if (worker.inflight.empty())
                 worker.lastFrameAtMs = now;
-            worker.outbuf += workerJobLine(
+            worker.link.queue(workerJobLine(
                 exec.job,
-                FaultInjector::global().check(FaultSite::WorkerJob));
+                FaultInjector::global().check(FaultSite::WorkerJob)));
             exec.dispatchedAtMs = now;
             ++exec.attempts;
             worker.inflight.push_back(std::move(pending.front()));
@@ -846,22 +757,10 @@ Dispatcher::feedWorkers()
 void
 Dispatcher::flushWorkers()
 {
-    // Plain send(), not the sock.write fault seam (see readWorker).
     for (Worker &worker : workers) {
-        while (worker.fd >= 0 && !worker.outbuf.empty()) {
-            const ssize_t sent =
-                send(worker.fd, worker.outbuf.data(),
-                     worker.outbuf.size(), MSG_NOSIGNAL);
-            if (sent > 0) {
-                worker.outbuf.erase(0, static_cast<std::size_t>(sent));
-                continue;
-            }
-            if (sent < 0 && errno == EINTR)
-                continue;
-            if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-                break;
-            closeFd(worker.fd); // gone; waitpid() reports it
-        }
+        if (worker.link.open() &&
+            worker.link.flush() == LineChannel::Io::Error)
+            worker.link.close(); // gone; waitpid() reports it
     }
 }
 
@@ -870,25 +769,8 @@ Dispatcher::flushClients()
 {
     std::vector<int> to_close;
     for (auto &[fd, client] : clients) {
-        while (!client.outbuf.empty()) {
-            const ssize_t sent =
-                faultSend(fd, client.outbuf.data(),
-                          client.outbuf.size(), MSG_NOSIGNAL);
-            if (sent > 0) {
-                client.outbuf.erase(
-                    0, static_cast<std::size_t>(sent));
-                continue;
-            }
-            if (sent < 0 && errno == EINTR)
-                continue;
-            if (sent < 0 &&
-                (errno == EAGAIN || errno == EWOULDBLOCK))
-                break;
-            to_close.push_back(fd);
-            client.outbuf.clear();
-            break;
-        }
-        if (client.closing && client.outbuf.empty())
+        if (client.link.flush() == LineChannel::Io::Error ||
+            (client.closing && !client.link.hasOutput()))
             to_close.push_back(fd);
     }
     for (int fd : to_close)
@@ -899,7 +781,6 @@ void
 Dispatcher::closeClient(int fd)
 {
     clients.erase(fd);
-    close(fd);
     // Orphan this client's tickets; running executions continue
     // (their results still warm the store).
     for (auto it = tickets.begin(); it != tickets.end();) {
@@ -915,7 +796,7 @@ Dispatcher::shutdownWorkers()
 {
     // EOF on its socket is a worker's stop signal.
     for (Worker &worker : workers)
-        closeFd(worker.fd);
+        worker.link.close();
     for (Worker &worker : workers) {
         if (!worker.alive)
             continue;

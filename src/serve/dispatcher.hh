@@ -6,8 +6,8 @@
  *
  * One poll() loop owns everything -- no threads, no locks. Each
  * worker is connected by one socketpair that carries newline-framed
- * jobs down and results up (protocol.hh); the daemon's end is
- * non-blocking and buffered like a client connection. The loop
+ * jobs down and results up (protocol.hh); the daemon's end is a
+ * non-blocking LineChannel like a client connection's. The loop
  * sleeps on the client sockets and every live worker socket, so a
  * finished job is forwarded at once. Each iteration: accept/read
  * clients, parse complete request lines, read worker result frames,
@@ -107,9 +107,9 @@ class Dispatcher
   private:
     struct Client
     {
-        std::string inbuf;
-        std::string outbuf;
-        /** Close once outbuf drains (protocol error). */
+        /** Through the sock.* fault seams. */
+        LineChannel link;
+        /** Close once the output drains (protocol error). */
         bool closing = false;
     };
 
@@ -153,11 +153,10 @@ class Dispatcher
     struct Worker
     {
         pid_t pid = -1;
-        /** The daemon's end of the worker's socketpair; -1 once it
-         * is closed (EOF, write error, death or shutdown). */
-        int fd = -1;
-        std::string inbuf;  ///< result frames not yet split
-        std::string outbuf; ///< job frames not yet written
+        /** The daemon's end of the worker's socketpair, plain
+         * read/send; closed on EOF, write error, death or
+         * shutdown. */
+        LineChannel link;
         /** When the worker last got a job with nothing in flight or
          * last sent a frame; the heartbeat timeout counts from it. */
         std::uint64_t lastFrameAtMs = 0;
@@ -220,9 +219,9 @@ class Dispatcher
     /** The counters of the status reply and the scrape; snapshot()
      * fills in the sampled fields. */
     ServerStatus stats;
-    /** Series per serve_stats.hh: the rows' series are set from a
-     * snapshot at scrape time, the histograms observe live. */
-    obs::MetricsRegistry metrics;
+    /** The scrape's histograms, observed live. */
+    obs::Histogram submit_latency{obs::defaultLatencyBucketsMs()};
+    obs::Histogram service_time{obs::defaultLatencyBucketsMs()};
     std::uint64_t start_ms = 0;
 };
 

@@ -5,6 +5,7 @@
 
 #include "serve/protocol.hh"
 
+#include <cerrno>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -13,8 +14,10 @@
 #include <unordered_map>
 #include <vector>
 
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include "memsys/coherence.hh"
-#include "obs/metrics.hh"
 #include "ooo/uarch_params.hh"
 #include "sim/journal.hh"
 #include "sim/sampling.hh"
@@ -510,29 +513,42 @@ metricsReplyLine(const std::string &exposition)
            quoted(exposition) + "}\n";
 }
 
+ReplyCheck
+checkReplyLine(const std::string &line, JsonValue &reply,
+               std::string &detail)
+{
+    detail.clear();
+    if (!parseJson(line, reply, &detail))
+        return ReplyCheck::Malformed;
+    if (reply.kind != JsonValue::Kind::Object) {
+        detail = "not a JSON object";
+        return ReplyCheck::Malformed;
+    }
+    const JsonValue *okv = reply.find("ok");
+    if (okv != nullptr && okv->kind == JsonValue::Kind::Bool &&
+        okv->boolean)
+        return ReplyCheck::Ok;
+    if (const JsonValue *msg = reply.find("error");
+        msg != nullptr && msg->kind == JsonValue::Kind::String)
+        detail = msg->string;
+    return ReplyCheck::Refused;
+}
+
 bool
 parseMetricsReplyLine(const std::string &line,
                       std::string &exposition, std::string &error)
 {
     JsonValue v;
-    std::string parse_error;
-    if (!parseJson(line, v, &parse_error)) {
-        error = "malformed metrics reply: " + parse_error;
+    switch (checkReplyLine(line, v, error)) {
+      case ReplyCheck::Malformed:
+        error = "malformed metrics reply: " + error;
         return false;
-    }
-    if (v.kind != JsonValue::Kind::Object) {
-        error = "metrics reply is not a JSON object";
+      case ReplyCheck::Refused:
+        if (error.empty())
+            error = "metrics request refused";
         return false;
-    }
-    const JsonValue *okv = v.find("ok");
-    if (okv == nullptr || okv->kind != JsonValue::Kind::Bool ||
-        !okv->boolean) {
-        const JsonValue *msg = v.find("error");
-        error = msg != nullptr &&
-                        msg->kind == JsonValue::Kind::String
-                    ? msg->string
-                    : "metrics request refused";
-        return false;
+      case ReplyCheck::Ok:
+        break;
     }
     const JsonValue *text = v.find("metrics");
     if (text == nullptr || text->kind != JsonValue::Kind::String) {
@@ -587,19 +603,49 @@ statusReplyLine(const ServerStatus &status)
     return reply;
 }
 
-void
-setServeMetrics(obs::MetricsRegistry &metrics,
-                const ServerStatus &status)
+std::string
+metricsExposition(const ServerStatus &status, const FaultInjector &faults,
+                  const obs::Histogram &submit_latency,
+                  const obs::Histogram &service_time)
 {
+    std::string out;
+    auto header = [&out](const ServeMetricDef &def) {
+        obs::exposeHeader(out, def.name, def.type, def.help);
+    };
     for (const ServeStatRow &row : serve_stat_rows) {
-        const ServeMetricDef &def = row.metric;
-        if (def.name == nullptr)
+        if (row.metric.name == nullptr)
             continue;
-        if (std::string(def.type) == "counter")
-            metrics.counter(def.name, def.help).set(status.*row.count);
+        header(row.metric);
+        if (row.count != nullptr)
+            obs::exposeSample(out, row.metric.name, "",
+                              status.*row.count);
         else
-            metrics.gauge(def.name, def.help).set(row.valueOf(status));
+            obs::exposeSample(out, row.metric.name, "",
+                              row.valueOf(status));
     }
+    if (faults.enabled()) {
+        using Count = std::uint64_t (FaultInjector::*)(FaultSite) const;
+        const std::pair<ServeMetricDef, Count> families[] = {
+            {fault_hits_metric, &FaultInjector::hits},
+            {fault_fired_metric, &FaultInjector::fired}};
+        for (const auto &[def, count] : families) {
+            header(def);
+            for (std::size_t i = 0; i < fault_site_count; ++i) {
+                const FaultSite site = static_cast<FaultSite>(i);
+                if (faults.planned(site))
+                    obs::exposeSample(
+                        out, def.name,
+                        "site=\"" + std::string(faultSiteName(site)) +
+                            "\"",
+                        (faults.*count)(site));
+            }
+        }
+    }
+    header(submit_latency_metric);
+    obs::exposeHistogram(out, submit_latency_metric.name, submit_latency);
+    header(service_time_metric);
+    obs::exposeHistogram(out, service_time_metric.name, service_time);
+    return out;
 }
 
 namespace {
@@ -749,6 +795,112 @@ parseWorkerJobLine(const std::string &line, SweepJob &out,
         return false;
     }
     return jobFromWire(*job, out, error);
+}
+
+// --- framing ----------------------------------------------------------------
+
+LineChannel &
+LineChannel::operator=(LineChannel &&other) noexcept
+{
+    if (this != &other) {
+        close();
+        fd_ = std::exchange(other.fd_, -1);
+        read_ = other.read_;
+        send_ = other.send_;
+        in_ = std::move(other.in_);
+        consumed_ = other.consumed_;
+        scanned_ = other.scanned_;
+        out_ = std::move(other.out_);
+    }
+    return *this;
+}
+
+void
+LineChannel::close()
+{
+    if (fd_ >= 0)
+        ::close(fd_);
+    fd_ = -1;
+}
+
+LineChannel::Io
+LineChannel::fill()
+{
+    if (consumed_ > 0) {
+        in_.erase(0, consumed_);
+        scanned_ -= consumed_;
+        consumed_ = 0;
+    }
+    char buffer[1 << 16];
+    for (;;) {
+        const ssize_t got = read_(fd_, buffer, sizeof(buffer));
+        if (got > 0) {
+            in_.append(buffer, static_cast<std::size_t>(got));
+            return Io::Done;
+        }
+        if (got == 0)
+            return Io::Closed;
+        if (errno == EINTR)
+            continue;
+        return errno == EAGAIN || errno == EWOULDBLOCK ? Io::Again
+                                                       : Io::Error;
+    }
+}
+
+bool
+LineChannel::nextLine(std::string &line)
+{
+    const std::size_t nl = in_.find('\n', scanned_);
+    if (nl == std::string::npos) {
+        scanned_ = in_.size();
+        return false;
+    }
+    line.assign(in_, consumed_, nl - consumed_);
+    consumed_ = scanned_ = nl + 1;
+    if (consumed_ == in_.size())
+        discardInput();
+    return true;
+}
+
+void
+LineChannel::discardInput()
+{
+    in_.clear();
+    consumed_ = scanned_ = 0;
+}
+
+LineChannel::Io
+LineChannel::readLine(std::string &line)
+{
+    while (!nextLine(line)) {
+        const Io io = fill();
+        if (io != Io::Done)
+            return io;
+    }
+    return Io::Done;
+}
+
+LineChannel::Io
+LineChannel::flush()
+{
+    std::size_t sent = 0;
+    while (sent < out_.size()) {
+        const ssize_t n = send_(fd_, out_.data() + sent,
+                                out_.size() - sent, MSG_NOSIGNAL);
+        if (n > 0) {
+            sent += static_cast<std::size_t>(n);
+            continue;
+        }
+        if (n < 0 && errno == EINTR)
+            continue;
+        const Io io = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)
+                          ? Io::Again
+                          : Io::Error;
+        out_.erase(0, sent);
+        return io;
+    }
+    out_.clear();
+    return Io::Done;
 }
 
 } // namespace serve

@@ -63,19 +63,17 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hh"
 #include "serve/fault.hh"
 #include "serve/serve_stats.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 
 namespace nosq {
-namespace obs {
-class MetricsRegistry;
-} // namespace obs
-
 namespace serve {
 
 constexpr const char *serve_schema = "nosq-serve-v1";
@@ -149,10 +147,17 @@ std::string errorReplyLine(const std::string &message);
  * serve_stats.hh). */
 std::string statusReplyLine(const ServerStatus &status);
 
-/** Set the series of every serve_stat_rows row in @p metrics from
- * @p status, registering any missing one. */
-void setServeMetrics(obs::MetricsRegistry &metrics,
-                     const ServerStatus &status);
+/**
+ * Render the `metrics` scrape of @p status as Prometheus text: every
+ * family of forEachServeMetric(), in that order, each under one
+ * HELP/TYPE header. The fault families carry one `site`-labelled
+ * sample per site @p faults plans and are absent with no plan; the
+ * histogram families render @p submit_latency and @p service_time.
+ */
+std::string metricsExposition(const ServerStatus &status,
+                              const FaultInjector &faults,
+                              const obs::Histogram &submit_latency,
+                              const obs::Histogram &service_time);
 
 /** The submit acknowledgment (see the file comment). */
 std::string submitAckLine(const std::string &ticket,
@@ -176,6 +181,23 @@ std::string metricsReplyLine(const std::string &exposition);
 bool parseMetricsReplyLine(const std::string &line,
                            std::string &exposition,
                            std::string &error);
+
+/** What checkReplyLine() found. */
+enum class ReplyCheck {
+    Ok,        ///< a JSON object with "ok": true
+    Refused,   ///< an object whose "ok" is missing or not true
+    Malformed, ///< not a JSON object
+};
+
+/**
+ * Parse the daemon reply @p line into @p reply and read its "ok"
+ * flag: the one check behind a submit's acknowledgment and the
+ * metrics reply. On Refused, @p detail is the reply's "error"
+ * string ("" when it carries none); on Malformed, why @p line is
+ * not a JSON object.
+ */
+ReplyCheck checkReplyLine(const std::string &line, JsonValue &reply,
+                          std::string &detail);
 
 /**
  * One delivered job result / failure: the client stream line when
@@ -213,6 +235,114 @@ std::string workerJobLine(const SweepJob &job,
  * a worker that sees it exits and is respawned) */
 bool parseWorkerJobLine(const std::string &line, SweepJob &out,
                         FaultAction &fault, std::string &error);
+
+// --- framing ----------------------------------------------------------------
+
+/**
+ * One end of a newline-framed stream, and the only code that moves
+ * protocol bytes through a socket. It owns its fd (closed on
+ * destruction) and buffers both directions:
+ *
+ *  - input: fill() appends one read; nextLine() hands out each
+ *    complete line once, resuming its '\n' search where the last
+ *    call stopped. The bytes of handed-out lines are dropped in one
+ *    move at the next fill(), not one per line.
+ *  - output: queue() appends; flush() sends until the buffer is
+ *    empty or the socket would block, and then drops the sent bytes
+ *    in one move.
+ *
+ * The daemon's poll() loop drives non-blocking ends (fill() until
+ * Again, flush() when writable); the client and the worker block in
+ * readLine() and flush(). Whoever builds a channel picks its I/O
+ * functions: client sockets pass faultRead/faultSend (the sock.read
+ * and sock.write fault sites), worker links plain read/send.
+ */
+class LineChannel
+{
+  public:
+    using ReadFn = ssize_t (*)(int, void *, std::size_t);
+    using SendFn = ssize_t (*)(int, const void *, std::size_t, int);
+
+    enum class Io {
+        Done,   ///< fill(): bytes arrived; readLine(): a line;
+                ///< flush(): everything queued is sent
+        Again,  ///< the non-blocking socket would block
+        Closed, ///< the peer closed its end (fill(), readLine())
+        Error,  ///< a hard error; errno says which
+    };
+
+    LineChannel() = default;
+    LineChannel(int fd, ReadFn read, SendFn send)
+        : fd_(fd), read_(read), send_(send)
+    {}
+    ~LineChannel() { close(); }
+    LineChannel(LineChannel &&other) noexcept { *this = std::move(other); }
+    LineChannel &operator=(LineChannel &&other) noexcept;
+
+    int
+    fd() const
+    {
+        return fd_;
+    }
+
+    bool
+    open() const
+    {
+        return fd_ >= 0;
+    }
+
+    /** Close the fd now (idempotent). Buffered input stays readable
+     * through nextLine(). */
+    void close();
+
+    /** One read into the input buffer, retrying EINTR. */
+    Io fill();
+
+    /** Move the next complete line, without its '\n', into @p line.
+     * @return false when no whole line is buffered */
+    bool nextLine(std::string &line);
+
+    /** Bytes buffered and not yet handed out as lines. */
+    std::size_t
+    partialBytes() const
+    {
+        return in_.size() - consumed_;
+    }
+
+    /** Drop all buffered input. */
+    void discardInput();
+
+    /** Block until a whole line is buffered and move it into
+     * @p line. @return Done, or what the failed fill() returned */
+    Io readLine(std::string &line);
+
+    void
+    queue(std::string_view bytes)
+    {
+        out_ += bytes;
+    }
+
+    bool
+    hasOutput() const
+    {
+        return !out_.empty();
+    }
+
+    /** Send queued output, retrying EINTR; a blocking end returns
+     * only when all of it is sent or on an error. */
+    Io flush();
+
+  private:
+    int fd_ = -1;
+    ReadFn read_ = nullptr;
+    SendFn send_ = nullptr;
+    std::string in_;
+    /** in_[0, consumed_) was handed out as lines. */
+    std::size_t consumed_ = 0;
+    /** in_[consumed_, scanned_) holds no '\n'. */
+    std::size_t scanned_ = 0;
+    std::string out_;
+};
 
 } // namespace serve
 } // namespace nosq

@@ -2,7 +2,7 @@
  * @file
  * The daemon's statistics, declared once: the ServerStatus snapshot
  * and the serve_stat_rows table that both the `status` reply
- * (statusReplyLine()) and the `metrics` scrape (setServeMetrics())
+ * (statusReplyLine()) and the `metrics` scrape (metricsExposition())
  * render it through.
  *
  * The dispatcher keeps its counters in a ServerStatus, fills the
@@ -115,13 +115,15 @@ struct ServeStatRow
 /**
  * Every daemon statistic, in the order of both renderings: the
  * status reply prints the rows with a status key, the scrape the
- * rows with a series. `workers`, `alive` and `store_size` stand at
- * different places in the two (both orders are pinned byte for
- * byte), so each has a status row and a series row.
+ * rows with a series.
  */
 inline constexpr ServeStatRow serve_stat_rows[] = {
-    {"workers", {}, &ServerStatus::workers},
-    {"alive", {}, &ServerStatus::alive},
+    {"workers", {"nosq_sweepd_workers", "gauge",
+                 "Configured worker pool size."},
+     &ServerStatus::workers},
+    {"alive", {"nosq_sweepd_workers_alive", "gauge",
+               "Workers currently alive."},
+     &ServerStatus::alive},
     {nullptr, {"nosq_sweepd_submits_total", "counter",
                "Submit requests admitted (not shed or refused)."},
      &ServerStatus::submits},
@@ -156,7 +158,9 @@ inline constexpr ServeStatRow serve_stat_rows[] = {
     {nullptr, {"nosq_sweepd_scrapes_total", "counter",
                "Metrics requests served (including this one)."},
      &ServerStatus::scrapes},
-    {"store_size", {}, &ServerStatus::store_size},
+    {"store_size", {"nosq_sweepd_store_size", "gauge",
+                    "Results in the persistent store."},
+     &ServerStatus::store_size},
     {"store_append_failures", {}, &ServerStatus::store_append_failures},
     {"pending", {"nosq_sweepd_queue_depth", "gauge",
                  "Jobs pending behind the worker pool."},
@@ -166,20 +170,11 @@ inline constexpr ServeStatRow serve_stat_rows[] = {
                  "delivered."},
      &ServerStatus::running},
     {"max_pending", {}, &ServerStatus::max_pending},
-    {nullptr, {"nosq_sweepd_workers", "gauge",
-               "Configured worker pool size."},
-     &ServerStatus::workers},
-    {nullptr, {"nosq_sweepd_workers_alive", "gauge",
-               "Workers currently alive."},
-     &ServerStatus::alive},
     {{"nosq_sweepd_worker_utilization", "gauge",
       "Fraction of alive workers with at least one in-flight job."},
      [](const ServerStatus &s) {
          return s.alive > 0 ? double(s.busy) / double(s.alive) : 0.0;
      }},
-    {nullptr, {"nosq_sweepd_store_size", "gauge",
-               "Results in the persistent store."},
-     &ServerStatus::store_size},
     {{"nosq_sweepd_store_hit_ratio", "gauge",
       "cache_hits / (cache_hits + executed) over the daemon's "
       "lifetime; 0 before any job is seen."},
@@ -195,8 +190,8 @@ inline constexpr ServeStatRow serve_stat_rows[] = {
      [](const ServerStatus &s) { return double(s.uptime_ms) / 1000.0; }},
 };
 
-/** The per-site fault-plan series: one labelled child per planned
- * site, registered at scrape time while a plan is active. */
+/** The per-site fault-plan series: one labelled sample per planned
+ * site, present only while a plan is active. */
 inline constexpr ServeMetricDef fault_hits_metric = {
     "nosq_sweepd_fault_hits_total", "counter",
     "Fault-injection checks per planned site (label: site); absent "
@@ -207,7 +202,7 @@ inline constexpr ServeMetricDef fault_fired_metric = {
     "(label: site); absent when no fault plan is active."};
 
 /** The latency histograms, observed live and exposed after the
- * rows' series. */
+ * fault series. */
 inline constexpr ServeMetricDef submit_latency_metric = {
     "nosq_sweepd_submit_latency_ms", "histogram",
     "Time to admit one submit request (parse to ack queued)."};
@@ -215,7 +210,7 @@ inline constexpr ServeMetricDef service_time_metric = {
     "nosq_sweepd_job_service_time_ms", "histogram",
     "Per-job time from worker dispatch to result delivery."};
 
-/** Invoke @p fn with every series of the scrape. */
+/** Invoke @p fn with every series of the scrape, in scrape order. */
 template <typename Fn>
 void
 forEachServeMetric(Fn &&fn)

@@ -5,7 +5,6 @@
 
 #include "serve/worker.hh"
 
-#include <cerrno>
 #include <exception>
 #include <string>
 
@@ -21,60 +20,18 @@
 namespace nosq {
 namespace serve {
 
-namespace {
-
-/** Read from @p fd until @p inbuf holds a whole line, and move it
- * (without its '\n') into @p line.
- * @return false once the daemon has closed its end */
-bool
-readLine(int fd, std::string &inbuf, std::string &line)
-{
-    std::size_t scanned = 0;
-    std::size_t nl;
-    while ((nl = inbuf.find('\n', scanned)) == std::string::npos) {
-        scanned = inbuf.size();
-        char buffer[1 << 16];
-        const ssize_t got = read(fd, buffer, sizeof(buffer));
-        if (got > 0)
-            inbuf.append(buffer, static_cast<std::size_t>(got));
-        else if (got == 0 || errno != EINTR)
-            return false;
-    }
-    line.assign(inbuf, 0, nl);
-    inbuf.erase(0, nl + 1);
-    return true;
-}
-
-/** Write all of @p frame to @p fd; no SIGPIPE if the daemon is gone.
- * @return false once the daemon has closed its end */
-bool
-writeAll(int fd, const std::string &frame)
-{
-    std::size_t sent = 0;
-    while (sent < frame.size()) {
-        const ssize_t n = send(fd, frame.data() + sent,
-                               frame.size() - sent, MSG_NOSIGNAL);
-        if (n > 0)
-            sent += static_cast<std::size_t>(n);
-        else if (n == 0 || errno != EINTR)
-            return false;
-    }
-    return true;
-}
-
-} // anonymous namespace
-
 int
 workerMain(int fd)
 {
     // Re-tag the forked child so NOSQ_LOG_PREFIX attributes its
     // lines to the worker, not the daemon it inherited from.
     setLogRole("worker");
-    std::string inbuf;
+    // Plain read/send: fault plans count client I/O only.
+    LineChannel link(fd, read, send);
     std::string line;
     // EOF is the stop signal and the orphan check in one: the daemon
     // closed its end on shutdown, or died and the kernel closed it.
-    while (readLine(fd, inbuf, line)) {
+    while (link.readLine(line) == LineChannel::Io::Done) {
         SweepJob job;
         FaultAction fault = FaultAction::None;
         std::string error;
@@ -111,7 +68,8 @@ workerMain(int fd)
         } catch (...) {
             reply = jobErrorLine(std::nullopt, fp, "unknown error");
         }
-        if (!writeAll(fd, reply))
+        link.queue(reply);
+        if (link.flush() != LineChannel::Io::Done)
             return 0;
     }
     return 0;

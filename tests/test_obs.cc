@@ -1,7 +1,7 @@
 /**
  * @file
- * Observability-layer tests: metrics registry (bucket boundaries,
- * exposition round-trip), pipeline trace export (spec parsing,
+ * Observability-layer tests: metrics exposition (bucket boundaries,
+ * round-trip), pipeline trace export (spec parsing,
  * window edge cases, event content on the reference workload,
  * defaults-off byte-identity), the progress meter's pure renderer,
  * and the NOSQ_LOG_PREFIX log attribution prefix.
@@ -57,48 +57,34 @@ TEST(Metrics, HistogramBucketBoundariesAreLeInclusive)
     EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.01 + 5.0 + 10.0 + 10.5);
 }
 
-TEST(Metrics, CounterIsMonotonic)
-{
-    obs::Counter c;
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    c.set(3); // a mirror may never move a counter backward
-    EXPECT_EQ(c.value(), 5u);
-    c.set(17);
-    EXPECT_EQ(c.value(), 17u);
-}
-
-TEST(Metrics, RegistryGetOrCreateReturnsSameSeries)
-{
-    obs::MetricsRegistry reg;
-    obs::Counter &a = reg.counter("x_total", "help");
-    a.inc(7);
-    EXPECT_EQ(reg.counter("x_total", "ignored").value(), 7u);
-    // A different label set is a different series.
-    obs::Counter &b =
-        reg.counter("x_total", "help", {{"k", "v"}});
-    EXPECT_EQ(b.value(), 0u);
-}
-
 // ---------------------------------------------------------------------
 // Metrics: exposition round-trip
 // ---------------------------------------------------------------------
 
 TEST(Metrics, ExpositionRoundTrips)
 {
-    obs::MetricsRegistry reg;
-    reg.counter("jobs_total", "Jobs.").inc(42);
-    reg.gauge("depth", "Depth.").set(2.5);
-    reg.counter("hits_total", "Hits.", {{"site", "sock.read"}})
-        .inc(3);
-    obs::Histogram &h =
-        reg.histogram("svc_ms", "Service.", {10.0, 100.0});
+    // Gauges whose shortest round-tripping decimal needs 1, 16, 3
+    // and 1 significant digits.
+    const std::vector<double> gauges = {0.1, 4.0 / 7.0, 22.5, 1e-7};
+    std::string text;
+    obs::exposeHeader(text, "jobs_total", "counter", "Jobs.");
+    obs::exposeSample(text, "jobs_total", "", std::uint64_t{42});
+    obs::exposeHeader(text, "depth", "gauge", "Depth.");
+    obs::exposeSample(text, "depth", "", 2.5);
+    obs::exposeHeader(text, "ratio", "gauge", "Ratios.");
+    for (std::size_t i = 0; i < gauges.size(); ++i)
+        obs::exposeSample(text, "ratio",
+                          "i=\"" + std::to_string(i) + "\"", gauges[i]);
+    obs::exposeHeader(text, "hits_total", "counter", "Hits.");
+    obs::exposeSample(text, "hits_total", "site=\"sock.read\"",
+                      std::uint64_t{3});
+    obs::Histogram h({10.0, 100.0});
     h.observe(5.0);
     h.observe(50.0);
     h.observe(500.0);
+    obs::exposeHeader(text, "svc_ms", "histogram", "Service.");
+    obs::exposeHistogram(text, "svc_ms", h);
 
-    const std::string text = reg.expose();
     std::vector<obs::ExpositionSample> samples;
     std::string error;
     ASSERT_TRUE(obs::parseExposition(text, samples, &error))
@@ -118,6 +104,15 @@ TEST(Metrics, ExpositionRoundTrips)
     EXPECT_EQ(value("jobs_total", ""), 42.0);
     EXPECT_EQ(value("depth", ""), 2.5);
     EXPECT_EQ(value("hits_total", "site=\"sock.read\""), 3.0);
+    for (std::size_t i = 0; i < gauges.size(); ++i)
+        EXPECT_EQ(value("ratio", "i=\"" + std::to_string(i) + "\""),
+                  gauges[i]);
+    // The shortest decimals, spelled as "%.{p}g" spells them.
+    EXPECT_NE(text.find("ratio{i=\"0\"} 0.1\n"), std::string::npos);
+    EXPECT_NE(text.find("ratio{i=\"1\"} 0.5714285714285714\n"),
+              std::string::npos);
+    EXPECT_NE(text.find("ratio{i=\"2\"} 22.5\n"), std::string::npos);
+    EXPECT_NE(text.find("ratio{i=\"3\"} 1e-07\n"), std::string::npos);
     // Histogram buckets render cumulatively.
     EXPECT_EQ(value("svc_ms_bucket", "le=\"10\""), 1.0);
     EXPECT_EQ(value("svc_ms_bucket", "le=\"100\""), 2.0);
@@ -125,11 +120,11 @@ TEST(Metrics, ExpositionRoundTrips)
     EXPECT_EQ(value("svc_ms_sum", ""), 555.0);
     EXPECT_EQ(value("svc_ms_count", ""), 3.0);
 
-    // HELP/TYPE appear exactly once per metric name.
-    EXPECT_NE(text.find("# TYPE svc_ms histogram"),
+    // A family is its header, then its samples.
+    EXPECT_NE(text.find("# HELP svc_ms Service.\n"
+                        "# TYPE svc_ms histogram\n"
+                        "svc_ms_bucket{le=\"10\"} 1\n"),
               std::string::npos);
-    EXPECT_EQ(text.find("# TYPE jobs_total counter"),
-              text.rfind("# TYPE jobs_total counter"));
 }
 
 TEST(Metrics, ParseExpositionRejectsMalformedInput)

@@ -716,6 +716,33 @@ TEST(ServeDaemon, OversizedLabelIsServedNotStranded)
     EXPECT_EQ(WEXITSTATUS(exit_status), 0);
 }
 
+TEST(ServeDaemon, OverCapRequestLineIsAnsweredAndClosed)
+{
+    DaemonProcess daemon;
+    startDaemon(daemon, "over_cap");
+    const int fd = connectDaemon(daemon);
+    ASSERT_GE(fd, 0) << "nosq_sweepd never accepted on "
+                     << daemon.socket;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::seconds(60);
+    // One byte over the cap and no newline: nothing to resync on.
+    ASSERT_TRUE(sendAll(fd, std::string(max_request_bytes + 1, 'x')));
+    EXPECT_EQ(readUntil(fd, "\"ok\":false", deadline),
+              "{\"ok\":false,\"error\":\"request line exceeds "
+              "16777216 bytes\"}\n");
+    // Then the daemon hangs up.
+    struct pollfd pfd = {fd, POLLIN, 0};
+    ASSERT_EQ(poll(&pfd, 1, 30000), 1) << "the connection stayed open";
+    char c;
+    EXPECT_EQ(read(fd, &c, 1), 0);
+    close(fd);
+
+    const int exit_status = daemon.stop(30);
+    ASSERT_NE(exit_status, -1) << "the drain did not finish";
+    EXPECT_TRUE(WIFEXITED(exit_status));
+    EXPECT_EQ(WEXITSTATUS(exit_status), 0);
+}
+
 } // namespace
 } // namespace serve
 } // namespace nosq

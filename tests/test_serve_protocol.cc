@@ -12,8 +12,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
+
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "obs/metrics.hh"
 #include "serve/protocol.hh"
@@ -610,11 +615,12 @@ TEST(ServeStats, StatusAndMetricsReadOneSnapshot)
               "\"00000000000000cc\":\"worker died 3 times\"},"
               "\"faults\":{\"sock.read\":{\"hits\":18,\"fired\":19}}}\n");
 
-    obs::MetricsRegistry metrics;
-    setServeMetrics(metrics, s);
+    const obs::Histogram latency(obs::defaultLatencyBucketsMs());
     std::vector<obs::ExpositionSample> samples;
     std::string error;
-    ASSERT_TRUE(obs::parseExposition(metrics.expose(), samples, &error))
+    ASSERT_TRUE(obs::parseExposition(
+        metricsExposition(s, FaultInjector(), latency, latency), samples,
+        &error))
         << error;
     auto scraped = [&](const char *name) {
         for (const obs::ExpositionSample &sample : samples)
@@ -643,10 +649,173 @@ TEST(ServeStats, StatusAndMetricsReadOneSnapshot)
         EXPECT_EQ(status_value, scraped(row.metric.name))
             << row.statusKey << " vs " << row.metric.name;
     }
-    EXPECT_EQ(both, 11u);
+    EXPECT_EQ(both, 14u);
     EXPECT_EQ(scraped("nosq_sweepd_worker_utilization"), 0.5);
     EXPECT_EQ(scraped("nosq_sweepd_store_hit_ratio"), 4.0 / 7.0);
     EXPECT_EQ(scraped("nosq_sweepd_uptime_seconds"), 22.5);
+}
+
+TEST(ServeStats, ScrapeGroupsEachFamilyUnderOneHeader)
+{
+    // Two planned sites, both hit: the families that fan out over
+    // the `site` label must not interleave.
+    FaultInjector faults;
+    std::string error;
+    ASSERT_TRUE(faults.configure("sock.read:eintr%2,store.write:fail@1",
+                                 error))
+        << error;
+    faults.check(FaultSite::SockRead);
+    faults.check(FaultSite::SockRead);
+    faults.check(FaultSite::StoreWrite);
+    obs::Histogram latency(obs::defaultLatencyBucketsMs());
+    latency.observe(3.0);
+    const std::string text =
+        metricsExposition(ServerStatus{}, faults, latency, latency);
+
+    // Every sample belongs to the family whose header came last, so
+    // each family's samples are contiguous; the headers list each
+    // family once, in forEachServeMetric() order.
+    std::vector<std::string> families;
+    std::string family, type;
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("# HELP ", 0) == 0) {
+            family = line.substr(7, line.find(' ', 7) - 7);
+            families.push_back(family);
+            ASSERT_TRUE(std::getline(in, line));
+            ASSERT_EQ(line.rfind("# TYPE " + family + " ", 0), 0u)
+                << "HELP without its TYPE: " << line;
+            type = line.substr(8 + family.size());
+            continue;
+        }
+        ASSERT_NE(line.rfind("#", 0), 0u) << "stray header: " << line;
+        const std::string name = line.substr(0, line.find_first_of("{ "));
+        const bool histogram_part =
+            type == "histogram" && (name == family + "_bucket" ||
+                                    name == family + "_sum" ||
+                                    name == family + "_count");
+        EXPECT_TRUE(name == family || histogram_part)
+            << line << " is not in family " << family;
+    }
+    std::vector<std::string> want;
+    forEachServeMetric(
+        [&](const ServeMetricDef &def) { want.push_back(def.name); });
+    EXPECT_EQ(families, want) << text;
+
+    std::vector<obs::ExpositionSample> samples;
+    ASSERT_TRUE(obs::parseExposition(text, samples, &error)) << error;
+    auto value = [&](const std::string &name, const std::string &labels) {
+        for (const obs::ExpositionSample &sample : samples)
+            if (sample.name == name && sample.labels == labels)
+                return sample.value;
+        ADD_FAILURE() << "no sample " << name << "{" << labels << "}";
+        return -1.0;
+    };
+    EXPECT_EQ(value("nosq_sweepd_fault_hits_total", "site=\"sock.read\""),
+              2.0);
+    EXPECT_EQ(
+        value("nosq_sweepd_fault_fired_total", "site=\"sock.read\""),
+        1.0);
+    EXPECT_EQ(
+        value("nosq_sweepd_fault_hits_total", "site=\"store.write\""),
+        1.0);
+    EXPECT_EQ(
+        value("nosq_sweepd_fault_fired_total", "site=\"store.write\""),
+        1.0);
+    EXPECT_EQ(value("nosq_sweepd_submit_latency_ms_count", ""), 1.0);
+}
+
+// --- framing ----------------------------------------------------------------
+
+/** Both ends of a socketpair, as plain-I/O channels. */
+struct ChannelPair
+{
+    LineChannel reader;
+    LineChannel writer;
+
+    ChannelPair()
+    {
+        int ends[2];
+        EXPECT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, ends), 0);
+        reader = LineChannel(ends[0], read, send);
+        writer = LineChannel(ends[1], read, send);
+    }
+
+    void
+    write(const std::string &bytes)
+    {
+        writer.queue(bytes);
+        ASSERT_EQ(writer.flush(), LineChannel::Io::Done);
+    }
+};
+
+TEST(LineChannel, FramesLinesWhateverTheReadsCarry)
+{
+    ChannelPair pair;
+    std::string line;
+
+    // One line split across 1-byte writes, each read on its own.
+    const std::string split = "split across writes\n";
+    for (char c : split) {
+        EXPECT_FALSE(pair.reader.nextLine(line));
+        pair.write(std::string(1, c));
+        ASSERT_EQ(pair.reader.fill(), LineChannel::Io::Done);
+    }
+    ASSERT_TRUE(pair.reader.nextLine(line));
+    EXPECT_EQ(line, "split across writes");
+    EXPECT_FALSE(pair.reader.nextLine(line));
+
+    // Three lines in one read.
+    pair.write("one\ntwo\nthree\n");
+    ASSERT_EQ(pair.reader.fill(), LineChannel::Io::Done);
+    for (const char *want : {"one", "two", "three"}) {
+        ASSERT_TRUE(pair.reader.nextLine(line));
+        EXPECT_EQ(line, want);
+    }
+    EXPECT_FALSE(pair.reader.nextLine(line));
+    EXPECT_EQ(pair.reader.partialBytes(), 0u);
+
+    // A trailing fragment is held until its newline arrives.
+    pair.write("four\nfrag");
+    ASSERT_EQ(pair.reader.fill(), LineChannel::Io::Done);
+    ASSERT_TRUE(pair.reader.nextLine(line));
+    EXPECT_EQ(line, "four");
+    EXPECT_FALSE(pair.reader.nextLine(line));
+    EXPECT_EQ(pair.reader.partialBytes(), 4u);
+    pair.write("ment\n");
+    ASSERT_EQ(pair.reader.readLine(line), LineChannel::Io::Done);
+    EXPECT_EQ(line, "fragment");
+
+    // EOF in the middle of a line: closed, the fragment never handed
+    // out as a line.
+    pair.write("torn");
+    pair.writer.close();
+    EXPECT_EQ(pair.reader.readLine(line), LineChannel::Io::Closed);
+    EXPECT_EQ(pair.reader.partialBytes(), 4u);
+}
+
+TEST(LineChannel, NonBlockingFlushResumesWhereItStopped)
+{
+    ChannelPair pair;
+    ASSERT_EQ(fcntl(pair.writer.fd(), F_SETFL, O_NONBLOCK), 0);
+    // Far more than a socket buffer holds.
+    std::string big(4u << 20, 'x');
+    for (std::size_t i = 0; i < big.size(); i += 4099)
+        big[i] = static_cast<char>('a' + i % 26);
+    pair.writer.queue(big + "\n");
+    ASSERT_EQ(pair.writer.flush(), LineChannel::Io::Again);
+    EXPECT_TRUE(pair.writer.hasOutput());
+
+    std::string line;
+    while (!pair.reader.nextLine(line)) {
+        ASSERT_EQ(pair.reader.fill(), LineChannel::Io::Done);
+        const LineChannel::Io io = pair.writer.flush();
+        ASSERT_TRUE(io == LineChannel::Io::Done ||
+                    io == LineChannel::Io::Again);
+    }
+    EXPECT_EQ(line, big);
+    EXPECT_FALSE(pair.writer.hasOutput());
 }
 
 } // namespace
