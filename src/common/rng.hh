@@ -55,13 +55,17 @@ class Rng
     below(std::uint64_t bound)
     {
         nosq_assert(bound != 0, "Rng::below(0)");
-        // Debiased via rejection sampling on the top bits.
-        const std::uint64_t threshold = -bound % bound;
-        for (;;) {
-            const std::uint64_t r = next();
-            if (r >= threshold)
-                return r % bound;
+        // Debiased via rejection sampling: a draw is accepted iff it
+        // is at least 2^64 mod bound. That threshold is below bound,
+        // so a draw >= bound is accepted before the threshold (a
+        // second 64-bit division) is ever computed.
+        std::uint64_t r = next();
+        if (r < bound) {
+            const std::uint64_t threshold = -bound % bound;
+            while (r < threshold)
+                r = next();
         }
+        return r % bound;
     }
 
     /** Uniform integer in [lo, hi] inclusive. */

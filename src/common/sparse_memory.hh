@@ -26,7 +26,9 @@
 #include <cstring>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace nosq {
@@ -145,6 +147,48 @@ class SparseMemory
         }
     }
 
+    /**
+     * Write @p count 64-bit words little-endian from the 8-byte
+     * aligned @p base: word i is word_at(i), called once per word in
+     * increasing i. The words go in page by page in address order,
+     * and a page they cover whole is written once, not zeroed or
+     * copied first.
+     */
+    template <class WordAt>
+    void
+    fillWords(Addr base, std::size_t count, WordAt &&word_at)
+    {
+        nosq_assert(base % 8 == 0, "fillWords base not 8-aligned");
+        for (std::size_t i = 0; i < count;) {
+            const Addr addr = base + 8 * i;
+            const std::size_t bytes = chunk(addr, 8 * (count - i));
+            std::uint8_t *at = writable(addr, bytes == page_size)->bytes +
+                (addr & page_mask);
+            for (const std::size_t end = i + bytes / 8; i < end;
+                 ++i, at += 8) {
+                const std::uint64_t word = word_at(i);
+                std::memcpy(at, &word, 8);
+            }
+        }
+    }
+
+    /** Call fn(page base address, its page_size bytes) for each
+     * present page, in address order. */
+    template <class Fn>
+    void
+    forEachPage(Fn &&fn) const
+    {
+        std::vector<Addr> tags;
+        tags.reserve(pages.size());
+        for (const auto &slot : pages)
+            tags.push_back(slot.first);
+        std::sort(tags.begin(), tags.end());
+        for (const Addr tag : tags) {
+            const Page *page = pages.find(tag)->second.get();
+            fn(tag << page_bits, page->bytes);
+        }
+    }
+
     /** Pages present, shared or not. */
     std::size_t numPages() const { return pages.size(); }
 
@@ -196,12 +240,15 @@ class SparseMemory
       public:
         PageRef() = default;
 
-        /** A fresh page holding a copy of @p src (zeros if null). */
+        /** A fresh page holding a copy of @p src (zeros if null),
+         * or left unwritten if the caller overwrites it @p whole. */
         static PageRef
-        make(const Page *src)
+        make(const Page *src, bool whole)
         {
             PageRef ref;
             ref.page = new Page;
+            if (whole)
+                return ref;
             if (src)
                 std::memcpy(ref.page->bytes, src->bytes, page_size);
             else
@@ -270,19 +317,18 @@ class SparseMemory
         return cachedPage;
     }
 
-    /** addr's page, made present and private to this memory. */
+    /** addr's page, made present and private to this memory. Its
+     * old bytes are kept unless the caller overwrites it @p whole. */
     Page *
-    writable(Addr addr)
+    writable(Addr addr, bool whole = false)
     {
         const Addr tag = addr >> page_bits;
         if (tag == cachedTag && cachedPage != nullptr &&
             cachedPage->unique())
             return cachedPage;
         PageRef &slot = pages[tag];
-        if (!slot.get())
-            slot = PageRef::make(nullptr);
-        else if (!slot.get()->unique())
-            slot = PageRef::make(slot.get());
+        if (!slot.get() || !slot.get()->unique())
+            slot = PageRef::make(slot.get(), whole);
         cachedTag = tag;
         cachedPage = slot.get();
         return cachedPage;

@@ -155,24 +155,6 @@ ProgramBuilder::ret(RegIndex link)
     emit({Opcode::Ret, 0, link, 0, 0});
 }
 
-void
-ProgramBuilder::initBytes(Addr base,
-                          const std::vector<std::uint8_t> &bytes)
-{
-    prog.image.writeBytes(base, bytes.data(), bytes.size());
-}
-
-void
-ProgramBuilder::initWords(Addr base,
-                          const std::vector<std::uint64_t> &words)
-{
-    // The host is little-endian (common/sparse_memory.hh), so each
-    // word's bytes are already in memory order.
-    prog.image.writeBytes(
-        base, reinterpret_cast<const std::uint8_t *>(words.data()),
-        words.size() * sizeof(std::uint64_t));
-}
-
 Program
 ProgramBuilder::build()
 {

@@ -124,10 +124,19 @@ class ProgramBuilder
     void ret(RegIndex link = reg_lr);
 
     // --- data segment ------------------------------------------------
-    /** Write @p bytes into the data image at @p base. */
-    void initBytes(Addr base, const std::vector<std::uint8_t> &bytes);
-    /** Write 64-bit @p words little-endian starting at @p base. */
-    void initWords(Addr base, const std::vector<std::uint64_t> &words);
+    /**
+     * Write @p count 64-bit words little-endian into the data image
+     * from the 8-byte aligned @p base. Word i is word_at(i), asked
+     * for once per word in increasing i, so a generator may draw
+     * from an Rng; the image is written in address order with no
+     * temporary copy (SparseMemory::fillWords).
+     */
+    template <class WordAt>
+    void
+    initWords(Addr base, std::size_t count, WordAt &&word_at)
+    {
+        prog.image.fillWords(base, count, word_at);
+    }
 
     /** Resolve fixups and return the finished program. */
     Program build();

@@ -75,6 +75,9 @@ OooCore::OooCore(const UarchParams &params_,
     storeSeqRing.assign(nextPow2(std::max<std::size_t>(
                             params.robSize, 1)), 0);
     storeSeqMask = storeSeqRing.size() - 1;
+    // Only the SQ modes train StoreSets from committed store PCs.
+    if (!params.isNosq())
+        spct.assign(spct_size, 0);
     skipEnabled = params.eventSkip;
     if (skipEnabled)
         mem.setEventSink(&events);

@@ -411,7 +411,8 @@ class OooCore
      */
     std::vector<InstSeq> storeSeqRing;
     std::size_t storeSeqMask = 0;
-    /** SPCT: committed-store SSN -> PC (for StoreSets training). */
+    /** SPCT: committed-store SSN -> PC (for StoreSets training);
+     * empty in the NoSQ modes, which never read it. */
     std::vector<Addr> spct;
 
     // --- observability ------------------------------------------------------

@@ -187,7 +187,7 @@ OooCore::retireLoad(Inflight &inf, bool &flushed)
         if (!params.isNosq()) {
             // Train StoreSets: SSN -> PC via the SPCT.
             const std::uint32_t writer = di.youngestWriterSsn();
-            if (writer != 0 && !spct.empty()) {
+            if (writer != 0) {
                 storeSets.trainViolation(
                     di.pc, spct[writer % spct_size]);
             }
@@ -242,11 +242,10 @@ OooCore::doRetire()
             ++ssn.commit;
             nosq_assert(ssn.commit == di.ssn,
                         "out-of-order store commit");
-            if (!params.isNosq())
+            if (!params.isNosq()) {
                 sq.commitOldest(di.ssn);
-            if (spct.empty())
-                spct.assign(spct_size, 0);
-            spct[di.ssn % spct_size] = di.pc;
+                spct[di.ssn % spct_size] = di.pc;
+            }
             mem.dataWrite(di.addr, cycle);
             ++res.dcacheWrites;
             ++res.stores;

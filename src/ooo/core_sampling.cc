@@ -85,9 +85,8 @@ OooCore::fastForwardInsts(std::uint64_t n)
             nosq_assert(ssn.commit == di.ssn,
                         "fast-forward SSN diverged from oracle");
             image.write(di.addr, di.size, di.memValue);
-            if (spct.empty())
-                spct.assign(spct_size, 0);
-            spct[di.ssn % spct_size] = di.pc;
+            if (!params.isNosq())
+                spct[di.ssn % spct_size] = di.pc;
         }
         const InstSeq seq = di.seq;
         stream.next();

@@ -1,6 +1,7 @@
 #include "workload/kernels.hh"
 
 #include <cstring>
+#include <numeric>
 
 #include "common/logging.hh"
 
@@ -229,56 +230,49 @@ WorkloadBuilder::emitInit(PendingKernel &k)
     auto &b = builder;
     // Region data images first: some kinds patch initValues.
     switch (k.kind) {
-      case KernelKind::LoopCarried: {
-        std::vector<std::uint64_t> words(64);
-        for (auto &w : words) {
-            w = k.params.fpFlavor ? dbits(1.0 + rng.uniform() * 0.01)
-                                  : rng.next();
-        }
-        b.initWords(k.regions[0], words);
+      case KernelKind::LoopCarried:
+        b.initWords(k.regions[0], 64, [&](std::size_t) {
+            return k.params.fpFlavor ? dbits(1.0 + rng.uniform() * 0.01)
+                                     : rng.next();
+        });
         break;
-      }
-      case KernelKind::DataDep: {
-        std::vector<std::uint64_t> words(8);
-        for (auto &w : words)
-            w = rng.next();
-        b.initWords(k.regions[0], words);
+      case KernelKind::DataDep:
+        b.initWords(k.regions[0], 8,
+                    [&](std::size_t) { return rng.next(); });
         break;
-      }
-      case KernelKind::Stream: {
-        const std::size_t n =
-            (std::size_t(1) << k.params.footprintLog2) / 8;
-        std::vector<std::uint64_t> words(n);
-        for (auto &w : words)
-            w = rng.next();
-        b.initWords(k.regions[0], words);
+      case KernelKind::Stream:
+        b.initWords(k.regions[0],
+                    (std::size_t(1) << k.params.footprintLog2) / 8,
+                    [&](std::size_t) { return rng.next(); });
         break;
-      }
       case KernelKind::PointerChase: {
         // Build one random cycle through all slots (sattolo shuffle)
-        // so the chase visits the entire footprint.
-        const std::size_t n =
-            (std::size_t(1) << k.params.footprintLog2) / 8;
-        std::vector<std::uint64_t> perm(n);
-        for (std::size_t i = 0; i < n; ++i)
-            perm[i] = i;
-        for (std::size_t i = n - 1; i > 0; --i) {
-            const std::size_t j = rng.below(i);
-            std::swap(perm[i], perm[j]);
-        }
-        // next[perm[i]] = perm[i+1]
-        std::vector<std::uint64_t> words(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t from = perm[i];
-            const std::uint64_t to = perm[(i + 1) % n];
-            words[from] = k.regions[0] + to * 8;
-        }
-        b.initWords(k.regions[0], words);
+        // so the chase visits the entire footprint: slot perm[i]
+        // links to perm[i+1] and the last slot back to perm[0].
+        nosq_assert(k.params.footprintLog2 >= 3 &&
+                        k.params.footprintLog2 < 35,
+                    "pointer-chase footprint out of range");
+        const std::uint32_t n = std::uint32_t(1)
+                                << (k.params.footprintLog2 - 3);
+        std::vector<std::uint32_t> perm(n);
+        std::iota(perm.begin(), perm.end(), 0u);
+        for (std::uint32_t i = n - 1; i > 0; --i)
+            std::swap(perm[i], perm[rng.below(i)]);
+        std::vector<std::uint32_t> succ(n);
+        for (std::uint32_t i = 0; i + 1 < n; ++i)
+            succ[perm[i]] = perm[i + 1];
+        succ[perm[n - 1]] = perm[0];
+        // Write the image in address order: slot s holds the address
+        // of its successor.
+        const Addr base = k.regions[0];
+        b.initWords(base, n, [&](std::size_t slot) {
+            return base + Addr(succ[slot]) * 8;
+        });
         // Start the four chains a quarter cycle apart.
-        k.initValues = {k.regions[0] + perm[0] * 8,
-                        k.regions[0] + perm[n / 4] * 8,
-                        k.regions[0] + perm[n / 2] * 8,
-                        k.regions[0] + perm[3 * n / 4] * 8};
+        k.initValues = {base + Addr(perm[0]) * 8,
+                        base + Addr(perm[n / 4]) * 8,
+                        base + Addr(perm[n / 2]) * 8,
+                        base + Addr(perm[3 * n / 4]) * 8};
         break;
       }
       default:

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/circular_buffer.hh"
 #include "common/rng.hh"
@@ -36,6 +37,44 @@ TEST(Rng, BelowRespectsBound)
     Rng rng(7);
     for (int i = 0; i < 10000; ++i)
         EXPECT_LT(rng.below(17), 17u);
+}
+
+/** Rng::below with the rejection threshold computed up front, so
+ * every draw costs two 64-bit divisions. */
+std::uint64_t
+belowReference(Rng &rng, std::uint64_t bound)
+{
+    const std::uint64_t threshold = -bound % bound;
+    for (;;) {
+        const std::uint64_t r = rng.next();
+        if (r >= threshold)
+            return r % bound;
+    }
+}
+
+TEST(Rng, BelowMatchesTheTwoDivisionReference)
+{
+    constexpr std::uint64_t two63 = std::uint64_t(1) << 63;
+    std::vector<std::uint64_t> bounds = {
+        1, 2, 3, (std::uint64_t(1) << 32) - 1,
+        (std::uint64_t(1) << 32) + 1, two63,
+        // Rejects about half of all draws: the threshold path.
+        two63 + 1, ~std::uint64_t(0)};
+    for (unsigned k = 1; k < 64; ++k)
+        bounds.push_back(std::uint64_t(1) << k);
+    Rng pick(2024);
+    for (int i = 0; i < 64; ++i) {
+        bounds.push_back(1 + pick.below(1000));
+        bounds.push_back(pick.next() | 1);
+    }
+    for (const std::uint64_t bound : bounds) {
+        Rng fast(bound), slow(bound);
+        for (int i = 0; i < 200; ++i)
+            ASSERT_EQ(fast.below(bound), belowReference(slow, bound))
+                << "bound " << bound << " draw " << i;
+        // The same number of draws was taken.
+        EXPECT_EQ(fast.next(), slow.next()) << "bound " << bound;
+    }
 }
 
 TEST(Rng, RangeInclusive)

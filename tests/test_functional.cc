@@ -177,6 +177,60 @@ TEST(SparseMemory, EverySizeAndOffsetNearAPageEdge)
     }
 }
 
+TEST(SparseMemory, FillWordsCrossesPagesAndUnsharesThem)
+{
+    constexpr Addr page = SparseMemory::page_size;
+    SparseMemory m;
+    m.write(page, 8, 0xaaaa);            // before the fill, kept
+    m.write(2 * page + 0x100, 8, 0xcccc); // inside it, overwritten
+    m.write(4 * page + 0x800, 8, 0xbbbb); // after it, kept
+    const SparseMemory shared = m;
+
+    // From mid-page 1 to mid-page 4: pages 2 and 3 are covered whole,
+    // and page 3 is new.
+    const Addr base = page + 0x7f8;
+    const std::size_t count = 3 * page / 8;
+    std::vector<std::size_t> asked;
+    m.fillWords(base, count, [&](std::size_t i) {
+        asked.push_back(i);
+        return 0x5eed'0000'0000ull + 3 * i;
+    });
+    ASSERT_EQ(asked.size(), count);
+    for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(asked[i], i);
+        ASSERT_EQ(m.read(base + 8 * i, 8), 0x5eed'0000'0000ull + 3 * i);
+    }
+    EXPECT_EQ(m.read(page, 8), 0xaaaau);
+    EXPECT_EQ(m.read(base - 8, 8), 0u);
+    EXPECT_EQ(m.read(base + 8 * count, 8), 0u);
+    EXPECT_EQ(m.read(4 * page + 0x800, 8), 0xbbbbu);
+    EXPECT_EQ(m.numPages(), 4u);
+    EXPECT_EQ(m.ownedPages(), 4u);
+
+    // The copy still sees its own bytes, and no longer shares pages.
+    EXPECT_EQ(shared.numPages(), 3u);
+    EXPECT_EQ(shared.ownedPages(), 3u);
+    EXPECT_EQ(shared.read(page + 0x7f8, 8), 0u);
+    EXPECT_EQ(shared.read(2 * page + 0x100, 8), 0xccccu);
+    EXPECT_EQ(shared.read(3 * page, 8), 0u);
+
+    // A zero count asks for nothing and adds no page.
+    m.fillWords(16 * page, 0, [&](std::size_t i) {
+        asked.push_back(i);
+        return std::uint64_t(1);
+    });
+    EXPECT_EQ(asked.size(), count);
+    EXPECT_EQ(m.numPages(), 4u);
+}
+
+TEST(SparseMemory, FillWordsRejectsAnUnalignedBase)
+{
+    SparseMemory m;
+    EXPECT_DEATH(
+        m.fillWords(0x1004, 1, [](std::size_t) { return std::uint64_t(1); }),
+        "base % 8 == 0");
+}
+
 TEST(SparseMemory, CopyOnWriteKeepsPageCount)
 {
     SparseMemory a;
@@ -428,7 +482,7 @@ TEST(Functional, InitDataDoesNotCreateWriters)
     b.li(3, 0x4000);
     b.ld8(4, 3, 0);
     b.halt();
-    b.initWords(0x4000, {777});
+    b.initWords(0x4000, 1, [](std::size_t) { return 777ull; });
     Program p = b.build();
     const auto trace = runAll(p);
     const DynInst &ld = trace[1];

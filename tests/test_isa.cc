@@ -150,7 +150,8 @@ TEST(ProgramBuilder, InitWordsLittleEndian)
 {
     ProgramBuilder b;
     b.halt();
-    b.initWords(0x1000, {0x1122334455667788ull});
+    b.initWords(0x1000, 1,
+                [](std::size_t) { return 0x1122334455667788ull; });
     Program p = b.build();
     ASSERT_EQ(p.image.numPages(), 1u);
     EXPECT_EQ(p.image.readByte(0x1000), 0x88);

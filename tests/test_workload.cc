@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 
+#include "common/fnv.hh"
+#include "common/rng.hh"
+#include "common/sparse_memory.hh"
 #include "workload/functional.hh"
 #include "workload/generator.hh"
 #include "workload/kernels.hh"
@@ -91,6 +95,64 @@ singleKernelProgram(KernelKind kind, const KernelParams &params,
     const auto id = wb.addKernel(kind, params);
     std::vector<std::size_t> schedule(calls, id);
     return wb.build(schedule);
+}
+
+/**
+ * The pointer-chase image built the straightforward way: a 64-bit
+ * Sattolo permutation scattered into a vector of words that is then
+ * copied into the image whole. @p starts gets the four chain starts.
+ */
+SparseMemory
+chaseScatterReference(std::uint64_t seed, unsigned footprint_log2,
+                      std::vector<Addr> &starts)
+{
+    constexpr Addr base = 0x1000'0000; // the first data region
+    Rng rng(seed);
+    const std::size_t n = (std::size_t(1) << footprint_log2) / 8;
+    std::vector<std::uint64_t> perm(n);
+    for (std::size_t i = 0; i < n; ++i)
+        perm[i] = i;
+    for (std::size_t i = n - 1; i > 0; --i) {
+        const std::size_t j = rng.below(i);
+        std::swap(perm[i], perm[j]);
+    }
+    std::vector<std::uint64_t> words(n);
+    for (std::size_t i = 0; i < n; ++i)
+        words[perm[i]] = base + perm[(i + 1) % n] * 8;
+    SparseMemory image;
+    image.writeBytes(base,
+                     reinterpret_cast<const std::uint8_t *>(words.data()),
+                     n * sizeof(std::uint64_t));
+    starts = {base + perm[0] * 8, base + perm[n / 4] * 8,
+              base + perm[n / 2] * 8, base + perm[3 * n / 4] * 8};
+    return image;
+}
+
+/**
+ * FNV-1a digest of a program: its code field by field (an
+ * Instruction's raw bytes include padding), then its image's present
+ * pages in address order.
+ */
+std::string
+programDigest(const Program &p)
+{
+    Fnv h;
+    h.field("entry", p.entryPc);
+    h.field("insts", p.code.size());
+    for (const Instruction &in : p.code) {
+        h.field("op", static_cast<std::uint64_t>(in.op));
+        h.field("rd", in.rd);
+        h.field("ra", in.ra);
+        h.field("rb", in.rb);
+        h.field("imm", static_cast<std::uint64_t>(in.imm));
+    }
+    h.field("pages", p.image.numPages());
+    p.image.forEachPage([&](Addr addr, const std::uint8_t *bytes) {
+        h.field("page", addr);
+        h.text(std::string_view(reinterpret_cast<const char *>(bytes),
+                                SparseMemory::page_size));
+    });
+    return h.hex();
 }
 
 TEST(Kernels, StackSpillCommunicatesFullWord)
@@ -185,6 +247,28 @@ TEST(Kernels, PointerChaseNeverCommunicatesAndChases)
     EXPECT_GT(addrs.size(), 400u);
 }
 
+TEST(Kernels, ChaseImageMatchesTheScatterReference)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        for (unsigned log2 = 10; log2 <= 23; ++log2) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " footprint 2^" +
+                         std::to_string(log2));
+            KernelParams params;
+            params.footprintLog2 = log2;
+            WorkloadBuilder wb(seed);
+            const auto id = wb.addKernel(KernelKind::PointerChase, params);
+            const Program p = wb.build({id});
+            std::vector<Addr> starts;
+            EXPECT_TRUE(p.image == chaseScatterReference(seed, log2, starts));
+            // The prologue loads the four chain starts first.
+            for (std::size_t i = 0; i < starts.size(); ++i) {
+                ASSERT_EQ(p.code[i].op, Opcode::LdImm);
+                EXPECT_EQ(static_cast<Addr>(p.code[i].imm), starts[i]);
+            }
+        }
+    }
+}
+
 TEST(Kernels, FpConvertRoundTripsThroughMemory)
 {
     Program p = singleKernelProgram(KernelKind::FpConvert, {});
@@ -268,6 +352,20 @@ TEST(Generator, DeterministicForSameSeed)
                   static_cast<int>(b.code[i].op));
         EXPECT_EQ(a.code[i].imm, b.code[i].imm);
     }
+}
+
+TEST(Generator, EveryProgramIsPinned)
+{
+    // Every profile's code and data image at seed 1. Reports, golden
+    // statistics and job fingerprints all follow from these bytes, so
+    // a synthesis change that moves one must update this pin on
+    // purpose.
+    Fnv all;
+    for (const auto &profile : allProfiles()) {
+        all.text(profile.name);
+        all.text(programDigest(synthesize(profile, 1)));
+    }
+    EXPECT_EQ(all.hex(), "0540abc81052b0c1");
 }
 
 TEST(Profiles, TableCoversAllSuites)
