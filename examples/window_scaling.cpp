@@ -7,6 +7,7 @@
 
 #include <cstdio>
 
+#include "ooo/core.hh"
 #include "sim/experiment.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"

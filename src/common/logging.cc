@@ -76,6 +76,19 @@ panicImpl(const char *file, int line, const char *fmt, ...)
 }
 
 void
+assertFailImpl(const char *file, int line, const char *cond,
+               const char *fmt, ...)
+{
+    std::fprintf(stderr, "panic: %s:%d: assertion '%s' failed: ", file,
+                 line, cond);
+    va_list args;
+    va_start(args, fmt);
+    vreport(stderr, "", fmt, args);
+    va_end(args);
+    std::abort();
+}
+
+void
 fatalImpl(const char *file, int line, const char *fmt, ...)
 {
     std::fprintf(stderr, "fatal: %s:%d: ", file, line);

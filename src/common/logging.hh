@@ -30,17 +30,25 @@ namespace nosq {
 
 /** Print a formatted message to stderr and abort. */
 [[noreturn]] void panicImpl(const char *file, int line, const char *fmt,
-                            ...);
+                            ...) __attribute__((format(printf, 3, 4)));
+
+/** Report the failed nosq_assert() condition @p cond, verbatim, and
+ * the caller's formatted message, then abort. */
+[[noreturn, gnu::cold]] void
+assertFailImpl(const char *file, int line, const char *cond,
+               const char *fmt, ...)
+    __attribute__((format(printf, 4, 5)));
 
 /** Print a formatted message to stderr and exit(1). */
 [[noreturn]] void fatalImpl(const char *file, int line, const char *fmt,
-                            ...);
+                            ...) __attribute__((format(printf, 3, 4)));
 
 /** Print a formatted warning to stderr. */
-void warnImpl(const char *fmt, ...);
+void warnImpl(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Print a formatted status message to stdout. */
-void informImpl(const char *fmt, ...);
+void informImpl(const char *fmt, ...)
+    __attribute__((format(printf, 1, 2)));
 
 /** Set this process's role tag for the NOSQ_LOG_PREFIX line prefix
  * (e.g. "daemon", "worker"). Survives fork(); call again in the
@@ -68,15 +76,14 @@ std::string logPrefix();
 /**
  * Invariant check that is active in all build types (unlike assert).
  * Use for simulator-correctness invariants whose violation indicates a
- * modeling bug.
+ * modeling bug. The arguments after @p cond are a printf format and
+ * its arguments, printed after the condition's text.
  */
 #define nosq_assert(cond, ...)                                         \
     do {                                                               \
-        if (!(cond)) {                                                 \
-            ::nosq::panicImpl(__FILE__, __LINE__,                      \
-                              "assertion '%s' failed: " #cond,         \
-                              #cond);                                  \
-        }                                                              \
+        if (!(cond))                                                   \
+            ::nosq::assertFailImpl(__FILE__, __LINE__, #cond,          \
+                                   __VA_ARGS__);                       \
     } while (0)
 
 #endif // NOSQ_COMMON_LOGGING_HH

@@ -124,26 +124,13 @@ OooCore::run(std::uint64_t max_insts, std::uint64_t warmup_insts)
 {
     const std::uint64_t total = max_insts + warmup_insts;
     const std::uint64_t cycle_bound = livelockBound(total);
-    Cycle cycle_base = 0;
-
-    if (warmup_insts > 0) {
-        // Warm caches, predictors, and filters; then restart the
-        // statistics at an exact instruction boundary.
+    // Warm caches, predictors, and filters; then measure from an
+    // exact instruction boundary.
+    if (warmup_insts > 0)
         runUntilCommitted(warmup_insts, cycle_bound);
-        res = SimResult();
-        cycle_base = cycle;
-    }
-
-    // Hierarchy counters live in the memory system (they warm up
-    // alongside it); window them to the measured region the same
-    // way the cycle count is.
-    const MemSysStats mem_base = mem.stats();
-
+    beginInterval();
     runUntilCommitted(total, cycle_bound);
-    res.cycles = cycle - cycle_base;
-    res.insts = committed - warmup_insts;
-    windowMemSysStats(res, mem.stats(), mem_base);
-    return res;
+    return harvestInterval();
 }
 
 void

@@ -194,14 +194,13 @@ class OooCore
     /** Single-step one cycle (exposed for tests). */
     void tick();
 
-    // --- lockstep stepping (sim/system.hh drives N cores one tick
-    // --- at a time; these expose run()'s internals piecewise) --------
-    /** Reset statistics at the current instruction boundary, exactly
-     * as run() does after warmup. */
+    // --- measured intervals (run(), runSampled()'s intervals and
+    // --- sim/system.hh's lockstep cores each measure through these)
+    /** Reset statistics at the current instruction boundary and
+     * take the interval's cycle, commit and hierarchy bases. */
     void beginInterval();
     /** Close the interval opened by beginInterval(): cycle/inst
-     * deltas plus a windowed hierarchy snapshot, as run() computes
-     * at the end of a measured region. */
+     * deltas plus a windowed hierarchy snapshot. */
     SimResult harvestInterval();
     /** True if the tick just taken did no work (the cycle was
      * quiescent and would have been skippable solo). */

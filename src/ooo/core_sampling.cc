@@ -140,27 +140,22 @@ OooCore::runSampled(const SamplingParams &sp)
                               cycle_bound);
 
         // --- measured interval --------------------------------------------
-        res = SimResult();
-        const Cycle cycle_base = cycle;
-        const MemSysStats mem_base = mem.stats();
-        const std::uint64_t commit_base = committed;
-        runUntilCommitted(commit_base + sp.interval, cycle_bound);
-        const std::uint64_t measured = committed - commit_base;
-        if (measured == 0)
+        beginInterval();
+        runUntilCommitted(committed + sp.interval, cycle_bound);
+        const SimResult measured = harvestInterval();
+        if (measured.insts == 0)
             break; // trace ended inside the warmup
-        res.cycles = cycle - cycle_base;
-        res.insts = measured;
-        windowMemSysStats(res, mem.stats(), mem_base);
-        addSimCounters(total, res);
-        total.skippedCycles += res.skippedCycles;
+        addSimCounters(total, measured);
+        total.skippedCycles += measured.skippedCycles;
         // Accumulate CPI, not IPC: intervals are fixed instruction
         // counts, so the arithmetic mean of per-interval CPI equals
         // the aggregate CPI exactly, while a mean of per-interval
         // IPCs (mean of ratios) would be biased high relative to the
         // aggregate (ratio of sums).
-        if (res.cycles > 0)
-            interval_cpis.push_back(double(res.cycles) / measured);
-        if (measured < sp.interval)
+        if (measured.cycles > 0)
+            interval_cpis.push_back(double(measured.cycles) /
+                                    measured.insts);
+        if (measured.insts < sp.interval)
             break; // trace ended inside the interval
     }
 

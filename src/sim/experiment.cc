@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "common/cli.hh"
-#include "workload/program_cache.hh"
 
 namespace nosq {
 
@@ -13,15 +12,6 @@ defaultSimInsts()
 {
     return cli::parseEnvNumber("NOSQ_SIM_INSTS", 1, ~std::uint64_t(0))
         .value_or(300000);
-}
-
-SimResult
-runBenchmark(const BenchmarkProfile &profile,
-             const UarchParams &params, std::uint64_t max_insts,
-             std::uint64_t seed)
-{
-    OooCore core(params, ProgramCache::global().get(profile, seed));
-    return core.run(max_insts);
 }
 
 double

@@ -1,8 +1,8 @@
 /**
  * @file
- * Experiment harness: the run result, the benchmark runner and the
- * mean helpers shared by the sweep engine, the figures and the
- * examples.
+ * Experiment harness: the run result, the ablation binaries'
+ * instruction count and the mean helpers shared by the sweep engine,
+ * the figures and the examples.
  */
 
 #ifndef NOSQ_SIM_EXPERIMENT_HH
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "ooo/core.hh"
 #include "ooo/sim_stats.hh"
 #include "ooo/uarch_params.hh"
 #include "workload/profiles.hh"
@@ -44,12 +43,6 @@ struct RunResult
 /** Instructions per run of the ablation binaries: NOSQ_SIM_INSTS,
  * else 300000. @throws cli::UsageError unless it is a number >= 1 */
 std::uint64_t defaultSimInsts();
-
-/** Synthesize @p profile and run it on @p params. */
-SimResult runBenchmark(const BenchmarkProfile &profile,
-                       const UarchParams &params,
-                       std::uint64_t max_insts,
-                       std::uint64_t seed = 1);
 
 /** Geometric mean of a vector of ratios. */
 double geomean(const std::vector<double> &values);

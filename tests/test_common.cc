@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/circular_buffer.hh"
+#include "common/logging.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
 #include "common/table.hh"
@@ -290,6 +291,22 @@ TEST(Table, Formatters)
 {
     EXPECT_EQ(fmtDouble(1.23456, 2), "1.23");
     EXPECT_EQ(fmtPct(12.34), "12.3");
+}
+
+// A failed nosq_assert prints the condition verbatim, then the
+// caller's formatted message with its arguments. A '%' in the
+// condition is text, never a conversion.
+TEST(Logging, AssertPrintsConditionAndFormattedMessage)
+{
+    EXPECT_DEATH(nosq_assert(false, "value %d", 42),
+                 "assertion 'false' failed: value 42");
+}
+
+TEST(Logging, AssertConditionWithPercentPrintsLiterally)
+{
+    const unsigned base = 12;
+    EXPECT_DEATH(nosq_assert(base % 8 == 0, "base %u unaligned", base),
+                 "assertion 'base % 8 == 0' failed: base 12 unaligned");
 }
 
 } // anonymous namespace

@@ -1,43 +1,53 @@
 /**
  * @file
- * Golden-statistics snapshot: bit-identity gate for simulator
- * optimizations.
+ * Golden-statistics store: the bit-identity gate for simulator
+ * changes.
  *
- * The legacy table below was captured from the pre-optimization
- * simulator (PR 4 seed state) for two contrasting benchmarks under
- * all four LSU modes on both machine sizes, fixed seed and
- * instruction counts. Any core change that perturbs a single
- * simulated counter fails this test: performance work must leave
- * every simulated statistic bit-identical. If a future PR changes
- * simulated *behavior on purpose* (a modeling fix, a new mechanism),
- * it must regenerate this table and say so in its description --
- * that is the contract that keeps accidental behavioral drift out of
- * perf PRs.
+ * tests/golden/stats.jsonl is an ordinary "nosq-store-v1" result
+ * store (serve/job_store.hh): a header line, then one
+ * {"fp":<jobFingerprint>,"run":<runResultRecord>} line per golden
+ * job, in job order. The 22 golden jobs come from the product's own
+ * job builders, each at 24000 measured instructions after 8000
+ * warm-up, seed 1:
  *
- * The legacy rows pin the original 20 counters by NAME, so adding
- * new counters to SimResult (e.g. the PR 5 memory-hierarchy
- * counters) cannot break them -- only changing the simulated values
- * can. A second table pins the full counter set for the
- * MSHR/prefetch/bus-occupancy timing path, locking the non-blocking
- * memory system against regressions the same way.
+ *  - gcc and g721.e under all four LSU modes on both machine sizes
+ *    (16 jobs, pinned since the pre-optimization simulator);
+ *  - the same two benchmarks on the MSHR/prefetch/bus-occupancy
+ *    timing path, SQ and NoSQ (4 jobs: the prefetching point of a
+ *    256 KiB, 12-cycle, 4-MSHR memsys grid);
+ *  - the 2-core spsc-ring producer/consumer System at queue depth 8,
+ *    SQ and NoSQ (2 jobs).
  *
- * Regenerate with the loop in this file: run each row's
- * configuration and print the counters in forEachSimCounter order.
+ * Each job's runResultRecord() must equal its stored record byte for
+ * byte, so every counter is compared exactly and performance work
+ * must leave all of them unchanged. The keys pin jobFingerprint()'s
+ * serialization for profile and kernel jobs as well: a changed
+ * fingerprint would strand every existing store.
+ *
+ * Every run also writes its actual records, in the same format and
+ * order, to golden_stats.actual.jsonl in the build tree. A change
+ * that alters simulated behaviour on purpose re-pins the whole store
+ * with one copy,
+ *
+ *   cp <build>/golden_stats.actual.jsonl tests/golden/stats.jsonl
+ *
+ * and the diff of that copy is what the re-pin's review reads.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "ooo/core.hh"
+#include "serve/job_store.hh"
+#include "sim/journal.hh"
 #include "sim/report.hh"
-#include "sim/system.hh"
-#include "workload/generator.hh"
-#include "workload/multicore.hh"
+#include "sim/sweep.hh"
 #include "workload/profiles.hh"
 
 namespace nosq {
@@ -47,332 +57,241 @@ constexpr std::uint64_t golden_insts = 24000;
 constexpr std::uint64_t golden_warmup = 8000;
 constexpr std::uint64_t golden_seed = 1;
 
-/** The original counter set the PR 4 seed table pinned. */
-constexpr std::size_t num_legacy_counters = 20;
-const char *const legacy_counter_names[num_legacy_counters] = {
-    "cycles", "insts", "loads", "stores", "branches", "comm_loads",
-    "partial_comm_loads", "bypassed_loads", "shift_uops",
-    "delayed_loads", "bypass_mispredicts", "reexec_loads",
-    "load_flushes", "dcache_reads_core", "dcache_reads_backend",
-    "dcache_writes", "branch_mispredicts", "sq_forwards",
-    "sq_stalls", "ssn_wrap_drains",
-};
-
-/** Every counter, keyed by its report name. */
-std::map<std::string, std::uint64_t>
-counterMap(const SimResult &r)
+/** The 22 golden jobs, in store order. */
+std::vector<SweepJob>
+goldenJobs()
 {
-    std::map<std::string, std::uint64_t> m;
-    SimResult &mut = const_cast<SimResult &>(r);
-    forEachSimCounter(mut, [&](const char *name, std::uint64_t &v) {
-        m.emplace(name, v);
-    });
-    return m;
+    SweepSpec spec;
+    spec.benchmarks = {findProfile("gcc"), findProfile("g721.e")};
+    spec.configs = crossConfigs({LsuMode::SqPerfect, LsuMode::SqStoreSets,
+                                 LsuMode::Nosq, LsuMode::NosqPerfect},
+                                {128, 256});
+    spec.insts = golden_insts;
+    spec.warmup = golden_warmup;
+    spec.seed = golden_seed;
+    std::vector<SweepJob> jobs = buildJobs(spec);
+
+    spec.configs.clear();
+    for (SweepConfig &config :
+         memsysConfigs({256 * 1024}, {12}, {4}, /*with_prefetch=*/true))
+        if (config.memsys.find("-pref") != std::string::npos)
+            spec.configs.push_back(std::move(config));
+    for (SweepJob &job : buildJobs(spec))
+        jobs.push_back(std::move(job));
+
+    for (SweepJob &job : buildMulticoreJobs(
+             {"spsc-ring"}, multicoreConfigs({2}, {8}), golden_insts,
+             golden_warmup, golden_seed))
+        jobs.push_back(std::move(job));
+    return jobs;
 }
 
-struct GoldenRow
+/** One checked-in record: its exact text and its parsed form. */
+struct GoldenRecord
 {
-    const char *benchmark;
-    LsuMode mode;
-    bool bigWindow;
-    std::array<std::uint64_t, num_legacy_counters> counters;
+    std::string text;
+    JsonValue run;
+    bool claimed = false;
 };
 
-const GoldenRow golden_rows[] = {
-    {"gcc", LsuMode::SqPerfect, false,
-     {28530, 24000, 2175, 2234, 3347, 166,
-      36, 0, 0, 0, 0, 0,
-      0, 2179, 0, 2234, 113, 164,
-      0, 0}},
-    {"gcc", LsuMode::SqPerfect, true,
-     {17838, 24000, 2175, 2234, 3347, 166,
-      36, 0, 0, 0, 0, 0,
-      0, 2179, 0, 2234, 108, 163,
-      0, 0}},
-    {"gcc", LsuMode::SqStoreSets, false,
-     {28241, 24000, 2175, 2234, 3347, 166,
-      36, 0, 0, 0, 0, 27,
-      12, 2291, 27, 2234, 155, 152,
-      0, 0}},
-    {"gcc", LsuMode::SqStoreSets, true,
-     {18534, 24000, 2175, 2234, 3347, 166,
-      36, 0, 0, 0, 0, 30,
-      12, 2419, 30, 2234, 164, 151,
-      0, 0}},
-    {"gcc", LsuMode::Nosq, false,
-     {28402, 24000, 2175, 2234, 3347, 166,
-      36, 118, 4, 0, 18, 75,
-      18, 2235, 75, 2234, 168, 0,
-      0, 0}},
-    {"gcc", LsuMode::Nosq, true,
-     {18739, 24000, 2175, 2234, 3347, 166,
-      36, 124, 4, 0, 18, 75,
-      18, 2371, 75, 2234, 175, 0,
-      0, 0}},
-    {"gcc", LsuMode::NosqPerfect, false,
-     {28470, 24000, 2175, 2234, 3347, 166,
-      36, 164, 35, 0, 0, 0,
-      0, 2015, 0, 2234, 114, 0,
-      0, 0}},
-    {"gcc", LsuMode::NosqPerfect, true,
-     {17918, 24000, 2175, 2234, 3347, 166,
-      36, 163, 35, 0, 0, 0,
-      0, 2016, 0, 2234, 108, 0,
-      0, 0}},
-    {"g721.e", LsuMode::SqPerfect, false,
-     {31529, 24000, 1231, 1291, 3022, 85,
-      72, 0, 0, 0, 0, 0,
-      0, 1231, 0, 1291, 463, 65,
-      0, 0}},
-    {"g721.e", LsuMode::SqPerfect, true,
-     {21205, 24000, 1231, 1291, 3022, 85,
-      72, 0, 0, 0, 0, 0,
-      0, 1233, 0, 1291, 459, 65,
-      0, 0}},
-    {"g721.e", LsuMode::SqStoreSets, false,
-     {31539, 24000, 1231, 1291, 3022, 85,
-      72, 0, 0, 0, 0, 5,
-      3, 1256, 5, 1291, 472, 61,
-      37, 0}},
-    {"g721.e", LsuMode::SqStoreSets, true,
-     {21236, 24000, 1231, 1291, 3022, 85,
-      72, 0, 0, 0, 0, 5,
-      3, 1277, 5, 1291, 462, 62,
-      34, 0}},
-    {"g721.e", LsuMode::Nosq, false,
-     {31544, 24000, 1231, 1291, 3022, 85,
-      72, 40, 27, 12, 12, 50,
-      12, 1226, 50, 1291, 485, 0,
-      0, 0}},
-    {"g721.e", LsuMode::Nosq, true,
-     {21597, 24000, 1231, 1291, 3022, 85,
-      72, 43, 29, 13, 12, 50,
-      12, 1294, 50, 1291, 480, 0,
-      0, 0}},
-    {"g721.e", LsuMode::NosqPerfect, false,
-     {31585, 24000, 1231, 1291, 3022, 85,
-      72, 85, 72, 0, 0, 20,
-      0, 1146, 20, 1291, 463, 0,
-      0, 0}},
-    {"g721.e", LsuMode::NosqPerfect, true,
-     {21201, 24000, 1231, 1291, 3022, 85,
-      72, 87, 74, 0, 0, 20,
-      0, 1148, 20, 1291, 459, 0,
-      0, 0}},
+/** The value of @p v as the message prints it. */
+std::string
+leafText(const JsonValue *v)
+{
+    if (v == nullptr)
+        return "(absent)";
+    switch (v->kind) {
+      case JsonValue::Kind::Number: {
+        std::uint64_t counter;
+        return jsonExactCounter(*v, counter) ? std::to_string(counter)
+                                             : jsonNumber(v->number);
+      }
+      case JsonValue::Kind::String:
+        return "\"" + v->string + "\"";
+      case JsonValue::Kind::Bool:
+        return v->boolean ? "true" : "false";
+      case JsonValue::Kind::Null:
+        return "null";
+      default:
+        return "(object)";
+    }
+}
+
+/** Every value of a record, keyed "key" or "stats.key". */
+std::map<std::string, std::string>
+recordValues(const JsonValue &run)
+{
+    std::map<std::string, std::string> values;
+    for (const auto &[key, value] : run.object)
+        values[key] = leafText(&value);
+    if (const JsonValue *stats = run.find("stats"))
+        for (const auto &[key, value] : stats->object)
+            values["stats." + key] = leafText(&value);
+    return values;
+}
+
+/** One "key: stored X, actual Y" line per differing value. */
+std::string
+differingKeys(const JsonValue &stored, const JsonValue &actual)
+{
+    std::map<std::string, std::string> was = recordValues(stored);
+    std::map<std::string, std::string> is = recordValues(actual);
+    for (const auto &[key, value] : is)
+        was.emplace(key, leafText(nullptr));
+    std::string out;
+    for (const auto &[key, value] : was) {
+        const std::string now =
+            is.count(key) ? is.at(key) : leafText(nullptr);
+        if (now != value)
+            out += "  " + key + ": stored " + value + ", actual " + now +
+                   "\n";
+    }
+    return out;
+}
+
+std::string
+labels(const JsonValue &run)
+{
+    return leafText(run.find("benchmark")) + " / " +
+           leafText(run.find("config"));
+}
+
+/** The golden jobs and their results, run once per process. */
+struct GoldenRun
+{
+    std::vector<SweepJob> jobs = goldenJobs();
+    std::vector<RunResult> results;
+
+    GoldenRun()
+    {
+        for (const SweepJob &job : jobs)
+            results.push_back(runSweepJob(job));
+
+        // The re-pin source, written through the store itself so
+        // its bytes are exactly what a checkpoint would hold.
+        std::remove(NOSQ_GOLDEN_ACTUAL);
+        serve::JobStore store;
+        std::string error;
+        if (!store.open(NOSQ_GOLDEN_ACTUAL, error))
+            ADD_FAILURE() << error;
+        for (std::size_t i = 0; i < jobs.size(); ++i)
+            store.put(jobFingerprint(jobs[i]), results[i]);
+        EXPECT_EQ(store.appendFailures(), 0u);
+    }
+
+    /** The result of the job labelled @p config on @p benchmark. */
+    const SimResult &
+    result(const std::string &benchmark,
+           const std::string &config) const
+    {
+        for (const RunResult &r : results)
+            if (r.benchmark == benchmark && r.config == config)
+                return r.sim;
+        ADD_FAILURE() << "no golden job " << benchmark << " / "
+                      << config;
+        static const SimResult none;
+        return none;
+    }
 };
 
-TEST(GoldenStats, AllModesAndWindowsMatchSeedSimulator)
+const GoldenRun &
+goldenRun()
 {
-    for (const GoldenRow &row : golden_rows) {
-        const BenchmarkProfile *profile = findProfile(row.benchmark);
-        ASSERT_NE(profile, nullptr) << row.benchmark;
-        const Program program = synthesize(*profile, golden_seed);
-        OooCore core(makeParams(row.mode, row.bigWindow), program);
-        const SimResult r = core.run(golden_insts, golden_warmup);
+    static const GoldenRun run;
+    return run;
+}
 
-        const auto counters = counterMap(r);
-        for (std::size_t i = 0; i < num_legacy_counters; ++i) {
-            const char *name = legacy_counter_names[i];
-            const auto it = counters.find(name);
-            ASSERT_NE(it, counters.end()) << name;
-            EXPECT_EQ(it->second, row.counters[i])
-                << row.benchmark << " / " << lsuModeName(row.mode)
-                << " / w" << (row.bigWindow ? 256 : 128)
-                << " counter '" << name << "'";
+TEST(GoldenStats, EveryJobMatchesTheGoldenStore)
+{
+    const GoldenRun &actual = goldenRun();
+    // Read the checked-in store line by line: JobStore::open would
+    // compact (rewrite) it.
+    std::ifstream in(NOSQ_GOLDEN_STORE);
+    ASSERT_TRUE(in) << "cannot read " << NOSQ_GOLDEN_STORE;
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    ASSERT_EQ(line, "{\"schema\":\"nosq-store-v1\"}");
+    std::map<std::string, GoldenRecord> golden;
+    for (std::size_t line_no = 2; std::getline(in, line); ++line_no) {
+        JsonValue v;
+        std::string error;
+        ASSERT_TRUE(parseJson(line, v, &error))
+            << "line " << line_no << ": " << error;
+        const JsonValue *fp = v.find("fp");
+        const JsonValue *run = v.find("run");
+        ASSERT_TRUE(fp != nullptr &&
+                    fp->kind == JsonValue::Kind::String &&
+                    run != nullptr)
+            << "line " << line_no << " is not a store record";
+        ASSERT_TRUE(
+            golden.emplace(fp->string, GoldenRecord{line, *run}).second)
+            << "duplicate fingerprint " << fp->string;
+    }
+
+    std::ostringstream failures;
+    for (std::size_t i = 0; i < actual.jobs.size(); ++i) {
+        const std::string fp = jobFingerprint(actual.jobs[i]);
+        const std::string record = runResultRecord(actual.results[i]);
+        JsonValue run;
+        ASSERT_TRUE(parseJson(record, run));
+        const auto it = golden.find(fp);
+        if (it == golden.end()) {
+            failures << labels(run) << ": no golden record for "
+                     << "fingerprint " << fp;
+            for (auto &[other_fp, other] : golden) {
+                if (labels(other.run) != labels(run))
+                    continue;
+                other.claimed = true;
+                failures << " (fingerprint changed: stored under "
+                         << other_fp << ")";
+            }
+            failures << "\n";
+            continue;
         }
+        it->second.claimed = true;
+        std::string expected = "{\"fp\":";
+        jsonString(expected, fp);
+        expected += ",\"run\":" + record + "}";
+        if (it->second.text == expected)
+            continue;
+        const std::string keys = differingKeys(it->second.run, run);
+        failures << labels(run) << " (" << fp << ") differs:\n"
+                 << (keys.empty() ? "  same values, other bytes\n"
+                                  : keys);
     }
-}
+    for (const auto &[fp, record] : golden)
+        if (!record.claimed)
+            failures << labels(record.run) << ": stored record " << fp
+                     << " belongs to no golden job\n";
 
-// --- non-blocking memory-system timing path ---------------------------------
-
-/**
- * The MSHR/prefetch/bus-occupancy configuration pinned below:
- * 4 MSHRs, degree-2 stream prefetcher, DRAM-bus occupancy, and a
- * smaller/slower L2 (256KB, 12 cycles) so the new machinery is
- * exercised hard. Captured at PR 5; regenerate (and say so) only
- * when the memory-system timing changes on purpose.
- */
-UarchParams
-memsysGoldenParams(LsuMode mode)
-{
-    UarchParams params = makeParams(mode, /*big_window=*/false);
-    params.memsys.mshrs = 4;
-    params.memsys.busContention = true;
-    params.memsys.prefetchDegree = 2;
-    params.memsys.l2.sizeBytes = 256 * 1024;
-    params.memsys.l2.hitLatency = 12;
-    return params;
-}
-
-constexpr std::size_t num_all_counters = 37;
-
-struct MemsysGoldenRow
-{
-    const char *benchmark;
-    LsuMode mode;
-    std::array<std::uint64_t, num_all_counters> counters;
-};
-
-const MemsysGoldenRow memsys_golden_rows[] = {
-    {"gcc", LsuMode::SqStoreSets,
-     {9546, 24000, 2175, 2234, 3347, 166,
-      36, 0, 0, 0, 0, 22,
-      9, 2231, 22, 2234, 168, 148,
-      0, 0, 6738, 6, 4483, 4,
-      0, 0, 10, 0, 6744, 0,
-      4479, 8, 4, 0, 498, 498,
-      726}},
-    {"gcc", LsuMode::Nosq,
-     {10003, 24000, 2175, 2234, 3347, 166,
-      36, 115, 4, 0, 18, 75,
-      18, 2166, 75, 2234, 187, 0,
-      0, 0, 6907, 6, 4471, 4,
-      0, 0, 10, 0, 6913, 0,
-      4467, 8, 4, 0, 499, 499,
-      724}},
-    {"g721.e", LsuMode::SqStoreSets,
-     {16688, 24000, 1231, 1291, 3022, 85,
-      72, 0, 0, 0, 0, 4,
-      3, 1246, 4, 1291, 474, 63,
-      35, 0, 6808, 28, 2541, 0,
-      0, 0, 28, 0, 6836, 0,
-      2535, 6, 0, 0, 287, 287,
-      0}},
-    {"g721.e", LsuMode::Nosq,
-     {16904, 24000, 1231, 1291, 3022, 85,
-      72, 40, 27, 12, 12, 50,
-      12, 1210, 50, 1291, 485, 0,
-      0, 0, 6945, 28, 2551, 0,
-      0, 0, 28, 0, 6973, 0,
-      2545, 6, 0, 0, 287, 287,
-      0}},
-};
-
-TEST(GoldenStats, MshrPrefetchBusTimingPathMatchesPinnedRun)
-{
-    for (const MemsysGoldenRow &row : memsys_golden_rows) {
-        const BenchmarkProfile *profile = findProfile(row.benchmark);
-        ASSERT_NE(profile, nullptr) << row.benchmark;
-        const Program program = synthesize(*profile, golden_seed);
-        OooCore core(memsysGoldenParams(row.mode), program);
-        const SimResult r = core.run(golden_insts, golden_warmup);
-
-        std::size_t i = 0;
-        SimResult &mut = const_cast<SimResult &>(r);
-        forEachSimCounter(mut, [&](const char *name,
-                                   std::uint64_t &v) {
-            ASSERT_LT(i, num_all_counters);
-            EXPECT_EQ(v, row.counters[i])
-                << row.benchmark << " / " << lsuModeName(row.mode)
-                << " counter '" << name << "'";
-            ++i;
-        });
-        EXPECT_EQ(i, num_all_counters);
-    }
+    EXPECT_TRUE(failures.str().empty())
+        << failures.str()
+        << "If simulated behaviour changed on purpose, re-pin with\n"
+        << "  cp " << NOSQ_GOLDEN_ACTUAL << " " << NOSQ_GOLDEN_STORE
+        << "\nand review the diff of that copy.";
 }
 
 /**
- * The memsys golden path must also differ between the LSU modes --
- * the whole point of the hierarchy sweep is that cache-geometry
- * effects on the NoSQ-vs-baseline gap are visible.
+ * The memsys golden path must differ between the LSU modes: the
+ * whole point of the hierarchy sweep is that cache-geometry effects
+ * on the NoSQ-vs-baseline gap are visible.
  */
 TEST(GoldenStats, MemsysPathSeparatesLsuModes)
 {
-    const auto &sq = memsys_golden_rows[0];
-    const auto &nosq = memsys_golden_rows[1];
-    EXPECT_NE(sq.counters[0], nosq.counters[0]);   // cycles
-    EXPECT_NE(sq.counters[13], nosq.counters[13]); // core dcache reads
-}
-
-// --- multi-core coherence timing path ---------------------------------------
-
-/**
- * A 2-core "spsc-ring" producer-consumer System (queue depth 8,
- * seed 1) pinned under both LSU modes: aggregate counters by NAME
- * (so future counter additions cannot break the rows), the
- * coherence counters, and the per-core breakdown. Captured at PR 7;
- * regenerate (and say so) only when coherence or multicore timing
- * changes on purpose.
- */
-struct MulticoreGoldenRow
-{
-    LsuMode mode;
-    /** (report key, value) pairs checked against counterMap(). */
-    std::vector<std::pair<const char *, std::uint64_t>> aggregate;
-    std::uint64_t cohInvalidations;
-    std::uint64_t cohC2cTransfers;
-    std::uint64_t cohUpgradeMisses;
-    /** Per core: cycles, insts, loads, stores, bypassed loads. */
-    std::array<std::array<std::uint64_t, 5>, 2> perCore;
-};
-
-const MulticoreGoldenRow multicore_golden_rows[] = {
-    {LsuMode::SqStoreSets,
-     {{"cycles", 15427}, {"insts", 48000}, {"loads", 8571},
-      {"stores", 8570}, {"branches", 3428}, {"comm_loads", 3428},
-      {"bypassed_loads", 0}, {"sq_forwards", 3429},
-      {"dcache_reads_core", 8571}, {"dcache_writes", 8570},
-      {"l1d_hits", 12004}, {"l1d_misses", 5137}, {"l2_hits", 0},
-      {"l2_misses", 0}, {"miss_cycles", 143836}},
-     5137, 5137, 5137,
-     {{{15427, 24000, 3428, 5142, 0},
-       {15427, 24000, 5143, 3428, 0}}}},
-    {LsuMode::Nosq,
-     {{"cycles", 7824}, {"insts", 48000}, {"loads", 8571},
-      {"stores", 8570}, {"branches", 3428}, {"comm_loads", 3428},
-      {"bypassed_loads", 3428}, {"sq_forwards", 0},
-      {"dcache_reads_core", 5143}, {"dcache_writes", 8570},
-      {"l1d_hits", 9195}, {"l1d_misses", 4518}, {"l2_hits", 0},
-      {"l2_misses", 0}, {"miss_cycles", 126504}},
-     4518, 4518, 4518,
-     {{{7824, 24000, 3428, 5142, 1714},
-       {7824, 24000, 5143, 3428, 1714}}}},
-};
-
-TEST(GoldenStats, TwoCoreSpscRingMatchesPinnedRun)
-{
-    for (const MulticoreGoldenRow &row : multicore_golden_rows) {
-        System system(makeParams(row.mode, /*big_window=*/false),
-                      buildMulticorePrograms("spsc-ring", 2, 8,
-                                             golden_seed));
-        const SimResult r = system.run(golden_insts, golden_warmup);
-
-        const auto counters = counterMap(r);
-        for (const auto &[name, value] : row.aggregate) {
-            const auto it = counters.find(name);
-            ASSERT_NE(it, counters.end()) << name;
-            EXPECT_EQ(it->second, value)
-                << lsuModeName(row.mode) << " counter '" << name
-                << "'";
-        }
-        EXPECT_TRUE(r.multicore);
-        EXPECT_EQ(r.numCores, 2u);
-        EXPECT_EQ(r.cohInvalidations, row.cohInvalidations)
-            << lsuModeName(row.mode);
-        EXPECT_EQ(r.cohC2cTransfers, row.cohC2cTransfers)
-            << lsuModeName(row.mode);
-        EXPECT_EQ(r.cohUpgradeMisses, row.cohUpgradeMisses)
-            << lsuModeName(row.mode);
-        ASSERT_EQ(r.perCore.size(), 2u);
-        for (std::size_t c = 0; c < 2; ++c) {
-            const SimResult::PerCore &pc = r.perCore[c];
-            const auto &want = row.perCore[c];
-            EXPECT_EQ(pc.cycles, want[0]) << "core " << c;
-            EXPECT_EQ(pc.insts, want[1]) << "core " << c;
-            EXPECT_EQ(pc.loads, want[2]) << "core " << c;
-            EXPECT_EQ(pc.stores, want[3]) << "core " << c;
-            EXPECT_EQ(pc.bypassedLoads, want[4]) << "core " << c;
-        }
-    }
+    const SimResult &sq =
+        goldenRun().result("gcc", "sq/l2-256K-lat12-mshr4-pref");
+    const SimResult &nosq =
+        goldenRun().result("gcc", "nosq/l2-256K-lat12-mshr4-pref");
+    EXPECT_NE(sq.cycles, nosq.cycles);
+    EXPECT_NE(sq.dcacheReadsCore, nosq.dcacheReadsCore);
 }
 
 /** NoSQ must beat the associative SQ on the queue kernel: that
- * cross-core forwarding gap is the PR's headline measurement. */
+ * cross-core forwarding gap is the multicore headline. */
 TEST(GoldenStats, MulticoreGoldenSeparatesLsuModes)
 {
-    const auto &sq = multicore_golden_rows[0];
-    const auto &nosq = multicore_golden_rows[1];
-    EXPECT_LT(nosq.aggregate[0].second, sq.aggregate[0].second)
+    EXPECT_LT(goldenRun().result("spsc-ring", "nosq/c2-d8").cycles,
+              goldenRun().result("spsc-ring", "sq/c2-d8").cycles)
         << "NoSQ cycles should beat SQ on spsc-ring";
 }
 

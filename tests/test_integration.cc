@@ -16,6 +16,7 @@
 #include <string>
 #include <tuple>
 
+#include "ooo/core.hh"
 #include "sim/experiment.hh"
 #include "workload/generator.hh"
 #include "workload/profiles.hh"
@@ -261,14 +262,6 @@ TEST(Integration, ExperimentHelperMeans)
     EXPECT_NEAR(amean({1.0, 2.0, 3.0}), 2.0, 1e-9);
     EXPECT_EQ(geomean({}), 0.0);
     EXPECT_EQ(amean({}), 0.0);
-}
-
-TEST(Integration, RunBenchmarkHelper)
-{
-    const auto *profile = findProfile("gsm.e");
-    const SimResult r =
-        runBenchmark(*profile, makeParams(LsuMode::Nosq), 20000);
-    EXPECT_EQ(r.insts, 20000u);
 }
 
 } // anonymous namespace

@@ -172,32 +172,6 @@ TEST(Fingerprint, StableAndSensitiveToEveryTupleField)
     EXPECT_NE(jobFingerprint(base), jobFingerprint(tagged));
 }
 
-// Stores, checkpoints and the daemon's dedup are keyed by these
-// values: a change to the fingerprint's serialization (a reordered or
-// renamed field) would strand every existing store, so it must show
-// up here first.
-TEST(Fingerprint, PinnedForAProfileJobAndAKernelJob)
-{
-    SweepJob profile_job;
-    profile_job.profile = findProfile("gcc");
-    ASSERT_NE(profile_job.profile, nullptr);
-    profile_job.config = "nosq/w128";
-    profile_job.params.mode = LsuMode::Nosq;
-    profile_job.insts = 20000;
-    EXPECT_EQ(jobFingerprint(profile_job), "8a3143b957da120f");
-
-    SweepJob kernel_job;
-    kernel_job.benchmark = "spsc-ring";
-    kernel_job.suite = Suite::Int;
-    kernel_job.config = "nosq/c2-d8";
-    kernel_job.cores = 2;
-    kernel_job.queueDepth = 8;
-    kernel_job.seed = 3;
-    kernel_job.insts = 30000;
-    kernel_job.warmup = 10000;
-    EXPECT_EQ(jobFingerprint(kernel_job), "3c40f8591c8e4ce7");
-}
-
 TEST(Fingerprint, DelimiterBytesInFieldsCannotCollide)
 {
     // With a delimiter-joined hash these two tuples would produce
