@@ -2,8 +2,9 @@
 # Every figure dimension of --sweep=DIM prints its paper table: exit
 # 0, the figure's title line, one row per benchmark (one per
 # hierarchy point for memsys), and the same sweep's --json report
-# passes --validate. A table drawn through a nosq_sweepd daemon is
-# byte-identical to the local one.
+# passes --validate, its memsys rows labelled with their point. A
+# table drawn through a nosq_sweepd daemon is byte-identical to the
+# local one.
 #
 # usage: cli_figure_tables_render.sh NOSQ_SIM NOSQ_SWEEPD
 # Runs in the current directory and writes only cli_fig_* files there.
@@ -56,12 +57,18 @@ check lsu "Figure 2: relative execution time, 128-entry window" 2
 check lsu "Figure 3: relative execution time, 256-entry window" 2 \
     --window 256
 check cache-reads "Figure 4: data cache reads" 2
-check capacity "Figure 5 (top): predictor capacity sweep" 2
+check capacity "Figure 5 (top): predictor capacity sweep" 2 \
+    --capacities 512,2K,Inf
 check history "Figure 5 (bottom): path history length sweep" 2 \
     --history 0,2,4,8,12
 check delay "Table 5: communication behaviour" 2
 check svw "Ablation: SVW-filtered re-execution" 2
 check memsys "Memory-hierarchy scaling" 16
+# Every memsys row carries its hierarchy point's label.
+if ! grep -q '"memsys": "l2-1M-lat20-mshr8-pref"' cli_fig_report.json; then
+    echo "FAIL: no memsys label in the --sweep=memsys --json report"
+    failures=$((failures + 1))
+fi
 
 # A figure table is a function of the results alone: rendered at
 # --jobs 3 through a one-worker daemon, it matches the local table

@@ -32,6 +32,11 @@
  *   cp <build>/golden_stats.actual.jsonl tests/golden/stats.jsonl
  *
  * and the diff of that copy is what the re-pin's review reads.
+ *
+ * The `nosq_sim --perf` harness's deterministic host work (ticks,
+ * issue candidates examined, trace instructions produced) is pinned
+ * the same way, by the last entry of the checked-in BENCH_core.json
+ * trajectory.
  */
 
 #include <gtest/gtest.h>
@@ -40,12 +45,14 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "serve/job_store.hh"
 #include "sim/journal.hh"
+#include "sim/perf.hh"
 #include "sim/report.hh"
 #include "sim/sweep.hh"
 #include "workload/profiles.hh"
@@ -293,6 +300,74 @@ TEST(GoldenStats, MulticoreGoldenSeparatesLsuModes)
     EXPECT_LT(goldenRun().result("spsc-ring", "nosq/c2-d8").cycles,
               goldenRun().result("spsc-ring", "sq/c2-d8").cycles)
         << "NoSQ cycles should beat SQ on spsc-ring";
+}
+
+/**
+ * The --perf harness's work counters equal the "work" map of the
+ * last BENCH_core.json entry on all 14 rows. Unlike wall time they
+ * reproduce exactly on every build, so they are the regression gate
+ * for host work; MIPS stays a warn-only measurement.
+ */
+TEST(GoldenStats, PerfWorkCountersMatchBenchCore)
+{
+    std::ifstream in(NOSQ_BENCH_CORE);
+    ASSERT_TRUE(in) << "cannot read " << NOSQ_BENCH_CORE;
+    std::ostringstream text;
+    text << in.rdbuf();
+    JsonValue doc;
+    std::string error;
+    ASSERT_TRUE(parseJson(text.str(), doc, &error)) << error;
+    const JsonValue *entries = doc.find("entries");
+    ASSERT_TRUE(entries != nullptr &&
+                entries->kind == JsonValue::Kind::Array &&
+                !entries->array.empty());
+    const JsonValue *want = entries->array.back().find("work");
+    ASSERT_TRUE(want != nullptr && want->kind == JsonValue::Kind::Object)
+        << "the last entry carries no \"work\" map";
+
+    const PerfReport report = runPerfHarness(150000, ~std::uint64_t(0));
+    std::map<std::string, WorkCounters> got;
+    for (const std::vector<PerfRun> *rows :
+         {&report.runs, &report.extraRuns})
+        for (const PerfRun &run : *rows)
+            got[run.benchmark + "/" + run.config] = run.work;
+
+    std::set<std::string> runs;
+    for (const auto &[run, counters] : want->object)
+        runs.insert(run);
+    for (const auto &[run, counters] : got)
+        runs.insert(run);
+    const std::pair<const char *, std::uint64_t WorkCounters::*> keys[] =
+        {{"ticks", &WorkCounters::ticks},
+         {"issue_candidates_examined",
+          &WorkCounters::issueCandidatesExamined},
+         {"trace_insts_produced", &WorkCounters::traceInstsProduced}};
+    std::ostringstream failures;
+    for (const std::string &run : runs) {
+        const JsonValue *pinned = want->find(run);
+        const auto actual = got.find(run);
+        for (const auto &[key, member] : keys) {
+            const std::string was =
+                leafText(pinned != nullptr ? pinned->find(key) : nullptr);
+            const std::string now = actual != got.end()
+                ? std::to_string(actual->second.*member)
+                : leafText(nullptr);
+            if (now != was)
+                failures << "  " << run << " " << key << ": " << was
+                         << " -> " << now << "\n";
+        }
+    }
+
+    EXPECT_TRUE(failures.str().empty())
+        << "work counters differ from the last entry of "
+        << NOSQ_BENCH_CORE << ":\n"
+        << failures.str()
+        << "If host work changed on purpose, re-pin: run\n"
+        << "  nosq_sim --perf --insts 150000 --out F\n"
+        << "and append to \"entries\" an entry whose \"work\" map "
+        << "holds, under each\nF row's \"benchmark/config\", its "
+        << "ticks, issue_candidates_examined and\n"
+        << "trace_insts_produced.";
 }
 
 } // anonymous namespace

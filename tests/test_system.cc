@@ -9,12 +9,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ooo/core.hh"
 #include "sim/report.hh"
+#include "sim/sweep.hh"
 #include "sim/system.hh"
 #include "workload/generator.hh"
 #include "workload/multicore.hh"
@@ -134,6 +138,41 @@ TEST(System, MpscQueueContendsHarderThanSpsc)
     // All MPSC producers hammer one head word; the per-pair SPSC
     // rings spread their sharing out.
     EXPECT_GT(res[1].cohInvalidations, res[0].cohInvalidations);
+}
+
+/**
+ * The 2-core grid of `nosq_sim --sweep=multicore --cores 2 --insts
+ * 20000`: every run moves lines between the cores, NoSQ and the SQ
+ * baseline differ at every point, and NoSQ wins at one point at
+ * least. If the modes agreed, the multicore model would have stopped
+ * mattering.
+ */
+TEST(System, MulticoreSweepSeparatesLsuModesAtEveryPoint)
+{
+    std::map<std::pair<std::string, std::string>, SimResult> runs;
+    for (const SweepJob &job : buildMulticoreJobs(
+             multicoreWorkloads(), multicoreConfigs({2}, {8, 64}),
+             test_insts, test_insts / 3, /*seed=*/1)) {
+        const RunResult r = runSweepJob(job);
+        EXPECT_EQ(r.sim.numCores, 2u) << r.benchmark << " " << r.config;
+        EXPECT_GT(r.sim.cohC2cTransfers, 0u)
+            << "no coherence traffic: " << r.benchmark << " " << r.config;
+        runs[{r.benchmark, r.config}] = r.sim;
+    }
+    unsigned pairs = 0, nosq_wins = 0;
+    for (const auto &[key, sq] : runs) {
+        const auto &[kernel, config] = key;
+        if (config.rfind("sq/", 0) != 0)
+            continue;
+        const auto twin = runs.find({kernel, "nosq/" + config.substr(3)});
+        ASSERT_NE(twin, runs.end()) << kernel << " " << config;
+        ++pairs;
+        EXPECT_NE(sq.cycles, twin->second.cycles)
+            << "sq and nosq agree on " << kernel << " " << config;
+        nosq_wins += twin->second.cycles < sq.cycles;
+    }
+    EXPECT_EQ(pairs, 4u);
+    EXPECT_GT(nosq_wins, 0u) << "NoSQ never beat the SQ baseline";
 }
 
 TEST(System, RejectsBadCoreCounts)
